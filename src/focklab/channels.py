@@ -1,24 +1,29 @@
-"""One-mode phase-covariant Gaussian channels via truncated dilations.
+"""One-mode phase-covariant Gaussian channels as closed-form Kraus band maps.
 
-Each channel is realized exactly as written on paper: couple the input to
-a thermal environment through a two-mode unitary (beamsplitter for the
-attenuator, two-mode squeezer for the amplifier), then trace out one
-mode.  The contravariant channel keeps the environment mode instead.
-Additive noise is strictly the composition of a quantum-limited
-attenuator followed by a quantum-limited amplifier.
+Every channel map sends the k-th matrix diagonal of the input to the
+k-th diagonal of the output (phase covariance; the contravariant
+amplifier conjugates it first), so a map is a list of bands.  The three
+quantum-limited channels -- attenuator, amplifier and contravariant
+amplifier -- have Kraus operators in closed form (Ivan, Sabapathy &
+Simon, PRA 84, 042311, 2011), and their bands are written down directly
+from binomial weights in log space.  Every noisy channel is a
+composition of quantum-limited stages (Garcia-Patron et al., PRL 108,
+110505, 2012), and a composed band is the product of the stage bands:
 
-The truncated generators conserve total photon number (beamsplitter) or
-photon-number difference (squeezer), so the dilation unitary is stored
-block-factored over that conserved quantity and never materialized as a
-dense joint matrix unless explicitly requested.  Channel application
-contracts the blocks band by band: the resulting map sends the k-th
-matrix diagonal of the input to the k-th diagonal of the output (phase
-covariance), which is the same algebra as Tr_env[U (rho (x) env) U+]
-evaluated in a better order.  A literal dense-sandwich path is kept for
-cross-checks at small dimensions.
+- noisy attenuator and amplifier: attenuator then amplifier, per decompose();
+- additive noise e: attenuator(1/(e+1)) then amplifier(e+1);
+- noisy contravariant (kappa, e): contravariant(kappa, 0) then additive kappa*e.
+
+The two-mode dilations (beamsplitter for the attenuator, two-mode
+squeezer for both amplifiers, with a thermal environment) are kept as
+the independent reference: apply_channel_dense evaluates
+Tr_other[U (rho (x) env) U+] from the conserved-quantity blocks of U and
+is never used to build a map.
 """
 
+import functools
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, TruncationError
-from .linalg import check_joint_dim, partial_trace
+from .linalg import check_joint_dim
 from .states import DensityMatrix, DiagonalState
 from .thermal import thermal_state, thermal_tail_cutoff
 
@@ -36,12 +41,6 @@ from .thermal import thermal_state, thermal_tail_cutoff
 # worst-case input level; the realized leakage is recorded in the output
 # trace_deficit, never hidden.
 AMPLIFIER_TAIL_TARGET = 1e-9
-
-# The squeezer ladder reflects off the truncation wall, corrupting the top
-# few levels while conserving trace.  Cropping the output this far below
-# the dilation size pushes those artifacts into the cropped band, where
-# they are measured by the trace deficit instead of hiding in the state.
-AMPLIFIER_CROP_MARGIN = 10
 
 # apply_channel refuses to return an output that lost more than this much mass.
 MAX_APPLY_DEFICIT = 0.01
@@ -220,19 +219,29 @@ class DilationUnitary:
         return worst
 
 
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
 def _expm_blocks(tridiag_entries, classes_env_ranges):
+    """exp(G) per block, G real tridiagonal with superdiagonal sup, subdiagonal -sup.
+
+    iG is Hermitian, and with D = diag(i^k) the matrix T = D+ (iG) D is
+    real symmetric tridiagonal with off-diagonal -sup, so
+    exp(G) = D exp(-iT) D+ from one tridiagonal eigensolve.
+    """
     blocks = []
     for cls, lo, hi, sup in zip(*classes_env_ranges, tridiag_entries):
         n = hi - lo
         if n <= 0:
             continue
-        gen = np.zeros((n, n))
-        if n > 1:
-            idx = np.arange(n - 1)
-            gen[idx, idx + 1] = sup
-            gen[idx + 1, idx] = -sup
-        mat = scipy.linalg.expm(gen) if n > 1 else np.ones((1, 1))
-        blocks.append(DilationBlock(cls, lo, np.ascontiguousarray(mat, dtype=float)))
+        if n == 1:
+            mat = np.ones((1, 1))
+        else:
+            lam, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(n), -np.asarray(sup))
+            phase = _I_POWERS[np.arange(n) % 4]
+            rotated = (vecs * np.exp(-1j * lam)) @ vecs.T
+            mat = (phase[:, None] * rotated * phase.conj()[None, :]).real
+        blocks.append(DilationBlock(cls, lo, np.ascontiguousarray(mat)))
     return tuple(blocks)
 
 
@@ -303,14 +312,12 @@ class ChannelMap:
     case); bands[0] is the Fock transition matrix.
     """
 
-    def __init__(self, spec, d_in, d_out, bands, contravariant, env_dim, env_deficit):
+    def __init__(self, spec, d_in, d_out, bands, contravariant):
         self.spec = spec
         self.d_in = d_in
         self.d_out = d_out
         self.bands = bands
         self.contravariant = contravariant
-        self.env_dim = env_dim
-        self.env_deficit = env_deficit
 
     @property
     def transition_matrix(self) -> np.ndarray:
@@ -352,93 +359,87 @@ class ChannelMap:
         return self.bands[0] @ p
 
 
-def _band_slot(bands, k, d_out, d_in, dtype):
-    if bands[k] is None:
-        bands[k] = np.zeros((d_out - k, d_in - k), dtype=dtype)
-    return bands[k]
+def _xlog(power, base: float):
+    """power * ln(base) elementwise, taking 0 * ln(0) = 0."""
+    power = np.asarray(power, dtype=float)
+    if base > 0.0:
+        return power * math.log(base)
+    return np.where(power == 0.0, 0.0, -np.inf)
 
 
-def _build_beamsplitter_bands(unitary, env_probs, d_in, d_out):
-    """Covariant contraction of beamsplitter blocks against the env state."""
-    by_cls = {blk.cls: blk for blk in unitary.blocks}
-    n_bands = min(d_in, d_out)
-    bands = [None] * n_bands
-    for k in range(n_bands):
-        for s, blk in by_cls.items():
-            upper = by_cls.get(s + k)
-            if upper is None:
-                continue
-            lo = max(blk.env_lo, upper.env_lo)
-            hi = min(blk.env_lo + blk.matrix.shape[0], upper.env_lo + upper.matrix.shape[0])
-            # output row i = s - j must sit in [0, d_out - k); input column
-            # l = s - kk must sit in [0, d_in - k)
-            j_lo = max(lo, s - d_out + k + 1)
-            j_hi = min(hi, s + 1)
-            k_lo = max(lo, s - d_in + k + 1)
-            k_hi = min(hi, s + 1)
-            if j_lo >= j_hi or k_lo >= k_hi:
-                continue
-            a = upper.matrix[j_lo - upper.env_lo : j_hi - upper.env_lo,
-                             k_lo - upper.env_lo : k_hi - upper.env_lo]
-            b = blk.matrix[j_lo - blk.env_lo : j_hi - blk.env_lo,
-                           k_lo - blk.env_lo : k_hi - blk.env_lo]
-            contrib = (a * b) * env_probs[k_lo:k_hi]
-            band = _band_slot(bands, k, d_out, d_in, float)
-            # rows i = s - j and columns l = s - kk run backwards in j, kk
-            band[s - j_hi + 1 : s - j_lo + 1, s - k_hi + 1 : s - k_lo + 1] += contrib[::-1, ::-1]
-    return [b if b is not None else np.zeros((d_out - k, d_in - k)) for k, b in enumerate(bands)]
+def _kraus_bands(kind: ChannelKind, parameter: float, d_in: int, d_out: int) -> list:
+    """Bands of a quantum-limited channel from its closed-form Kraus operators.
+
+    Entry [i, c] of band k carries input element (c+k, c) to output
+    element (i+k, i).  With C the binomial coefficient:
+
+    - attenuator lam: sqrt(C(c+k, c-i) C(c, c-i)) lam^(i+k/2) (1-lam)^(c-i), i <= c;
+    - amplifier kap: sqrt(C(i+k, i-c) C(i, i-c)) kap^-(c+1+k/2) (1-1/kap)^(i-c), i >= c;
+    - contravariant kap: sqrt(C(c+i+k, c) C(c+i+k, i)) kap^-(c+1+k/2) (1-1/kap)^(i+k/2).
+    """
+    lf = np.array([math.lgamma(m + 1.0) for m in range(d_in + d_out)])  # ln(m!)
+
+    def log_binom(n, m):
+        return lf[n] - lf[m] - lf[n - m]
+
+    bands = []
+    for k in range(min(d_in, d_out)):
+        i = np.arange(d_out - k)[:, None]
+        c = np.arange(d_in - k)[None, :]
+        if kind == ChannelKind.ATTENUATOR:
+            lost = c - i
+            valid = lost >= 0
+            lost = np.where(valid, lost, 0)
+            log_b = (
+                0.5 * (log_binom(c + k, lost) + log_binom(c, lost))
+                + _xlog(i + 0.5 * k, parameter)
+                + _xlog(lost, 1.0 - parameter)
+            )
+        elif kind == ChannelKind.AMPLIFIER:
+            gained = i - c
+            valid = gained >= 0
+            gained = np.where(valid, gained, 0)
+            log_b = (
+                0.5 * (log_binom(i + k, gained) + log_binom(i, gained))
+                - (c + 1.0 + 0.5 * k) * math.log(parameter)
+                + _xlog(gained, 1.0 - 1.0 / parameter)
+            )
+        else:
+            valid = True
+            top = c + i + k
+            log_b = (
+                0.5 * (log_binom(top, c) + log_binom(top, i))
+                - (c + 1.0 + 0.5 * k) * math.log(parameter)
+                + _xlog(i + 0.5 * k, 1.0 - 1.0 / parameter)
+            )
+        bands.append(np.where(valid, np.exp(log_b), 0.0))
+    return bands
 
 
-def _build_squeezer_bands(unitary, env_probs, d_in, d_out, keep_env):
-    """Contraction of squeezer blocks; keep_env selects the contravariant map."""
-    by_cls = {blk.cls: blk for blk in unitary.blocks}
-    n_bands = min(d_in, d_out)
-    bands = [None] * n_bands
-    for k in range(n_bands):
-        for delta, blk in by_cls.items():
-            upper = by_cls.get(delta + k)
-            if upper is None:
-                continue
-            b_lo, b_hi = blk.env_lo, blk.env_lo + blk.matrix.shape[0]
-            u_lo, u_hi = upper.env_lo, upper.env_lo + upper.matrix.shape[0]
-            if keep_env:
-                # out_diag[r] = sum_j blk[r+k, j] * upper[r, j] * w[j] * conj(in_diag[j+delta])
-                r_lo = max(b_lo - k, u_lo, 0)
-                r_hi = min(b_hi - k, u_hi, d_out - k)
-                c_lo = max(b_lo, u_lo, -delta)
-                c_hi = min(b_hi, u_hi, d_in - k - delta)
-                if r_lo >= r_hi or c_lo >= c_hi:
-                    continue
-                a = blk.matrix[r_lo + k - b_lo : r_hi + k - b_lo, c_lo - b_lo : c_hi - b_lo]
-                b = upper.matrix[r_lo - u_lo : r_hi - u_lo, c_lo - u_lo : c_hi - u_lo]
-                contrib = (a * b) * env_probs[c_lo:c_hi]
-                band = _band_slot(bands, k, d_out, d_in, float)
-                band[r_lo:r_hi, c_lo + delta : c_hi + delta] += contrib
-            else:
-                # out_diag[j + delta] += upper[j, jj] * blk[j, jj] * w[jj] * in_diag[jj + delta]
-                lo = max(b_lo, u_lo)
-                hi = min(b_hi, u_hi)
-                j_lo = max(lo, -delta)
-                j_hi = min(hi, d_out - k - delta)
-                c_lo = max(lo, -delta)
-                c_hi = min(hi, d_in - k - delta)
-                if j_lo >= j_hi or c_lo >= c_hi:
-                    continue
-                a = upper.matrix[j_lo - u_lo : j_hi - u_lo, c_lo - u_lo : c_hi - u_lo]
-                b = blk.matrix[j_lo - b_lo : j_hi - b_lo, c_lo - b_lo : c_hi - b_lo]
-                contrib = (a * b) * env_probs[c_lo:c_hi]
-                band = _band_slot(bands, k, d_out, d_in, float)
-                band[j_lo + delta : j_hi + delta, c_lo + delta : c_hi + delta] += contrib
-    return [b if b is not None else np.zeros((d_out - k, d_in - k)) for k, b in enumerate(bands)]
+def _stages(spec: ChannelSpec) -> list:
+    """Quantum-limited (kind, parameter) stages composing `spec`, first applied first."""
+    e = float(spec.env_energy)
+    if spec.kind == ChannelKind.ADDITIVE:
+        return [(ChannelKind.ATTENUATOR, 1.0 / (e + 1.0)), (ChannelKind.AMPLIFIER, e + 1.0)]
+    if spec.kind == ChannelKind.CONTRAVARIANT:
+        kap = float(spec.gain)
+        tail = _stages(additive_noise(kap * e)) if e > 0.0 else []
+        return [(ChannelKind.CONTRAVARIANT, kap)] + tail
+    if e == 0.0:
+        return [(spec.kind, spec.parameter)]
+    lam, kap = decompose(spec).pair
+    return [(ChannelKind.ATTENUATOR, lam), (ChannelKind.AMPLIFIER, kap)]
 
 
 # ---------------------------------------------------------------------------
-# dimension policies and caches
+# dimension policy and cache
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ChannelDims:
+    """Output cutoff d_out of a map; d_sys, d_env size the dilation reference."""
+
     d_sys: int
     d_env: int
     d_out: int
@@ -447,26 +448,38 @@ class ChannelDims:
 def _negative_binomial_span(successes: int, inv_gain: float, tail: float) -> int:
     """Smallest k with negative-binomial tail mass beyond k below `tail`.
 
-    The two-mode squeezer sends the top retained input level into an
-    excess-quanta distribution with exactly these weights, so this fixes
-    how much headroom the output needs.
+    The quantum-limited amplifier sends the top retained input level into
+    an excess-quanta distribution with exactly these weights, so this
+    fixes how much headroom the output needs.
     """
     r = int(successes)
     p = float(inv_gain)
     if p >= 1.0:
         return 0
     pmf = p**r
+    # for large r, p**r underflows; the weights are then walked in log space
+    log_pmf = r * math.log(p) if pmf < sys.float_info.min else None
     cum = pmf
     k = 0
     while cum < 1.0 - tail and k < 100000:
         k += 1
-        pmf *= (r + k - 1) / k * (1.0 - p)
+        ratio = (r + k - 1) / k * (1.0 - p)
+        if log_pmf is None:
+            pmf *= ratio
+        else:
+            log_pmf += math.log(ratio)
+            pmf = math.exp(log_pmf)
         cum += pmf
     return k
 
 
 def default_dims(spec: ChannelSpec, d_in: int) -> ChannelDims:
-    """Dilation sizes for an arbitrary input supported on d_in levels."""
+    """Output cutoff for an arbitrary input supported on d_in levels.
+
+    d_sys and d_env equal d_out and size only the dilation reference;
+    the beamsplitter conserves total photon number, so the attenuator's
+    reference is then exact up to its environment tail.
+    """
     if d_in < 1:
         raise DomainError(f"d_in must be >= 1, got {d_in}")
     e = float(spec.env_energy)
@@ -474,68 +487,53 @@ def default_dims(spec: ChannelSpec, d_in: int) -> ChannelDims:
         k_env = thermal_tail_cutoff(e, ENV_TAIL_TARGET) if e > 0.0 else 1
         d = d_in + k_env - 1
         return ChannelDims(d_sys=d, d_env=d, d_out=d)
-    if spec.kind in (ChannelKind.AMPLIFIER, ChannelKind.CONTRAVARIANT):
-        # worst case: top input level plus a high thermal env level, both
-        # treated as seed quanta of the negative-binomial output spread
-        j_env = thermal_tail_cutoff(e, AMPLIFIER_TAIL_TARGET) if e > 0.0 else 1
-        seeds = d_in + j_env - 1
-        span = _negative_binomial_span(seeds, 1.0 / float(spec.gain), AMPLIFIER_TAIL_TARGET)
-        d_out = seeds + span
-        d = d_out + AMPLIFIER_CROP_MARGIN
-        return ChannelDims(d_sys=d, d_env=d, d_out=d_out)
-    raise DomainError("additive noise has no single dilation; it is applied as a composition")
+    if spec.kind == ChannelKind.ADDITIVE:
+        # the attenuator stage keeps d_in levels; the amplifier stage sets d_out
+        return default_dims(amplifier(e + 1.0), d_in)
+    # worst case: top input level plus a high thermal env level, both
+    # treated as seed quanta of the negative-binomial output spread
+    j_env = thermal_tail_cutoff(e, AMPLIFIER_TAIL_TARGET) if e > 0.0 else 1
+    seeds = d_in + j_env - 1
+    d = seeds + _negative_binomial_span(seeds, 1.0 / float(spec.gain), AMPLIFIER_TAIL_TARGET)
+    return ChannelDims(d_sys=d, d_env=d, d_out=d)
 
 
-_dilation_cache: dict = {}
 _map_cache: dict = {}
 _cache_lock = threading.Lock()
 
 
 def clear_caches() -> None:
     with _cache_lock:
-        _dilation_cache.clear()
         _map_cache.clear()
-
-
-def _get_dilation(generator: str, parameter: float, d_sys: int, d_env: int) -> DilationUnitary:
-    key = (generator, parameter, d_sys, d_env)
-    got = _dilation_cache.get(key)
-    if got is not None:
-        return got
-    with _cache_lock:
-        got = _dilation_cache.get(key)
-        if got is None:
-            if generator == "beamsplitter":
-                got = beamsplitter_unitary(parameter, d_sys, d_env)
-            else:
-                got = squeezer_unitary(parameter, d_sys, d_env)
-            _dilation_cache[key] = got
-    return got
+    _reference_dilation.cache_clear()
 
 
 def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = None) -> ChannelMap:
-    """Build (or fetch from cache) the band-resolved map for one dilation."""
-    if spec.kind == ChannelKind.ADDITIVE:
-        raise DomainError("additive noise is applied as a composition, not a single map")
+    """Build (or fetch from cache) the band-resolved map of a channel.
+
+    Only dims.d_out matters here.  A quantum-limited attenuator stage
+    keeps its input size, since it never adds quanta; any other stage
+    outputs d_out levels, so mass a contravariant stage sends past d_out
+    is dropped before the noise stages and shows in the output deficit.
+    """
     if dims is None:
         dims = default_dims(spec, d_in)
-    key = (spec.kind, spec.parameter, float(spec.env_energy), d_in, dims)
+    d_out = dims.d_out
+    key = (spec.kind, spec.parameter, float(spec.env_energy), d_in, d_out)
     got = _map_cache.get(key)
     if got is not None:
         return got
-    env = thermal_state(spec.env_energy, dims.d_env)
-    if spec.kind == ChannelKind.ATTENUATOR:
-        unitary = _get_dilation("beamsplitter", spec.parameter, dims.d_sys, dims.d_env)
-        bands = _build_beamsplitter_bands(unitary, env.probs, d_in, dims.d_out)
-        contravariant = False
-    else:
-        unitary = _get_dilation("squeezer", spec.parameter, dims.d_sys, dims.d_env)
-        keep_env = spec.kind == ChannelKind.CONTRAVARIANT
-        bands = _build_squeezer_bands(unitary, env.probs, d_in, dims.d_out, keep_env)
-        contravariant = keep_env
-    built = ChannelMap(
-        spec, d_in, dims.d_out, bands, contravariant, dims.d_env, env.trace_deficit
-    )
+    stages = _stages(spec)
+    bands = None
+    size = d_in
+    for n, (kind, parameter) in enumerate(stages):
+        keeps_size = kind == ChannelKind.ATTENUATOR and n < len(stages) - 1
+        size_out = size if keeps_size else d_out
+        stage = _kraus_bands(kind, parameter, size, size_out)
+        bands = stage if bands is None else [s @ b for s, b in zip(stage, bands)]
+        size = size_out
+    contravariant = spec.kind == ChannelKind.CONTRAVARIANT
+    built = ChannelMap(spec, d_in, d_out, bands, contravariant)
     with _cache_lock:
         _map_cache.setdefault(key, built)
     return _map_cache[key]
@@ -546,9 +544,16 @@ def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = 
 # ---------------------------------------------------------------------------
 
 
-def _additive_factors(spec: ChannelSpec):
-    e = float(spec.env_energy)
-    return attenuator(1.0 / (e + 1.0)), amplifier(e + 1.0)
+def _checked_deficit(trace: float) -> float:
+    """Mass missing from an output of the given trace; refuses lossy outputs."""
+    deficit = max(0.0, 1.0 - trace)
+    if deficit > MAX_APPLY_DEFICIT:
+        raise TruncationError(
+            f"output lost {deficit:.3e} of its mass (limit {MAX_APPLY_DEFICIT});"
+            " increase the input cutoff or the output dimension",
+            deficit=deficit,
+        )
+    return deficit
 
 
 def apply_channel(
@@ -556,27 +561,15 @@ def apply_channel(
     rho: DensityMatrix,
     dims: Optional[ChannelDims] = None,
 ) -> DensityMatrix:
-    """Send a state through the channel dilation and trace out one mode.
+    """Send a state through the channel's band map.
 
     The output keeps whatever mass survives truncation; its trace_deficit
     is measured from the actual output trace.  Losing more than
     MAX_APPLY_DEFICIT raises TruncationError.
     """
-    if spec.kind == ChannelKind.ADDITIVE:
-        if dims is not None:
-            raise DomainError("additive noise sizes its two factors itself")
-        att, amp = _additive_factors(spec)
-        return apply_channel(amp, apply_channel(att, rho))
     cmap = get_channel_map(spec, max(rho.dim, 1), dims)
     out = cmap.apply_matrix(rho.matrix)
-    deficit = max(0.0, 1.0 - float(np.trace(out).real))
-    if deficit > MAX_APPLY_DEFICIT:
-        raise TruncationError(
-            f"output lost {deficit:.3e} of its mass (limit {MAX_APPLY_DEFICIT});"
-            " increase the input cutoff or dilation dimensions",
-            deficit=deficit,
-        )
-    return DensityMatrix(out, deficit)
+    return DensityMatrix(out, _checked_deficit(float(np.trace(out).real)))
 
 
 def apply_diagonal(
@@ -585,20 +578,51 @@ def apply_diagonal(
     dims: Optional[ChannelDims] = None,
 ) -> DiagonalState:
     """Fast path for Fock-diagonal inputs via the cached transition matrix."""
-    if spec.kind == ChannelKind.ADDITIVE:
-        if dims is not None:
-            raise DomainError("additive noise sizes its two factors itself")
-        att, amp = _additive_factors(spec)
-        return apply_diagonal(amp, apply_diagonal(att, state))
     cmap = get_channel_map(spec, max(state.dim, 1), dims)
     probs = cmap.apply_probs(state.probs)
-    deficit = max(0.0, 1.0 - float(probs.sum()))
-    if deficit > MAX_APPLY_DEFICIT:
-        raise TruncationError(
-            f"output lost {deficit:.3e} of its mass (limit {MAX_APPLY_DEFICIT})",
-            deficit=deficit,
-        )
-    return DiagonalState(probs, deficit)
+    return DiagonalState(probs, _checked_deficit(float(probs.sum())))
+
+
+# ---------------------------------------------------------------------------
+# dilation reference
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=2)
+def _reference_dilation(generator: str, parameter: float, d_sys: int, d_env: int):
+    build = beamsplitter_unitary if generator == "beamsplitter" else squeezer_unitary
+    return build(parameter, d_sys, d_env)
+
+
+def _columns_reduced(unitary: DilationUnitary, rho: np.ndarray, j: int, keep: str) -> np.ndarray:
+    """Tr_other[U (rho (x) |j><j|) U+] from the block columns U|a, j>.
+
+    Column U|a, j> lies in the single block of its conserved quantity.
+    Entries of two columns that share a level of the traced mode meet in
+    the kept mode at their own levels, so the partial trace is a
+    scatter-add over (a, b, traced level).
+    """
+    n = rho.shape[0]
+    d_keep = unitary.d_sys if keep == "sys" else unitary.d_env
+    d_traced = unitary.d_env if keep == "sys" else unitary.d_sys
+    kept = np.zeros((n, d_traced), dtype=np.intp)
+    amps = np.zeros((n, d_traced))
+    by_cls = {blk.cls: blk for blk in unitary.blocks}
+    for a in range(n):
+        cls = a + j if unitary.generator == "beamsplitter" else a - j
+        blk = by_cls[cls]
+        env = blk.env_lo + np.arange(blk.matrix.shape[0])
+        sys_lv = unitary._sys_level(cls, env)
+        col = blk.matrix[:, j - blk.env_lo]
+        if keep == "sys":
+            kept[a, env], amps[a, env] = sys_lv, col
+        else:
+            kept[a, sys_lv], amps[a, sys_lv] = env, col
+    idx = (kept[:, None, :] * d_keep + kept[None, :, :]).ravel()
+    weights = (rho[:, :, None] * (amps[:, None, :] * amps[None, :, :])).ravel()
+    size = d_keep * d_keep
+    flat = np.bincount(idx, weights.real, size) + 1j * np.bincount(idx, weights.imag, size)
+    return flat.reshape(d_keep, d_keep)
 
 
 def apply_channel_dense(
@@ -606,35 +630,31 @@ def apply_channel_dense(
     rho: DensityMatrix,
     dims: Optional[ChannelDims] = None,
 ) -> DensityMatrix:
-    """Reference path: dense joint sandwich and partial trace.
+    """Reference path: the channel's own dilation with a thermal environment.
 
-    Materializes the full dilation, so it is only usable at small
-    dimensions; kept as the cross-check for the band contraction.
+    Evaluates sum_j p_j Tr_other[U (rho (x) |j><j|) U+] column by column,
+    never forming the d_sys*d_env joint matrix.  Its cost is one block
+    expm per dilation, so it serves as the independent cross-check of
+    the closed-form maps, not as a production path.  Additive noise has
+    no single-mode-environment dilation: it runs the attenuator
+    reference at default dims, then the amplifier reference at `dims`.
     """
     if spec.kind == ChannelKind.ADDITIVE:
-        att, amp = _additive_factors(spec)
-        return apply_channel_dense(amp, apply_channel_dense(att, rho))
+        e = float(spec.env_energy)
+        mid = apply_channel_dense(attenuator(1.0 / (e + 1.0)), rho)
+        return apply_channel_dense(amplifier(e + 1.0), mid, dims)
     if dims is None:
         dims = default_dims(spec, rho.dim)
-    check_joint_dim(dims.d_sys, dims.d_env)
-    if spec.kind == ChannelKind.ATTENUATOR:
-        unitary = _get_dilation("beamsplitter", spec.parameter, dims.d_sys, dims.d_env)
-        keep = "sys"
-    else:
-        unitary = _get_dilation("squeezer", spec.parameter, dims.d_sys, dims.d_env)
-        keep = "env" if spec.kind == ChannelKind.CONTRAVARIANT else "sys"
-    u = unitary.dense()
-    sys_part = np.zeros((dims.d_sys, dims.d_sys), dtype=complex)
-    sys_part[: rho.dim, : rho.dim] = rho.matrix
+    if rho.dim > dims.d_sys:
+        raise DomainError(f"input dim {rho.dim} exceeds dilation system dim {dims.d_sys}")
+    generator = "beamsplitter" if spec.kind == ChannelKind.ATTENUATOR else "squeezer"
+    unitary = _reference_dilation(generator, spec.parameter, dims.d_sys, dims.d_env)
+    keep = "env" if spec.kind == ChannelKind.CONTRAVARIANT else "sys"
     env = thermal_state(spec.env_energy, dims.d_env)
-    joint = np.kron(sys_part, np.diag(env.probs.astype(complex)))
-    evolved = u @ joint @ u.conj().T
-    reduced = partial_trace(evolved, dims.d_sys, dims.d_env, keep=keep)
+    reduced = sum(
+        p * _columns_reduced(unitary, rho.matrix, j, keep)
+        for j, p in enumerate(env.probs)
+        if p > 0.0
+    )
     out = reduced[: dims.d_out, : dims.d_out]
-    deficit = max(0.0, 1.0 - float(np.trace(out).real))
-    if deficit > MAX_APPLY_DEFICIT:
-        raise TruncationError(
-            f"output lost {deficit:.3e} of its mass (limit {MAX_APPLY_DEFICIT})",
-            deficit=deficit,
-        )
-    return DensityMatrix(out, deficit)
+    return DensityMatrix(out, _checked_deficit(float(np.trace(out).real)))

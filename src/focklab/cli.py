@@ -16,8 +16,8 @@ import math
 import os
 import sys
 
+from . import channels as channel_maps
 from .channels import (
-    AMPLIFIER_CROP_MARGIN,
     ChannelDims,
     ChannelKind,
     ChannelSpec,
@@ -27,7 +27,7 @@ from .channels import (
 )
 from .cmoe import VERDICT_EQUALITY, VERDICT_VIOLATION, check_cmoe
 from .entropy import spectral_distance
-from .errors import ConfigError, DomainError, FockLabError, TruncationError
+from .errors import ConfigError, FockLabError, TruncationError
 from .lemma import (
     LemmaGridSpec,
     amplifier_z_map,
@@ -277,63 +277,28 @@ def _cutoff(energy: float, tail: float) -> int:
 
 
 def thermal_grid_dims(spec: ChannelSpec, input_energy: float, tail: float):
-    """Input cutoff and dilation sizes tuned to a thermal input's tails."""
+    """Input cutoff and output size tuned to a thermal input's tails.
+
+    The attenuator's output is exact on c_in + k_env - 1 levels for an
+    environment truncated at k_env; every other output is cut where the
+    thermal output of the predicted energy has `tail` mass left.
+    """
     c_in = _cutoff(input_energy, tail)
-    e = spec.env_energy
     if spec.kind == ChannelKind.ATTENUATOR:
-        k_env = _cutoff(e, tail) if e > 0.0 else 1
+        k_env = _cutoff(spec.env_energy, tail) if spec.env_energy > 0.0 else 1
         d = c_in + k_env - 1
-        return c_in, ChannelDims(d_sys=d, d_env=d, d_out=d)
-    kap = spec.gain
-    covariant_energy = kap * input_energy + (kap - 1.0) * (e + 1.0)
-    env_side_energy = (kap - 1.0) * (input_energy + 1.0) + kap * e
-    c_cov = _cutoff(covariant_energy, tail)
-    c_env = _cutoff(env_side_energy, tail)
-    if spec.kind == ChannelKind.AMPLIFIER:
-        return c_in, ChannelDims(
-            d_sys=c_cov + AMPLIFIER_CROP_MARGIN,
-            d_env=c_env + AMPLIFIER_CROP_MARGIN,
-            d_out=c_cov,
-        )
-    if spec.kind == ChannelKind.CONTRAVARIANT:
-        return c_in, ChannelDims(
-            d_sys=c_cov + AMPLIFIER_CROP_MARGIN,
-            d_env=c_env + AMPLIFIER_CROP_MARGIN,
-            d_out=c_env,
-        )
-    raise DomainError("additive noise is sized per factor")
+    else:
+        d = _cutoff(spec.output_energy(input_energy), tail)
+    return c_in, ChannelDims(d_sys=d, d_env=d, d_out=d)
 
 
 def apply_thermal_grid_point(spec: ChannelSpec, input_energy: float, tail: float, fixed_cutoff):
     """Push a thermal input through the channel with tuned dimensions.
 
     Returns (input_cutoff, output DiagonalState).  With fixed_cutoff the
-    input is truncated there instead, which is the deliberate
-    small-cutoff failure path.
+    input and output are truncated there instead, which is the
+    deliberate small-cutoff failure path.
     """
-    if spec.kind == ChannelKind.ADDITIVE:
-        e = spec.env_energy
-        att = attenuator(1.0 / (e + 1.0), 0.0)
-        amp = amplifier(e + 1.0, 0.0)
-        c_in, dims_att = thermal_grid_dims(att, input_energy, tail)
-        if fixed_cutoff is not None:
-            c_in = int(fixed_cutoff)
-            d = c_in
-            dims_att = ChannelDims(d_sys=d, d_env=d, d_out=d)
-        state = thermal_state(input_energy, c_in)
-        mid = apply_diagonal(att, state, dims_att)
-        mid_energy = input_energy / (e + 1.0)
-        if fixed_cutoff is not None:
-            d = int(fixed_cutoff)
-            dims_amp = ChannelDims(d_sys=d, d_env=d, d_out=d)
-        else:
-            _, dims_amp = thermal_grid_dims(amp, mid_energy, tail)
-            dims_amp = ChannelDims(
-                d_sys=max(dims_amp.d_sys, mid.dim + AMPLIFIER_CROP_MARGIN),
-                d_env=dims_amp.d_env,
-                d_out=max(dims_amp.d_out, mid.dim),
-            )
-        return c_in, apply_diagonal(amp, mid, dims_amp)
     c_in, dims = thermal_grid_dims(spec, input_energy, tail)
     if fixed_cutoff is not None:
         c_in = int(fixed_cutoff)
@@ -555,13 +520,16 @@ def _equality_rows(cfg: dict) -> list:
     return rows
 
 
-def _warm_caches(channels, cutoffs) -> None:
-    """Build every dilation the trial suites will need, pre-fork."""
-    for entry in channels:
+def _warm_caches(entries, cutoffs) -> None:
+    """Build every channel map the trial suites will need, pre-fork.
+
+    Maps are built directly at the trials' input sizes, so no probe
+    state can fail on a small cutoff.
+    """
+    for entry in entries:
         spec = parse_channel(entry)
         for cutoff in cutoffs:
-            probe = thermal_state(0.5, cutoff)
-            apply_diagonal(spec, probe)
+            channel_maps.get_channel_map(spec, cutoff)
 
 
 def _run_batches(jobs: int, worker, tasks: list) -> list:
@@ -962,6 +930,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except FockLabError as exc:
+        print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -26,7 +26,7 @@ from focklab.channels import (
 )
 from focklab.entropy import trace_distance
 from focklab.errors import DomainError, TruncationError
-from focklab.linalg import ladder
+from focklab.linalg import ladder, partial_trace
 from focklab.sampling import random_mixed, substream
 from focklab.states import DensityMatrix, DiagonalState
 from focklab.thermal import thermal_state, z_of_energy
@@ -166,6 +166,14 @@ def test_negative_binomial_span_matches_scipy():
             assert abs(span - oracle) <= 1
 
 
+def test_negative_binomial_span_survives_underflowing_first_term():
+    # 0.25**600 underflows to zero, so the first weight is not a normal float
+    span = _negative_binomial_span(600, 0.25, AMPLIFIER_TAIL_TARGET)
+    oracle = int(stats.nbinom.isf(AMPLIFIER_TAIL_TARGET, 600, 0.25))
+    assert abs(span - oracle) <= 1
+    assert default_dims(amplifier(4.0), 600).d_out == 600 + span
+
+
 def test_default_dims_attenuator_square():
     dims = default_dims(attenuator(0.5, 0.0), 10)
     assert dims == ChannelDims(10, 10, 10)
@@ -176,7 +184,8 @@ def test_default_dims_attenuator_square():
 def test_default_dims_amplifier_headroom():
     dims = default_dims(amplifier(2.0), 16)
     assert dims.d_out > 2 * 16
-    assert dims.d_sys == dims.d_env == dims.d_out + 10
+    # closed-form maps have no truncation wall to crop away
+    assert dims.d_sys == dims.d_env == dims.d_out
 
 
 def test_default_dims_monotone_in_input():
@@ -187,9 +196,10 @@ def test_default_dims_monotone_in_input():
         prev = dims.d_out
 
 
-def test_default_dims_additive_refuses():
-    with pytest.raises(DomainError):
-        default_dims(additive_noise(1.0), 8)
+def test_default_dims_additive_is_amplifier_stage():
+    # the attenuator stage keeps the input levels; the amplifier(e + 1)
+    # stage sizes the output
+    assert default_dims(additive_noise(1.0), 8) == default_dims(amplifier(2.0), 8)
 
 
 def test_pure_loss_half_on_one_photon():
@@ -202,18 +212,43 @@ def test_pure_loss_half_on_one_photon():
 def test_band_path_matches_dense_path():
     rng = substream(101, 0)
     rho = random_mixed(6, 6, rng)
-    # dims are kept small on purpose: the dense path materializes the
-    # full joint unitary, so it only serves as a cross-check here
+    # every kind against its own dilation.  The environments keep all but
+    # 1e-15 of their thermal mass (43 levels at energy 0.8, 28 at 0.4),
+    # and the squeezer gets levels beyond d_out so that its truncation
+    # wall sits where the output has no mass
     cases = (
-        (attenuator(0.6, 0.8), ChannelDims(14, 14, 14)),
-        (amplifier(1.7, 0.4), ChannelDims(36, 36, 30)),
-        (contravariant_amplifier(1.7, 0.4), ChannelDims(36, 36, 30)),
+        (attenuator(0.6), ChannelDims(6, 6, 6)),
+        (attenuator(0.6, 0.8), ChannelDims(48, 43, 48)),
+        (amplifier(1.7), ChannelDims(80, 80, 40)),
+        (amplifier(1.7, 0.4), ChannelDims(80, 80, 50)),
+        (contravariant_amplifier(1.7), ChannelDims(80, 80, 40)),
+        (contravariant_amplifier(1.7, 0.4), ChannelDims(80, 80, 50)),
+        (additive_noise(0.8), ChannelDims(80, 80, 50)),
     )
     for spec, dims in cases:
         banded = apply_channel(spec, rho, dims)
         dense = apply_channel_dense(spec, rho, dims)
         assert_allclose(banded.matrix, dense.matrix, atol=1e-13)
         assert_allclose(banded.trace_deficit, dense.trace_deficit, atol=1e-13)
+
+
+def test_dense_path_matches_literal_sandwich():
+    rng = substream(111, 0)
+    rho = random_mixed(5, 5, rng)
+    d = 9
+    cases = (
+        (attenuator(0.4, 0.7), beamsplitter_unitary(0.4, d, d), "sys"),
+        (amplifier(1.6, 0.4), squeezer_unitary(1.6, d, d), "sys"),
+        (contravariant_amplifier(1.6, 0.4), squeezer_unitary(1.6, d, d), "env"),
+    )
+    for spec, unitary, keep in cases:
+        u = unitary.dense()
+        sys_part = np.zeros((d, d), dtype=complex)
+        sys_part[:5, :5] = rho.matrix
+        env = np.diag(thermal_state(spec.env_energy, d).probs)
+        literal = partial_trace(u @ np.kron(sys_part, env) @ u.conj().T, d, d, keep=keep)
+        got = apply_channel_dense(spec, rho, ChannelDims(d, d, d))
+        assert_allclose(got.matrix, literal, atol=1e-14)
 
 
 def test_apply_diagonal_matches_apply_channel():
@@ -314,10 +349,13 @@ def test_additive_noise_is_staged_composition():
     assert trace_distance(direct, staged) < 1e-10
 
 
-def test_additive_noise_refuses_explicit_dims():
-    rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-    with pytest.raises(DomainError):
-        apply_channel(additive_noise(1.0), rho, ChannelDims(8, 8, 8))
+def test_additive_noise_accepts_explicit_dims():
+    rng = substream(112, 0)
+    rho = random_mixed(4, 4, rng)
+    out = apply_channel(additive_noise(1.0), rho, ChannelDims(30, 30, 30))
+    assert out.dim == 30
+    default = apply_channel(additive_noise(1.0), rho)
+    assert trace_distance(out, default) < 1e-6
 
 
 def test_truncation_error_on_undersized_output():

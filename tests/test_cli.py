@@ -265,3 +265,31 @@ def test_report_rejects_corrupted_csv(tmp_path, capsys):
 
 def test_default_config_is_json_serializable():
     json.dumps(DEFAULT_CONFIG)
+
+
+def test_cmoe_small_cutoff_warms_caches_without_probe(tmp_path):
+    # a thermal(0.5) probe on 4 levels lacks 1.2% of its mass; the
+    # warm-up builds the maps at that input size instead
+    payload = {
+        "cmoe": dict(
+            SMALL_CMOE["cmoe"],
+            cutoffs=[4],
+            adversarial_cutoff=4,
+            channels=[{"kind": "amplifier", "gain": 2.0, "env_energy": 0.5}],
+        )
+    }
+    cfg = write_config(tmp_path, payload)
+    out = str(tmp_path / "run")
+    assert main(["verify-cmoe", "--config", cfg, "--out", out]) == EXIT_OK
+    rows = read_rows(os.path.join(out, CMOE_CSV))
+    assert {r[4] for r in rows[1:] if r[0] == "random"} == {"4"}
+
+
+def test_library_error_from_bad_input_exits_two(tmp_path, capsys):
+    payload = {"lemma": dict(SMALL_LEMMA["lemma"], probe_cutoff=0)}
+    cfg = write_config(tmp_path, payload)
+    code = main(["verify-lemma", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "DomainError" in err
+    assert len(err.strip().splitlines()) == 1
