@@ -9,8 +9,10 @@ pairs produce byte-identical files.  Exit codes: 0 all checks passed,
 
 import argparse
 import concurrent.futures
+import contextlib
 import copy
 import csv
+import ctypes
 import json
 import math
 import os
@@ -204,33 +206,114 @@ def load_config(args) -> dict:
     return cfg
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+# (description, test) pairs for config values; a rule in a one-element
+# list applies to every entry of a list value
+NONNEGATIVE = ("a number >= 0", lambda v: _is_real(v) and v >= 0.0)
+POSITIVE = ("a number > 0", lambda v: _is_real(v) and v > 0.0)
+OPEN_UNIT = ("a number in (0, 1)", lambda v: _is_real(v) and 0.0 < v < 1.0)
+TRANSMISSIVITY = ("a number in (0, 1]", lambda v: _is_real(v) and 0.0 < v <= 1.0)
+CHANNEL_GAIN = ("a number >= 1", lambda v: _is_real(v) and v >= 1.0)
+ABOVE_ONE = ("a number > 1", lambda v: _is_real(v) and v > 1.0)
+COUNT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
+POSITIVE_COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+LEVELS = ("an integer >= 2", lambda v: _is_int(v) and v >= 2)
+FLAG = ("true or false", lambda v: isinstance(v, bool))
+
+CONFIG_RULES = {
+    "thermal": {
+        "input_energies": [NONNEGATIVE],
+        "transmissivities": [TRANSMISSIVITY],
+        "gains": [CHANNEL_GAIN],
+        "env_energies": [NONNEGATIVE],
+        "tail_target": OPEN_UNIT,
+        "tolerance": POSITIVE,
+        "max_deficit": POSITIVE,
+    },
+    "cmoe": {
+        "trials_per_channel": POSITIVE_COUNT,
+        "cutoffs": [LEVELS],
+        "adversarial_searches": COUNT,
+        "adversarial_iterations": COUNT,
+        "adversarial_cutoff": LEVELS,
+        "equality_input_energies": [NONNEGATIVE],
+        "equality_transmissivities": [TRANSMISSIVITY],
+        "equality_gains": [CHANNEL_GAIN],
+        "equality_env_energies": [NONNEGATIVE],
+        "equality_tail_target": OPEN_UNIT,
+        "thermal_only": FLAG,
+    },
+    "lemma": {
+        "grid_z_points": LEVELS,
+        "grid_order_points": POSITIVE_COUNT,
+        "grid_gains": [ABOVE_ONE],
+        "solver_z": [OPEN_UNIT],
+        "solver_gains": [ABOVE_ONE],
+        "solver_q": [ABOVE_ONE],
+        "trend_q": [ABOVE_ONE],
+        "probe_gain": ABOVE_ONE,
+        "probe_p": ABOVE_ONE,
+        "probe_q": ABOVE_ONE,
+        "probe_cutoff": POSITIVE_COUNT,
+        "probe_trials": POSITIVE_COUNT,
+        "exploratory_q": [ABOVE_ONE],
+    },
+}
+
+
+def _check_value(where: str, value, rule) -> None:
+    if isinstance(rule, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_value(f"{where}[{i}]", item, rule[0])
+        return
+    description, test = rule
+    if not test(value):
+        raise ConfigError(f"{where} must be {description}, got {value!r}")
+
+
 def validate_config(cfg: dict) -> None:
-    if int(cfg["schema_version"]) != SCHEMA_VERSION:
+    if not _is_int(cfg["schema_version"]) or cfg["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r}")
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    if not isinstance(cfg["jobs"], int) or cfg["jobs"] < 1:
+    if not _is_int(cfg["jobs"]) or cfg["jobs"] < 1:
         raise ConfigError("jobs must be a positive integer")
-    th = cfg["thermal"]
-    for key in ("tail_target", "tolerance", "max_deficit"):
-        if not th[key] > 0.0:
-            raise ConfigError(f"thermal.{key} must be positive")
+    if not isinstance(cfg["out"], str):
+        raise ConfigError("out must be a path string")
+    for section, rules in CONFIG_RULES.items():
+        for key, rule in rules.items():
+            _check_value(f"{section}.{key}", cfg[section][key], rule)
+    fixed = cfg["thermal"]["fixed_cutoff"]
+    if fixed is not None:
+        _check_value("thermal.fixed_cutoff", fixed, POSITIVE_COUNT)
     cm = cfg["cmoe"]
-    if cm["trials_per_channel"] < 1:
-        raise ConfigError("cmoe.trials_per_channel must be >= 1")
     if not cm["cutoffs"]:
         raise ConfigError("cmoe.cutoffs must not be empty")
-    if not cm["channels"]:
-        raise ConfigError("cmoe.channels must not be empty")
+    if not isinstance(cm["channels"], list) or not cm["channels"]:
+        raise ConfigError("cmoe.channels must be a nonempty list")
     for ch in cm["channels"]:
         parse_channel(ch)
 
 
 def parse_channel(entry: dict) -> ChannelSpec:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"bad channel entry {entry!r}")
     try:
         kind = ChannelKind(entry["kind"])
     except (KeyError, ValueError):
         raise ConfigError(f"bad channel entry {entry!r}")
+    for key in ("transmissivity", "gain", "env_energy"):
+        if key in entry and not _is_real(entry[key]):
+            raise ConfigError(f"bad channel entry {entry!r}: {key} must be a number")
     try:
         return ChannelSpec(
             kind=kind,
@@ -626,7 +709,8 @@ def cmd_verify_cmoe(cfg: dict) -> int:
         counterexample_paths.append(path)
 
     violations = sum(rec["violations"] for rec in per_channel.values())
-    passed = violations == 0 and not equality_bad
+    suppressed = sum(rec["suppressed"] for rec in per_channel.values())
+    passed = violations == 0 and suppressed == 0 and not equality_bad
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify-cmoe",
@@ -643,6 +727,8 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     if not passed:
         if equality_bad:
             print(f"FAIL {len(equality_bad)} thermal equality rows off bound", file=sys.stderr)
+        if suppressed:
+            print(f"FAIL {suppressed} rows suppressed by truncation", file=sys.stderr)
         for path in counterexample_paths:
             print(f"FAIL violation candidate recorded at {path}", file=sys.stderr)
         return EXIT_CLAIM_FAILED
@@ -914,26 +1000,85 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# thread-count getter and setter of each OpenBLAS build: scipy-openblas
+# wheels prefix the symbols, and 64-bit-integer builds add a suffix
+OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+)
+
+
+def _loaded_openblas() -> list:
+    """(get_num_threads, set_num_threads) of every OpenBLAS in this process.
+
+    Finds the libraries in /proc/self/maps; where that file does not
+    exist (not Linux) or no OpenBLAS is mapped (e.g. MKL) the list is
+    empty.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted(
+        {f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    )
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run every loaded OpenBLAS on one thread, restoring the counts on exit.
+
+    Pool workers forked inside inherit the single thread, so --jobs is
+    a command's only parallelism: threaded BLAS in each of several
+    workers would oversubscribe the cores.
+    """
+    saved = [(put, get()) for get, put in _loaded_openblas()]
+    for put, _ in saved:
+        put(1)
+    try:
+        yield
+    finally:
+        for put, count in saved:
+            put(count)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args)
-        if args.command == "verify-thermal-laws":
-            return cmd_verify_thermal_laws(cfg)
-        if args.command == "verify-cmoe":
-            return cmd_verify_cmoe(cfg)
-        if args.command == "verify-lemma":
-            return cmd_verify_lemma(cfg, getattr(args, "exploratory", False))
-        return cmd_report(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FockLabError as exc:
-        print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with _single_blas_thread():
+        try:
+            cfg = load_config(args)
+            if args.command == "verify-thermal-laws":
+                return cmd_verify_thermal_laws(cfg)
+            if args.command == "verify-cmoe":
+                return cmd_verify_cmoe(cfg)
+            if args.command == "verify-lemma":
+                return cmd_verify_lemma(cfg, getattr(args, "exploratory", False))
+            return cmd_report(cfg)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"io error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except FockLabError as exc:
+            print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

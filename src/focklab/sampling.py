@@ -15,7 +15,6 @@ from scipy.linalg import expm
 
 from .channels import ChannelKind, ChannelSpec
 from .cmoe import CmoeReport, check_cmoe
-from .entropy import von_neumann_entropy
 from .errors import DomainError
 from .linalg import hermitian_eigh
 from .states import DensityMatrix, DiagonalState
@@ -23,7 +22,6 @@ from .states import DensityMatrix, DiagonalState
 _MASK64 = (1 << 64) - 1
 
 PIN_TOL = 1e-9
-PIN_MAX_RETRIES = 100
 
 
 def _splitmix64(x: int) -> int:
@@ -82,6 +80,20 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return qmat * (d / np.abs(d))
 
 
+def mix_entropy(t: float, dim: int) -> float:
+    """Entropy of (1 - t)|v><v| + t I/dim for a unit vector v.
+
+    The mixture's spectrum is (1 - t) + t/dim once and t/dim with
+    multiplicity dim - 1, whatever v is.
+    """
+    top = (1.0 - t) + t / dim
+    rest = t / dim
+    s = -top * math.log(top)
+    if rest > 0.0:
+        s -= (dim - 1) * rest * math.log(rest)
+    return s
+
+
 def entropy_pinned_state(
     target: float, cutoff: int, rng: np.random.Generator, tol: float = PIN_TOL
 ) -> DensityMatrix:
@@ -89,40 +101,33 @@ def entropy_pinned_state(
 
     Mixes a random pure state toward the maximally mixed state; the
     entropy of the mixture is strictly increasing in the mixing weight,
-    so bisection pins it.  The result is conjugated by a Haar unitary.
+    so bisection pins it.  That entropy depends on the weight alone
+    (mix_entropy), so the bisection needs no eigensolve and no redraw.
+    The result is conjugated by a Haar unitary.
     """
     target = float(target)
     if target < 0.0 or target > math.log(cutoff) - 1e-12:
         raise DomainError(f"target entropy {target!r} unreachable at cutoff {cutoff}")
-    eye = np.eye(cutoff) / cutoff
-    for _ in range(PIN_MAX_RETRIES + 1):
-        base = random_pure(cutoff, rng).matrix
-
-        def mix_entropy(t: float) -> float:
-            return von_neumann_entropy(DensityMatrix((1.0 - t) * base + t * eye))
-
+    base = random_pure(cutoff, rng).matrix
+    t_star = 0.0
+    if target > tol:
         lo, hi = 0.0, 1.0
-        s_lo = 0.0
-        if target <= s_lo + tol:
-            t_star, s_star = 0.0, s_lo
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            s_mid = mix_entropy(mid, cutoff)
+            if abs(s_mid - target) <= tol:
+                t_star = mid
+                break
+            if s_mid < target:
+                lo = mid
+            else:
+                hi = mid
         else:
-            t_star, s_star = None, None
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                s_mid = mix_entropy(mid)
-                if abs(s_mid - target) <= tol:
-                    t_star, s_star = mid, s_mid
-                    break
-                if s_mid < target:
-                    lo = mid
-                else:
-                    hi = mid
-        if t_star is None:
-            continue
-        v = random_unitary(cutoff, rng)
-        rho = v @ ((1.0 - t_star) * base + t_star * eye) @ v.conj().T
-        return DensityMatrix(0.5 * (rho + rho.conj().T))
-    raise DomainError(f"failed to pin entropy {target} at cutoff {cutoff}")
+            raise DomainError(f"failed to pin entropy {target} at cutoff {cutoff}")
+    v = random_unitary(cutoff, rng)
+    eye = np.eye(cutoff) / cutoff
+    rho = v @ ((1.0 - t_star) * base + t_star * eye) @ v.conj().T
+    return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from focklab import cli
 from focklab.cli import (
     CMOE_COLUMNS,
     CMOE_CSV,
@@ -23,6 +24,7 @@ from focklab.cli import (
     fmt,
     main,
 )
+from focklab.errors import ConfigError, TruncationError
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -201,8 +203,7 @@ def test_cmoe_jobs_do_not_change_bytes(tmp_path):
     out1, out2 = str(tmp_path / "j1"), str(tmp_path / "j2")
     assert main(["verify-cmoe", "--config", cfg, "--jobs", "1", "--out", out1]) == EXIT_OK
     assert main(["verify-cmoe", "--config", cfg, "--jobs", "2", "--out", out2]) == EXIT_OK
-    b1, b2 = dir_bytes(out1), dir_bytes(out2)
-    assert b1[CMOE_CSV] == b2[CMOE_CSV]
+    assert dir_bytes(out1) == dir_bytes(out2)
 
 
 def test_lemma_small_run_passes(tmp_path):
@@ -286,10 +287,119 @@ def test_cmoe_small_cutoff_warms_caches_without_probe(tmp_path):
 
 
 def test_library_error_from_bad_input_exits_two(tmp_path, capsys):
-    payload = {"lemma": dict(SMALL_LEMMA["lemma"], probe_cutoff=0)}
+    # q passes the config's q > 1 rule, but the solver's bracket
+    # (1 + 1e-9, q - 1e-9) is empty there
+    payload = {"lemma": dict(SMALL_LEMMA["lemma"], trend_q=[1.000000000001])}
     cfg = write_config(tmp_path, payload)
     code = main(["verify-lemma", "--config", cfg, "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "DomainError" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, payload, where",
+    [
+        ("verify-lemma", {"lemma": {"probe_trials": "many"}}, "lemma.probe_trials"),
+        ("verify-lemma", {"lemma": {"probe_cutoff": 0}}, "lemma.probe_cutoff"),
+        ("verify-lemma", {"lemma": {"solver_z": [0.5, 1.0]}}, "lemma.solver_z[1]"),
+        ("verify-cmoe", {"cmoe": {"trials_per_channel": "10"}}, "cmoe.trials_per_channel"),
+        ("verify-cmoe", {"cmoe": {"cutoffs": [16, 1]}}, "cmoe.cutoffs[1]"),
+        ("verify-cmoe", {"cmoe": {"channels": ["attenuator"]}}, "bad channel entry"),
+        ("verify-thermal-laws", {"thermal": {"gains": 2.0}}, "thermal.gains"),
+        ("verify-thermal-laws", {"thermal": {"fixed_cutoff": 2.5}}, "thermal.fixed_cutoff"),
+    ],
+)
+def test_mistyped_config_value_exits_two(tmp_path, capsys, command, payload, where):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and where in err[0]
+
+
+def test_every_config_value_has_a_rule():
+    # values checked outside the table: channel entries and the nullable cutoff
+    outside = {"cmoe": {"channels"}, "thermal": {"fixed_cutoff"}, "lemma": set()}
+    for section, rules in cli.CONFIG_RULES.items():
+        assert set(rules) | outside[section] == set(DEFAULT_CONFIG[section])
+
+
+def test_suppressed_rows_fail_verify_cmoe(tmp_path, monkeypatch, capsys):
+    def truncating(*args, **kwargs):
+        raise TruncationError("forced truncation", deficit=0.5)
+
+    monkeypatch.setattr("focklab.cmoe.apply_channel", truncating)
+    cfg = write_config(tmp_path, SMALL_CMOE)
+    out = str(tmp_path / "run")
+    assert main(["verify-cmoe", "--config", cfg, "--out", out]) == EXIT_CLAIM_FAILED
+    summary = json.loads((tmp_path / "run" / CMOE_SUMMARY).read_text())
+    assert summary["passed"] is False
+    assert summary["violations"] == 0
+    suppressed = sum(rec["suppressed"] for rec in summary["per_channel"].values())
+    assert suppressed > 0
+    assert f"FAIL {suppressed} rows suppressed" in capsys.readouterr().err
+
+
+def _openblas_mapped():
+    try:
+        with open("/proc/self/maps") as fh:
+            return "openblas" in fh.read()
+    except OSError:
+        return False
+
+
+def _blas_controls():
+    controls = cli._loaded_openblas()
+    if not controls:
+        assert not _openblas_mapped(), "an OpenBLAS is mapped but was not found"
+        pytest.skip("no OpenBLAS loaded")
+    return controls
+
+
+def _blas_threads(_=None):
+    return [get() for get, _ in cli._loaded_openblas()]
+
+
+def test_commands_run_blas_on_one_thread_and_restore(tmp_path, monkeypatch):
+    controls = _blas_controls()
+    saved = [get() for get, _ in controls]
+    seen = []
+
+    def recording(cfg, exploratory):
+        seen.append(_blas_threads())
+        return EXIT_OK
+
+    def refusing(cfg, exploratory):
+        raise ConfigError("refused")
+
+    def crashing(cfg, exploratory):
+        raise RuntimeError("crashed")
+
+    argv = ["verify-lemma", "--out", str(tmp_path / "r")]
+    try:
+        for _, put in controls:
+            put(2)
+        before = _blas_threads()
+        monkeypatch.setattr(cli, "cmd_verify_lemma", recording)
+        assert main(argv) == EXIT_OK
+        assert seen == [[1] * len(controls)]
+        assert _blas_threads() == before
+        monkeypatch.setattr(cli, "cmd_verify_lemma", refusing)
+        assert main(argv) == EXIT_CONFIG
+        assert _blas_threads() == before
+        monkeypatch.setattr(cli, "cmd_verify_lemma", crashing)
+        with pytest.raises(RuntimeError):
+            main(argv)
+        assert _blas_threads() == before
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
+
+
+def test_pool_workers_inherit_one_blas_thread():
+    controls = _blas_controls()
+    with cli._single_blas_thread():
+        counts = cli._run_batches(2, _blas_threads, [0, 1])
+    assert counts == [[1] * len(controls)] * 2

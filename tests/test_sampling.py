@@ -14,6 +14,7 @@ from focklab.sampling import (
     adversarial_search,
     draw_state,
     entropy_pinned_state,
+    mix_entropy,
     random_diagonal,
     random_mixed,
     random_pure,
@@ -96,6 +97,48 @@ def test_entropy_pinned_state_zero_target_is_pure():
 def test_entropy_pinned_state_rejects_unreachable_target():
     with pytest.raises(DomainError):
         entropy_pinned_state(math.log(8.0) + 0.1, 8, substream(12, 0))
+
+
+def test_mix_entropy_matches_eigensolved_mixture():
+    for dim in (2, 16, 24):
+        base = random_pure(dim, substream(dim, 0)).matrix
+        eye = np.eye(dim) / dim
+        for t in np.linspace(0.0, 1.0, 41):
+            mixture = DensityMatrix((1.0 - t) * base + t * eye)
+            assert abs(mix_entropy(float(t), dim) - von_neumann_entropy(mixture)) <= 1e-12
+
+
+def _eigensolve_pinned_state(target, cutoff, rng, tol=1e-9):
+    """Reference pinned sampler: bisection on the eigensolved mixture entropy."""
+    eye = np.eye(cutoff) / cutoff
+    base = random_pure(cutoff, rng).matrix
+    t_star = 0.0
+    if target > tol:
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            s_mid = von_neumann_entropy(DensityMatrix((1.0 - mid) * base + mid * eye))
+            if abs(s_mid - target) <= tol:
+                t_star = mid
+                break
+            if s_mid < target:
+                lo = mid
+            else:
+                hi = mid
+        else:
+            raise AssertionError("reference bisection did not converge")
+    v = random_unitary(cutoff, rng)
+    rho = v @ ((1.0 - t_star) * base + t_star * eye) @ v.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def test_entropy_pinned_state_matches_eigensolve_bisection():
+    for seed in range(20):
+        cutoff = (16, 24)[seed % 2]
+        target = 0.05 + substream(seed, 1).random() * (0.9 * math.log(cutoff) - 0.05)
+        fast = entropy_pinned_state(target, cutoff, substream(seed, 0)).matrix
+        ref = _eigensolve_pinned_state(target, cutoff, substream(seed, 0))
+        assert_allclose(fast, ref, rtol=0, atol=1e-13)
 
 
 def test_draw_state_dispatch():
