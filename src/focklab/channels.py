@@ -367,8 +367,10 @@ def _xlog(power, base: float):
     return np.where(power == 0.0, 0.0, -np.inf)
 
 
-def _kraus_bands(kind: ChannelKind, parameter: float, d_in: int, d_out: int) -> list:
+def _kraus_bands(kind: ChannelKind, parameter: float, d_in: int, d_out: int):
     """Bands of a quantum-limited channel from its closed-form Kraus operators.
+
+    Yields them one at a time, so a caller that needs fewer stops early.
 
     Entry [i, c] of band k carries input element (c+k, c) to output
     element (i+k, i).  With C the binomial coefficient:
@@ -382,7 +384,6 @@ def _kraus_bands(kind: ChannelKind, parameter: float, d_in: int, d_out: int) -> 
     def log_binom(n, m):
         return lf[n] - lf[m] - lf[n - m]
 
-    bands = []
     for k in range(min(d_in, d_out)):
         i = np.arange(d_out - k)[:, None]
         c = np.arange(d_in - k)[None, :]
@@ -412,8 +413,7 @@ def _kraus_bands(kind: ChannelKind, parameter: float, d_in: int, d_out: int) -> 
                 - (c + 1.0 + 0.5 * k) * math.log(parameter)
                 + _xlog(i + 0.5 * k, 1.0 - 1.0 / parameter)
             )
-        bands.append(np.where(valid, np.exp(log_b), 0.0))
-    return bands
+        yield np.where(valid, np.exp(log_b), 0.0)
 
 
 def _stages(spec: ChannelSpec) -> list:
@@ -530,7 +530,8 @@ def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = 
         keeps_size = kind == ChannelKind.ATTENUATOR and n < len(stages) - 1
         size_out = size if keeps_size else d_out
         stage = _kraus_bands(kind, parameter, size, size_out)
-        bands = stage if bands is None else [s @ b for s, b in zip(stage, bands)]
+        # a later stage builds only the bands the earlier ones produced
+        bands = list(stage) if bands is None else [s @ b for b, s in zip(bands, stage)]
         size = size_out
     contravariant = spec.kind == ChannelKind.CONTRAVARIANT
     built = ChannelMap(spec, d_in, d_out, bands, contravariant)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +387,26 @@ def test_channel_map_cache_identity():
     clear_caches()
     third = get_channel_map(spec, 6)
     assert third is not first
+
+
+def test_map_build_memory_is_bounded_by_the_bands_it_keeps():
+    """A noisy contravariant map (d_in 24, d_out 157) keeps 24 bands.
+
+    Its later stages act on d_out levels and could make 157 bands each;
+    building all of them took 20 MB of temporaries.  Only the bands the
+    first stage produced are built, one at a time.
+    """
+    clear_caches()
+    spec = contravariant_amplifier(2.0, 0.5)
+    tracemalloc.start()
+    try:
+        cmap = get_channel_map(spec, 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert cmap.d_out == 157 and len(cmap.bands) == 24
+    assert peak < 4 * 2**20
 
 
 def test_transmissivity_one_is_identity():
