@@ -23,6 +23,7 @@ is never used to build a map.
 
 import functools
 import math
+import numbers
 import sys
 import threading
 from dataclasses import dataclass
@@ -30,7 +31,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, TruncationError
 from .linalg import check_joint_dim
@@ -49,6 +49,17 @@ MAX_APPLY_DEFICIT = 0.01
 ENV_TAIL_TARGET = 1e-14
 
 
+def finite_float(value) -> Optional[float]:
+    """value as a float when it is a finite real number (not a bool), else None."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
 class ChannelKind(str, Enum):
     ATTENUATOR = "attenuator"
     AMPLIFIER = "amplifier"
@@ -58,7 +69,11 @@ class ChannelKind(str, Enum):
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Which channel, with its parameter and environment mean energy."""
+    """Which channel, with its parameter and environment mean energy.
+
+    Each given parameter is stored as a float; anything but a finite
+    real number raises DomainError.
+    """
 
     kind: ChannelKind
     transmissivity: Optional[float] = None
@@ -66,18 +81,25 @@ class ChannelSpec:
     env_energy: float = 0.0
 
     def __post_init__(self):
-        e = float(self.env_energy)
-        if e < 0.0:
-            raise DomainError(f"env_energy must be >= 0, got {e!r}")
+        for name in ("transmissivity", "gain", "env_energy"):
+            value = getattr(self, name)
+            if value is None and name != "env_energy":
+                continue
+            number = finite_float(value)
+            if number is None:
+                raise DomainError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, number)
+        if self.env_energy < 0.0:
+            raise DomainError(f"env_energy must be >= 0, got {self.env_energy!r}")
         if self.kind == ChannelKind.ATTENUATOR:
             lam = self.transmissivity
-            if lam is None or not 0.0 < float(lam) <= 1.0:
+            if lam is None or not 0.0 < lam <= 1.0:
                 raise DomainError(f"attenuator needs transmissivity in (0, 1], got {lam!r}")
             if self.gain is not None:
                 raise DomainError("attenuator takes no gain parameter")
         elif self.kind in (ChannelKind.AMPLIFIER, ChannelKind.CONTRAVARIANT):
             kap = self.gain
-            if kap is None or float(kap) < 1.0:
+            if kap is None or kap < 1.0:
                 raise DomainError(f"{self.kind.value} needs gain >= 1, got {kap!r}")
             if self.transmissivity is not None:
                 raise DomainError(f"{self.kind.value} takes no transmissivity parameter")
@@ -91,24 +113,24 @@ class ChannelSpec:
     def parameter(self) -> float:
         """The defining scalar: transmissivity, gain, or added noise energy."""
         if self.kind == ChannelKind.ATTENUATOR:
-            return float(self.transmissivity)
+            return self.transmissivity
         if self.kind == ChannelKind.ADDITIVE:
-            return float(self.env_energy)
-        return float(self.gain)
+            return self.env_energy
+        return self.gain
 
     def output_energy(self, input_energy: float) -> float:
         """Mean energy of the output when the input is thermal."""
         e_in = float(input_energy)
-        e = float(self.env_energy)
+        e = self.env_energy
         if self.kind == ChannelKind.ATTENUATOR:
-            lam = float(self.transmissivity)
+            lam = self.transmissivity
             return lam * e_in + (1.0 - lam) * e
         if self.kind == ChannelKind.AMPLIFIER:
-            kap = float(self.gain)
+            kap = self.gain
             return kap * e_in + (kap - 1.0) * (e + 1.0)
         if self.kind == ChannelKind.ADDITIVE:
             return e_in + e
-        kap = float(self.gain)
+        kap = self.gain
         return (kap - 1.0) * (e_in + 1.0) + kap * e
 
 
@@ -152,13 +174,13 @@ class DecompositionParams:
 
 def decompose(spec: ChannelSpec) -> DecompositionParams:
     """Split a noisy attenuator or amplifier into quantum-limited factors."""
-    e = float(spec.env_energy)
+    e = spec.env_energy
     if spec.kind == ChannelKind.ATTENUATOR:
-        lam = float(spec.transmissivity)
+        lam = spec.transmissivity
         kappa_p = (1.0 - lam) * e + 1.0
         return DecompositionParams(lambda_prime=lam / kappa_p, kappa_prime=kappa_p)
     if spec.kind == ChannelKind.AMPLIFIER:
-        kap = float(spec.gain)
+        kap = spec.gain
         scale = (1.0 - 1.0 / kap) * e + 1.0
         return DecompositionParams(lambda_dprime=1.0 / scale, kappa_dprime=kap * scale)
     raise DomainError(f"no quantum-limited decomposition for kind {spec.kind.value!r}")
@@ -227,8 +249,11 @@ def _expm_blocks(tridiag_entries, classes_env_ranges):
 
     iG is Hermitian, and with D = diag(i^k) the matrix T = D+ (iG) D is
     real symmetric tridiagonal with off-diagonal -sup, so
-    exp(G) = D exp(-iT) D+ from one tridiagonal eigensolve.
+    exp(G) = D exp(-iT) D+ from one tridiagonal eigensolve.  Only the
+    dilation reference comes here, so scipy loads with its first call.
     """
+    import scipy.linalg
+
     blocks = []
     for cls, lo, hi, sup in zip(*classes_env_ranges, tridiag_entries):
         n = hi - lo
@@ -418,11 +443,11 @@ def _kraus_bands(kind: ChannelKind, parameter: float, d_in: int, d_out: int):
 
 def _stages(spec: ChannelSpec) -> list:
     """Quantum-limited (kind, parameter) stages composing `spec`, first applied first."""
-    e = float(spec.env_energy)
+    e = spec.env_energy
     if spec.kind == ChannelKind.ADDITIVE:
         return [(ChannelKind.ATTENUATOR, 1.0 / (e + 1.0)), (ChannelKind.AMPLIFIER, e + 1.0)]
     if spec.kind == ChannelKind.CONTRAVARIANT:
-        kap = float(spec.gain)
+        kap = spec.gain
         tail = _stages(additive_noise(kap * e)) if e > 0.0 else []
         return [(ChannelKind.CONTRAVARIANT, kap)] + tail
     if e == 0.0:
@@ -482,7 +507,7 @@ def default_dims(spec: ChannelSpec, d_in: int) -> ChannelDims:
     """
     if d_in < 1:
         raise DomainError(f"d_in must be >= 1, got {d_in}")
-    e = float(spec.env_energy)
+    e = spec.env_energy
     if spec.kind == ChannelKind.ATTENUATOR:
         k_env = thermal_tail_cutoff(e, ENV_TAIL_TARGET) if e > 0.0 else 1
         d = d_in + k_env - 1
@@ -494,7 +519,7 @@ def default_dims(spec: ChannelSpec, d_in: int) -> ChannelDims:
     # treated as seed quanta of the negative-binomial output spread
     j_env = thermal_tail_cutoff(e, AMPLIFIER_TAIL_TARGET) if e > 0.0 else 1
     seeds = d_in + j_env - 1
-    d = seeds + _negative_binomial_span(seeds, 1.0 / float(spec.gain), AMPLIFIER_TAIL_TARGET)
+    d = seeds + _negative_binomial_span(seeds, 1.0 / spec.gain, AMPLIFIER_TAIL_TARGET)
     return ChannelDims(d_sys=d, d_env=d, d_out=d)
 
 
@@ -519,7 +544,7 @@ def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = 
     if dims is None:
         dims = default_dims(spec, d_in)
     d_out = dims.d_out
-    key = (spec.kind, spec.parameter, float(spec.env_energy), d_in, d_out)
+    key = (spec.kind, spec.parameter, spec.env_energy, d_in, d_out)
     got = _map_cache.get(key)
     if got is not None:
         return got
@@ -641,7 +666,7 @@ def apply_channel_dense(
     reference at default dims, then the amplifier reference at `dims`.
     """
     if spec.kind == ChannelKind.ADDITIVE:
-        e = float(spec.env_energy)
+        e = spec.env_energy
         mid = apply_channel_dense(attenuator(1.0 / (e + 1.0)), rho)
         return apply_channel_dense(amplifier(e + 1.0), mid, dims)
     if dims is None:

@@ -26,6 +26,7 @@ from .channels import (
     amplifier,
     apply_diagonal,
     attenuator,
+    finite_float,
 )
 from .cmoe import VERDICT_EQUALITY, VERDICT_VIOLATION, check_cmoe
 from .entropy import spectral_distance
@@ -211,7 +212,7 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    return finite_float(value) is not None
 
 
 # (description, test) pairs for config values; a rule in a one-element
@@ -311,9 +312,6 @@ def parse_channel(entry: dict) -> ChannelSpec:
         kind = ChannelKind(entry["kind"])
     except (KeyError, ValueError):
         raise ConfigError(f"bad channel entry {entry!r}")
-    for key in ("transmissivity", "gain", "env_energy"):
-        if key in entry and not _is_real(entry[key]):
-            raise ConfigError(f"bad channel entry {entry!r}: {key} must be a number")
     try:
         return ChannelSpec(
             kind=kind,
@@ -615,11 +613,17 @@ def _warm_caches(entries, cutoffs) -> None:
             channel_maps.get_channel_map(spec, cutoff)
 
 
-def _run_batches(jobs: int, worker, tasks: list) -> list:
+def _run_tasks(jobs: int, tasks: list) -> list:
+    """Results of the (worker, argument) tasks, in list order.
+
+    With jobs > 1 every task goes to one pool of `jobs` workers, which
+    starts them in list order.
+    """
     if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
+        return [worker(arg) for worker, arg in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+        futures = [pool.submit(worker, arg) for worker, arg in tasks]
+        return [f.result() for f in futures]
 
 
 def cmd_verify_cmoe(cfg: dict) -> int:
@@ -636,35 +640,32 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     ]
 
     if not section["thermal_only"]:
+        entries = section["channels"]
         cutoffs = [int(c) for c in section["cutoffs"]]
         trials = int(section["trials_per_channel"])
-        _warm_caches(section["channels"], cutoffs)
-        for ch_idx, entry in enumerate(section["channels"]):
-            trials_base = ch_idx * trials
-            chunk = max(1, trials // max(1, jobs * 8))
-            tasks = [
-                (seed, entry, cutoffs, trials_base, list(range(lo, min(lo + chunk, trials))))
-                for lo in range(0, trials, chunk)
-            ]
-            for batch in _run_batches(jobs, _cmoe_trial_batch, tasks):
-                for item in batch:
-                    rows.append(item["row"])
-                    if item["counterexample"] is not None:
-                        counterexamples.append(item["counterexample"])
         searches = int(section["adversarial_searches"])
-        tasks = []
-        for ch_idx, entry in enumerate(section["channels"]):
-            for s in range(searches):
-                tasks.append(
-                    (
-                        seed,
-                        entry,
-                        int(section["adversarial_cutoff"]),
-                        int(section["adversarial_iterations"]),
-                        ch_idx * searches + s,
-                    )
-                )
-        for item in _run_batches(jobs, _adversarial_job, tasks):
+        search_cutoff = int(section["adversarial_cutoff"])
+        iterations = int(section["adversarial_iterations"])
+        _warm_caches(entries, cutoffs)
+        chunk = max(1, trials // max(1, jobs * 8))
+        trial_tasks = [
+            (
+                _cmoe_trial_batch,
+                (seed, entry, cutoffs, ch_idx * trials, list(range(lo, min(lo + chunk, trials)))),
+            )
+            for ch_idx, entry in enumerate(entries)
+            for lo in range(0, trials, chunk)
+        ]
+        search_tasks = [
+            (_adversarial_job, (seed, entry, search_cutoff, iterations, ch_idx * searches + s))
+            for ch_idx, entry in enumerate(entries)
+            for s in range(searches)
+        ]
+        # the searches are the longest tasks, so they start first; the rows
+        # still list every trial before the searches
+        done = _run_tasks(jobs, search_tasks + trial_tasks)
+        searched, batches = done[: len(search_tasks)], done[len(search_tasks) :]
+        for item in [item for batch in batches for item in batch] + searched:
             rows.append(item["row"])
             if item["counterexample"] is not None:
                 counterexamples.append(item["counterexample"])
@@ -1060,6 +1061,10 @@ def _single_blas_thread():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "verify-cmoe":
+        # the adversarial search's expm runs on scipy's own OpenBLAS, which
+        # the scope below pins only if it is already loaded
+        import scipy.linalg  # noqa: F401
     with _single_blas_thread():
         try:
             cfg = load_config(args)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .channels import ChannelKind, ChannelSpec
 from .cmoe import CmoeReport, check_cmoe
@@ -227,7 +226,10 @@ def adversarial_search(
     perturbations re-pinned to the target entropy; a proposal is kept
     only when it lowers the output entropy.  The step angle shrinks
     after runs of rejections so the search settles into local minima.
+    scipy loads with the first search, not with the package.
     """
+    from scipy.linalg import expm
+
     rng = substream(seed, 0)
     state = start if start is not None else entropy_pinned_state(target_entropy, cutoff, rng)
     best = check_cmoe(spec, state)

@@ -64,6 +64,22 @@ def test_spec_constructors_validate():
     additive_noise(0.5)
 
 
+@pytest.mark.parametrize(
+    "value", ["0.7", True, float("nan"), float("inf"), float("-inf"), 10**400, None]
+)
+def test_spec_parameters_must_be_finite_reals(value):
+    builders = [
+        lambda v: attenuator(v),
+        lambda v: attenuator(0.7, v),
+        lambda v: amplifier(v),
+        lambda v: contravariant_amplifier(2.0, v),
+        lambda v: additive_noise(v),
+    ]
+    for build in builders:
+        with pytest.raises(DomainError):
+            build(value)
+
+
 def test_output_energy_laws():
     assert_allclose(attenuator(0.3, 1.0).output_energy(2.0), 0.3 * 2.0 + 0.7 * 1.0)
     assert_allclose(amplifier(2.0, 0.5).output_energy(1.0), 2.0 * 1.0 + 1.0 * 1.5)
@@ -76,6 +92,8 @@ def test_parameter_property():
     assert amplifier(1.7).parameter == 1.7
     assert additive_noise(0.9).parameter == 0.9
     assert contravariant_amplifier(3.0).parameter == 3.0
+    spec = amplifier(np.int64(2), 1)
+    assert type(spec.gain) is float and type(spec.env_energy) is float
 
 
 def test_decompose_noisy_attenuator():

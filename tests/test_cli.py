@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +52,19 @@ SMALL_CMOE = {
         "equality_gains": [1.5],
         "equality_env_energies": [0.0],
     }
+}
+
+# two channels with two searches each, so searches and trial chunks of
+# several channels share the pool
+TWO_CHANNEL_CMOE = {
+    "cmoe": dict(
+        SMALL_CMOE["cmoe"],
+        channels=[
+            {"kind": "attenuator", "transmissivity": 0.6, "env_energy": 0.4},
+            {"kind": "contravariant", "gain": 1.5, "env_energy": 0.2},
+        ],
+        adversarial_searches=2,
+    )
 }
 
 SMALL_LEMMA = {
@@ -199,11 +214,17 @@ def test_cmoe_small_run_passes(tmp_path):
 
 
 def test_cmoe_jobs_do_not_change_bytes(tmp_path):
-    cfg = write_config(tmp_path, SMALL_CMOE)
-    out1, out2 = str(tmp_path / "j1"), str(tmp_path / "j2")
-    assert main(["verify-cmoe", "--config", cfg, "--jobs", "1", "--out", out1]) == EXIT_OK
-    assert main(["verify-cmoe", "--config", cfg, "--jobs", "2", "--out", out2]) == EXIT_OK
-    assert dir_bytes(out1) == dir_bytes(out2)
+    for n, payload in enumerate([SMALL_CMOE, TWO_CHANNEL_CMOE]):
+        cfg = write_config(tmp_path, payload, f"config{n}.json")
+        out1, out2 = str(tmp_path / f"{n}j1"), str(tmp_path / f"{n}j2")
+        assert main(["verify-cmoe", "--config", cfg, "--jobs", "1", "--out", out1]) == EXIT_OK
+        assert main(["verify-cmoe", "--config", cfg, "--jobs", "2", "--out", out2]) == EXIT_OK
+        assert dir_bytes(out1) == dir_bytes(out2)
+    # every trial row comes before the searches, which keep their own order
+    rows = read_rows(os.path.join(out2, CMOE_CSV))[1:]
+    suites = [r[0] for r in rows]
+    assert suites == sorted(suites, key=["equality", "random", "adversarial"].index)
+    assert [r[5] for r in rows if r[0] == "adversarial"] == ["0", "1", "2", "3"]
 
 
 def test_lemma_small_run_passes(tmp_path):
@@ -309,6 +330,8 @@ def test_library_error_from_bad_input_exits_two(tmp_path, capsys):
         ("verify-cmoe", {"cmoe": {"channels": ["attenuator"]}}, "bad channel entry"),
         ("verify-thermal-laws", {"thermal": {"gains": 2.0}}, "thermal.gains"),
         ("verify-thermal-laws", {"thermal": {"fixed_cutoff": 2.5}}, "thermal.fixed_cutoff"),
+        ("verify-cmoe", {"cmoe": {"channels": [{"kind": "amplifier", "gain": "2"}]}}, "gain"),
+        ("verify-thermal-laws", {"thermal": {"tolerance": 10**400}}, "thermal.tolerance"),
     ],
 )
 def test_mistyped_config_value_exits_two(tmp_path, capsys, command, payload, where):
@@ -401,5 +424,93 @@ def test_commands_run_blas_on_one_thread_and_restore(tmp_path, monkeypatch):
 def test_pool_workers_inherit_one_blas_thread():
     controls = _blas_controls()
     with cli._single_blas_thread():
-        counts = cli._run_batches(2, _blas_threads, [0, 1])
+        counts = cli._run_tasks(2, [(_blas_threads, 0), (_blas_threads, 1)])
     assert counts == [[1] * len(controls)] * 2
+
+
+def _run_script(script, *args):
+    """Run a Python script in a fresh interpreter on this focklab; its stdout as JSON."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+SCIPY_GUARD = r"""
+import json, sys
+import numpy as np
+import focklab, focklab.cli
+from focklab.channels import apply_channel, apply_channel_dense, attenuator
+from focklab.sampling import random_mixed, substream
+
+loaded = {"import": "scipy" in sys.modules}
+for name, argv in json.loads(sys.argv[1]):
+    assert focklab.cli.main(argv) == 0, name
+    loaded[name] = "scipy" in sys.modules
+spec, rho = attenuator(0.6, 0.4), random_mixed(6, 3, substream(1, 0))
+error = np.abs(apply_channel_dense(spec, rho).matrix - apply_channel(spec, rho).matrix).max()
+loaded["dense"] = "scipy" in sys.modules
+print(json.dumps({"loaded": loaded, "error": float(error)}))
+"""
+
+
+def test_scipy_loads_only_for_the_search_and_the_reference(tmp_path):
+    commands = [
+        (name, [name, "--config", write_config(tmp_path, payload, f"{name}.json"),
+                "--out", str(tmp_path / name)])
+        for name, payload in [("verify-thermal-laws", SMALL_THERMAL), ("verify-lemma", SMALL_LEMMA)]
+    ]
+    got = _run_script(SCIPY_GUARD, json.dumps(commands))
+    assert got["loaded"] == {
+        "import": False,
+        "verify-thermal-laws": False,
+        "verify-lemma": False,
+        "dense": True,
+    }
+    assert got["error"] < 1e-12
+
+
+SEARCH_WORKER_BLAS = r"""
+import importlib.util, json, os, sys
+from focklab import cli
+
+search = cli.adversarial_search
+
+def recording(*args, **kwargs):
+    result = search(*args, **kwargs)
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in os.path.basename(line.split()[-1])}
+    record = {
+        "pid": os.getpid(),
+        "threads": [get() for get, _ in cli._loaded_openblas()],
+        "paths": sorted(paths),
+    }
+    with open(os.path.join(sys.argv[2], f"search{os.getpid()}.json"), "w") as fh:
+        json.dump(record, fh)
+    return result
+
+cli.adversarial_search = recording
+argv = ["verify-cmoe", "--jobs", "2", "--config", sys.argv[1], "--out", sys.argv[3]]
+assert cli.main(argv) == 0
+scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+print(json.dumps({"pid": os.getpid(), "scipy_dir": scipy_dir}))
+"""
+
+
+def test_search_workers_run_every_blas_on_one_thread(tmp_path):
+    _blas_controls()
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts with one thread on one core")
+    records = tmp_path / "records"
+    records.mkdir()
+    cfg = write_config(tmp_path, TWO_CHANNEL_CMOE)
+    got = _run_script(SEARCH_WORKER_BLAS, cfg, str(records), str(tmp_path / "run"))
+    seen = [json.loads(p.read_text()) for p in records.iterdir()]
+    assert seen and all(r["pid"] != got["pid"] for r in seen)
+    if not any(p.startswith(got["scipy_dir"]) for r in seen for p in r["paths"]):
+        pytest.skip("scipy brings no OpenBLAS of its own")
+    for r in seen:
+        assert r["threads"] == [1] * len(r["paths"])
