@@ -155,34 +155,20 @@ def contravariant_amplifier(gain: float, env_energy: float = 0.0) -> ChannelSpec
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionParams:
-    """Quantum-limited pair: channel = amplifier(kappa) o attenuator(lam)."""
+def decompose(spec: ChannelSpec) -> tuple:
+    """Split a noisy attenuator or amplifier into quantum-limited factors.
 
-    lambda_prime: Optional[float] = None
-    kappa_prime: Optional[float] = None
-    lambda_dprime: Optional[float] = None
-    kappa_dprime: Optional[float] = None
-
-    @property
-    def pair(self):
-        """(transmissivity, gain) of the filled side."""
-        if self.lambda_prime is not None:
-            return self.lambda_prime, self.kappa_prime
-        return self.lambda_dprime, self.kappa_dprime
-
-
-def decompose(spec: ChannelSpec) -> DecompositionParams:
-    """Split a noisy attenuator or amplifier into quantum-limited factors."""
+    Returns (lam, kappa) with channel = amplifier(kappa) o attenuator(lam).
+    """
     e = spec.env_energy
     if spec.kind == ChannelKind.ATTENUATOR:
         lam = spec.transmissivity
         kappa_p = (1.0 - lam) * e + 1.0
-        return DecompositionParams(lambda_prime=lam / kappa_p, kappa_prime=kappa_p)
+        return lam / kappa_p, kappa_p
     if spec.kind == ChannelKind.AMPLIFIER:
         kap = spec.gain
         scale = (1.0 - 1.0 / kap) * e + 1.0
-        return DecompositionParams(lambda_dprime=1.0 / scale, kappa_dprime=kap * scale)
+        return 1.0 / scale, kap * scale
     raise DomainError(f"no quantum-limited decomposition for kind {spec.kind.value!r}")
 
 
@@ -337,17 +323,11 @@ class ChannelMap:
     case); bands[0] is the Fock transition matrix.
     """
 
-    def __init__(self, spec, d_in, d_out, bands, contravariant):
-        self.spec = spec
+    def __init__(self, d_in, d_out, bands, contravariant):
         self.d_in = d_in
         self.d_out = d_out
         self.bands = bands
         self.contravariant = contravariant
-
-    @property
-    def transition_matrix(self) -> np.ndarray:
-        """Probability map between Fock populations; columns sum to <= 1."""
-        return self.bands[0]
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
@@ -452,7 +432,7 @@ def _stages(spec: ChannelSpec) -> list:
         return [(ChannelKind.CONTRAVARIANT, kap)] + tail
     if e == 0.0:
         return [(spec.kind, spec.parameter)]
-    lam, kap = decompose(spec).pair
+    lam, kap = decompose(spec)
     return [(ChannelKind.ATTENUATOR, lam), (ChannelKind.AMPLIFIER, kap)]
 
 
@@ -559,7 +539,7 @@ def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = 
         bands = list(stage) if bands is None else [s @ b for b, s in zip(bands, stage)]
         size = size_out
     contravariant = spec.kind == ChannelKind.CONTRAVARIANT
-    built = ChannelMap(spec, d_in, d_out, bands, contravariant)
+    built = ChannelMap(d_in, d_out, bands, contravariant)
     with _cache_lock:
         _map_cache.setdefault(key, built)
     return _map_cache[key]

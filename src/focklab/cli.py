@@ -32,6 +32,8 @@ from .cmoe import VERDICT_EQUALITY, VERDICT_VIOLATION, check_cmoe
 from .entropy import spectral_distance
 from .errors import ConfigError, FockLabError, TruncationError
 from .lemma import (
+    P_SOLVER_RESIDUAL,
+    SCAN_POINTS,
     LemmaGridSpec,
     amplifier_z_map,
     norm_ratio_log_derivative,
@@ -177,7 +179,9 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(val, dict):
+                raise ConfigError(f"config section {where!r} must be a JSON object, got {val!r}")
             out[key] = _merge(base[key], val, where)
         else:
             out[key] = val
@@ -192,7 +196,7 @@ def load_config(args) -> dict:
                 user = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}")
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
@@ -373,21 +377,6 @@ def thermal_grid_dims(spec: ChannelSpec, input_energy: float, tail: float):
     return c_in, ChannelDims(d_sys=d, d_env=d, d_out=d)
 
 
-def apply_thermal_grid_point(spec: ChannelSpec, input_energy: float, tail: float, fixed_cutoff):
-    """Push a thermal input through the channel with tuned dimensions.
-
-    Returns (input_cutoff, output DiagonalState).  With fixed_cutoff the
-    input and output are truncated there instead, which is the
-    deliberate small-cutoff failure path.
-    """
-    c_in, dims = thermal_grid_dims(spec, input_energy, tail)
-    if fixed_cutoff is not None:
-        c_in = int(fixed_cutoff)
-        dims = ChannelDims(d_sys=c_in, d_env=c_in, d_out=c_in)
-    state = thermal_state(input_energy, c_in)
-    return c_in, apply_diagonal(spec, state, dims)
-
-
 def thermal_grid_channels(section: dict):
     chans = []
     for lam in section["transmissivities"]:
@@ -412,24 +401,23 @@ def cmd_verify_thermal_laws(cfg: dict) -> int:
         raise ConfigError("thermal grid is empty")
     tol = section["tolerance"]
     max_deficit = section["max_deficit"]
+    fixed = section["fixed_cutoff"]
     rows = []
     failures = []
     for spec in channels:
         for e_in in section["input_energies"]:
             predicted_energy = spec.output_energy(e_in)
+            c_in, dims = thermal_grid_dims(spec, e_in, section["tail_target"])
+            if fixed is not None:
+                # the deliberate small-cutoff failure path
+                c_in, dims = fixed, ChannelDims(d_sys=fixed, d_env=fixed, d_out=fixed)
             try:
-                c_in, out = apply_thermal_grid_point(
-                    spec, e_in, section["tail_target"], section["fixed_cutoff"]
-                )
+                out = apply_diagonal(spec, thermal_state(e_in, c_in), dims)
                 predicted = thermal_state(predicted_energy, out.dim)
                 dist = spectral_distance(out, predicted)
                 deficit = out.trace_deficit
                 out_dim = out.dim
             except TruncationError as exc:
-                if section["fixed_cutoff"] is not None:
-                    c_in = int(section["fixed_cutoff"])
-                else:
-                    c_in = _cutoff(e_in, section["tail_target"])
                 dist = float("nan")
                 deficit = exc.deficit
                 out_dim = 0
@@ -489,34 +477,16 @@ STATE_KINDS = ("mixed", "pure", "diagonal", "pinned")
 ADVERSARIAL_STREAM_BASE = 1 << 40
 
 
-def _channel_row(spec: ChannelSpec) -> dict:
-    return {
+def _report_row(seed, suite, spec, cutoff, trial, state_kind, rep, state) -> dict:
+    """One CMOE_COLUMNS row, with the dumped state when it is a violation candidate."""
+    row = {
+        "suite": suite,
         "channel": spec.kind.value,
         "parameter": spec.parameter,
         "env_energy": spec.env_energy,
-    }
-
-
-def _cmoe_trial(seed: int, spec_entry: dict, cutoffs, trials_base: int, index: int) -> dict:
-    """One random-suite trial; depends only on (seed, global index)."""
-    spec = parse_channel(spec_entry)
-    cutoff = cutoffs[index % len(cutoffs)]
-    kind = STATE_KINDS[(index // len(cutoffs)) % len(STATE_KINDS)]
-    stream = trials_base + index
-    if kind == "pinned":
-        rng = substream(seed, stream)
-        target = 0.05 + rng.random() * (0.9 * math.log(cutoff) - 0.05)
-        cfg = SamplerConfig(seed=seed, cutoff=cutoff, kind=kind, target_entropy=target)
-    else:
-        cfg = SamplerConfig(seed=seed, cutoff=cutoff, kind=kind)
-    state = draw_state(cfg, stream)
-    rep = check_cmoe(spec, state)
-    row = {
-        "suite": "random",
-        **_channel_row(spec),
         "cutoff": cutoff,
-        "trial": index,
-        "state_kind": kind,
+        "trial": trial,
+        "state_kind": state_kind,
         "input_entropy": rep.input_entropy,
         "output_entropy": rep.output_entropy,
         "bound": rep.bound,
@@ -531,39 +501,41 @@ def _cmoe_trial(seed: int, spec_entry: dict, cutoffs, trials_base: int, index: i
     return {"row": row, "counterexample": payload}
 
 
+def _cmoe_trial(seed: int, spec: ChannelSpec, cutoffs, trials_base: int, index: int) -> dict:
+    """One random-suite trial; depends only on (seed, global index)."""
+    cutoff = cutoffs[index % len(cutoffs)]
+    kind = STATE_KINDS[(index // len(cutoffs)) % len(STATE_KINDS)]
+    stream = trials_base + index
+    if kind == "pinned":
+        rng = substream(seed, stream)
+        target = 0.05 + rng.random() * (0.9 * math.log(cutoff) - 0.05)
+        cfg = SamplerConfig(seed=seed, cutoff=cutoff, kind=kind, target_entropy=target)
+    else:
+        cfg = SamplerConfig(seed=seed, cutoff=cutoff, kind=kind)
+    state = draw_state(cfg, stream)
+    rep = check_cmoe(spec, state)
+    return _report_row(seed, "random", spec, cutoff, index, kind, rep, state)
+
+
 def _cmoe_trial_batch(args) -> list:
-    seed, spec_entry, cutoffs, trials_base, indices = args
-    return [_cmoe_trial(seed, spec_entry, cutoffs, trials_base, i) for i in indices]
+    seed, spec, cutoffs, trials_base, indices = args
+    return [_cmoe_trial(seed, spec, cutoffs, trials_base, i) for i in indices]
 
 
 def _adversarial_job(args) -> dict:
-    seed, spec_entry, cutoff, iterations, stream_index = args
-    spec = parse_channel(spec_entry)
+    seed, spec, cutoff, iterations, stream_index = args
     rng = substream(seed, ADVERSARIAL_STREAM_BASE + stream_index)
     target = 0.2 + rng.random() * (0.9 * math.log(cutoff) - 0.2)
     derived = _splitmix64(seed ^ _splitmix64(ADVERSARIAL_STREAM_BASE + stream_index))
     result = adversarial_search(spec, target, iterations, cutoff, derived)
-    rep = result.best_report
-    row = {
-        "suite": "adversarial",
-        **_channel_row(spec),
-        "cutoff": cutoff,
-        "trial": stream_index,
-        "state_kind": "search-best",
-        "input_entropy": rep.input_entropy,
-        "output_entropy": rep.output_entropy,
-        "bound": rep.bound,
-        "gap": rep.gap,
-        "truncation_margin": rep.truncation_margin,
-        "verdict": rep.verdict_label,
-    }
-    payload = None
-    if rep.verdict == VERDICT_VIOLATION:
-        payload = state_to_json(result.best_state, seed, spec)
-    return {"row": row, "counterexample": payload}
+    return _report_row(
+        seed, "adversarial", spec, cutoff, stream_index, "search-best",
+        result.best_report, result.best_state,
+    )
 
 
 def _equality_rows(cfg: dict) -> list:
+    """Thermal inputs on the equality grid; rows off the bound are counted, not dumped."""
     section = cfg["cmoe"]
     tail = section["equality_tail_target"]
     grid_section = {
@@ -575,40 +547,24 @@ def _equality_rows(cfg: dict) -> list:
     trial = 0
     for spec in thermal_grid_channels(grid_section):
         for e_in in section["equality_input_energies"]:
-            c_in = _cutoff(e_in, tail)
-            state = thermal_state(e_in, c_in)
+            c_in, dims = thermal_grid_dims(spec, e_in, tail)
             if spec.kind == ChannelKind.ADDITIVE:
-                rep = check_cmoe(spec, state)
-            else:
-                _, dims = thermal_grid_dims(spec, e_in, tail)
-                rep = check_cmoe(spec, state, dims)
-            rows.append(
-                {
-                    "suite": "equality",
-                    **_channel_row(spec),
-                    "cutoff": c_in,
-                    "trial": trial,
-                    "state_kind": "thermal",
-                    "input_entropy": rep.input_entropy,
-                    "output_entropy": rep.output_entropy,
-                    "bound": rep.bound,
-                    "gap": rep.gap,
-                    "truncation_margin": rep.truncation_margin,
-                    "verdict": rep.verdict_label,
-                }
-            )
+                dims = None  # additive rows keep the default output size
+            state = thermal_state(e_in, c_in)
+            rep = check_cmoe(spec, state, dims)
+            item = _report_row(cfg["seed"], "equality", spec, c_in, trial, "thermal", rep, state)
+            rows.append(item["row"])
             trial += 1
     return rows
 
 
-def _warm_caches(entries, cutoffs) -> None:
+def _warm_caches(specs, cutoffs) -> None:
     """Build every channel map the trial suites will need, pre-fork.
 
     Maps are built directly at the trials' input sizes, so no probe
     state can fail on a small cutoff.
     """
-    for entry in entries:
-        spec = parse_channel(entry)
+    for spec in specs:
         for cutoff in cutoffs:
             channel_maps.get_channel_map(spec, cutoff)
 
@@ -640,25 +596,25 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     ]
 
     if not section["thermal_only"]:
-        entries = section["channels"]
-        cutoffs = [int(c) for c in section["cutoffs"]]
-        trials = int(section["trials_per_channel"])
-        searches = int(section["adversarial_searches"])
-        search_cutoff = int(section["adversarial_cutoff"])
-        iterations = int(section["adversarial_iterations"])
-        _warm_caches(entries, cutoffs)
+        specs = [parse_channel(entry) for entry in section["channels"]]
+        cutoffs = section["cutoffs"]
+        trials = section["trials_per_channel"]
+        searches = section["adversarial_searches"]
+        search_cutoff = section["adversarial_cutoff"]
+        iterations = section["adversarial_iterations"]
+        _warm_caches(specs, cutoffs)
         chunk = max(1, trials // max(1, jobs * 8))
         trial_tasks = [
             (
                 _cmoe_trial_batch,
-                (seed, entry, cutoffs, ch_idx * trials, list(range(lo, min(lo + chunk, trials)))),
+                (seed, spec, cutoffs, ch_idx * trials, list(range(lo, min(lo + chunk, trials)))),
             )
-            for ch_idx, entry in enumerate(entries)
+            for ch_idx, spec in enumerate(specs)
             for lo in range(0, trials, chunk)
         ]
         search_tasks = [
-            (_adversarial_job, (seed, entry, search_cutoff, iterations, ch_idx * searches + s))
-            for ch_idx, entry in enumerate(entries)
+            (_adversarial_job, (seed, spec, search_cutoff, iterations, ch_idx * searches + s))
+            for ch_idx, spec in enumerate(specs)
             for s in range(searches)
         ]
         # the searches are the longest tasks, so they start first; the rows
@@ -704,9 +660,7 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     counterexample_paths = []
     for i, payload in enumerate(counterexamples):
         path = os.path.join(out_dir, f"counterexample_{i}.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_summary(path, payload)
         counterexample_paths.append(path)
 
     violations = sum(rec["violations"] for rec in per_channel.values())
@@ -758,10 +712,10 @@ def _solver_row(seed_zbar: float, gain: float, q: float, exploratory: bool) -> d
         z_star, _ = scan_ratio_maximizer(gain, p, q)
         offset = abs(z_star - seed_zbar)
         passed = (
-            residual <= 1e-12
+            residual <= P_SOLVER_RESIDUAL
             and 1.0 < p < q
             and 0.0 <= prefactor <= 1.0
-            and offset <= 1.0 / 2001.0
+            and offset <= 1.0 / (SCAN_POINTS + 1.0)  # one cell of the maximizer's scan
         )
     except FockLabError:
         p = float("nan")
@@ -794,8 +748,8 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
                 "rerun with --exploratory"
             )
     grid = LemmaGridSpec(
-        z_points=int(section["grid_z_points"]),
-        order_points=int(section["grid_order_points"]),
+        z_points=section["grid_z_points"],
+        order_points=section["grid_order_points"],
         gains=tuple(float(g) for g in section["grid_gains"]),
     )
     grid_report = verify_lemma_inequalities(grid, strict=False)
@@ -830,8 +784,8 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
         gain=float(section["probe_gain"]),
         p=float(section["probe_p"]),
         q=float(section["probe_q"]),
-        cutoff=int(section["probe_cutoff"]),
-        trials=int(section["probe_trials"]),
+        cutoff=section["probe_cutoff"],
+        trials=section["probe_trials"],
         seed=cfg["seed"],
         strict=False,
     )
@@ -905,18 +859,19 @@ CLAIM_DESCRIPTIONS = {
 }
 
 
-def _read_csv_checked(path: str, expected_columns) -> list:
-    rows = []
+def _read_csv_checked(path: str, expected_columns) -> None:
+    """Raise ConfigError unless the CSV has the expected header and row widths."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_columns:
-            raise ConfigError(f"corrupted CSV {path}: bad header at line 1")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected_columns):
-                raise ConfigError(f"corrupted CSV {path}: wrong column count at line {lineno}")
-            rows.append(row)
-    return rows
+        try:
+            header = next(reader, None)
+            if header != expected_columns:
+                raise ConfigError(f"corrupted CSV {path}: bad header at line 1")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(expected_columns):
+                    raise ConfigError(f"corrupted CSV {path}: wrong column count at line {lineno}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"corrupted CSV {path}: {exc}")
 
 
 def cmd_report(cfg: dict) -> int:
@@ -935,8 +890,10 @@ def cmd_report(cfg: dict) -> int:
         with open(spath) as fh:
             try:
                 summary = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"corrupted summary {spath}: {exc}")
+        if not isinstance(summary, dict):
+            raise ConfigError(f"corrupted summary {spath}: root must be a JSON object")
         if csv_file is not None:
             cpath = os.path.join(out_dir, csv_file)
             if os.path.exists(cpath):
@@ -946,7 +903,7 @@ def cmd_report(cfg: dict) -> int:
             {
                 "suite": name,
                 "claim": CLAIM_DESCRIPTIONS[name],
-                "status": "PASS" if summary.get("passed") else "FAIL",
+                "status": "PASS" if summary.get("passed") is True else "FAIL",
                 "summary": summary,
             }
         )

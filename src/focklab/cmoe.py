@@ -16,7 +16,6 @@ import numpy as np
 from . import lemma
 from .channels import (
     ChannelDims,
-    ChannelKind,
     ChannelSpec,
     amplifier,
     apply_channel,
@@ -40,39 +39,9 @@ VERDICT_VIOLATION = "ViolationCandidate"
 VERDICT_SUPPRESSED = "Suppressed"
 
 
-def bound_attenuator(entropy_in: float, transmissivity: float, env_energy: float = 0.0) -> float:
-    lam = float(transmissivity)
-    if not 0.0 < lam <= 1.0:
-        raise DomainError(f"transmissivity must be in (0, 1], got {lam!r}")
-    return g(lam * g_inv(entropy_in) + (1.0 - lam) * float(env_energy))
-
-
-def bound_amplifier(entropy_in: float, gain: float, env_energy: float = 0.0) -> float:
-    kap = float(gain)
-    if kap < 1.0:
-        raise DomainError(f"gain must be >= 1, got {kap!r}")
-    return g(kap * g_inv(entropy_in) + (kap - 1.0) * (float(env_energy) + 1.0))
-
-
-def bound_additive(entropy_in: float, env_energy: float) -> float:
-    return g(g_inv(entropy_in) + float(env_energy))
-
-
-def bound_contravariant(entropy_in: float, gain: float, env_energy: float = 0.0) -> float:
-    kap = float(gain)
-    if kap < 1.0:
-        raise DomainError(f"gain must be >= 1, got {kap!r}")
-    return g((kap - 1.0) * (g_inv(entropy_in) + 1.0) + kap * float(env_energy))
-
-
 def bound_for(spec: ChannelSpec, entropy_in: float) -> float:
-    if spec.kind == ChannelKind.ATTENUATOR:
-        return bound_attenuator(entropy_in, spec.transmissivity, spec.env_energy)
-    if spec.kind == ChannelKind.AMPLIFIER:
-        return bound_amplifier(entropy_in, spec.gain, spec.env_energy)
-    if spec.kind == ChannelKind.ADDITIVE:
-        return bound_additive(entropy_in, spec.env_energy)
-    return bound_contravariant(entropy_in, spec.gain, spec.env_energy)
+    """g of the output energy of the thermal input with entropy entropy_in."""
+    return g(spec.output_energy(g_inv(entropy_in)))
 
 
 def entropy_truncation_margin(deficit: float, dim: int) -> float:

@@ -20,6 +20,14 @@ from .thermal import log_thermal_schatten_norm
 P_SOLVER_WIDTH = 1e-14
 P_SOLVER_RESIDUAL = 1e-12
 
+# the grid's orders span [GRID_P_LO, GRID_P_HI]; central differences of
+# step FD_STEP must match the closed forms to within FD_TOL
+GRID_P_LO, GRID_P_HI = 1.01, 1.49
+FD_STEP, FD_TOL = 1e-7, 1e-6
+SCAN_POINTS = 2000  # coarse-scan points of scan_ratio_maximizer
+PROBE_TOLERANCE = 1e-6  # slack of the saturation probe over the thermal ceiling
+PROBE_KINDS = ("mixed", "pure", "diagonal")
+
 
 def _check_z(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
@@ -169,18 +177,14 @@ def solve_p_of_q(z_bar, gain, q) -> float:
 class LemmaGridSpec:
     z_points: int = 199
     order_points: int = 25
-    p_lo: float = 1.01
-    p_hi: float = 1.49
     gains: tuple = (1.25, 1.5, 2.0, 4.0)
-    fd_step: float = 1e-7
-    fd_tol: float = 1e-6
 
     def z_grid(self) -> np.ndarray:
         n = self.z_points
         return np.arange(1, n + 1) / (n + 1.0)
 
     def order_grid(self) -> np.ndarray:
-        return np.linspace(self.p_lo, self.p_hi, self.order_points)
+        return np.linspace(GRID_P_LO, GRID_P_HI, self.order_points)
 
 
 @dataclass
@@ -218,7 +222,7 @@ def verify_lemma_inequalities(
     """Sweep every scalar inequality over the lattice and record margins.
 
     With strict=True a non-positive margin or a finite-difference
-    residual above grid.fd_tol raises LemmaViolationError; otherwise the
+    residual above FD_TOL raises LemmaViolationError; otherwise the
     failures are only recorded in the report.
     """
     if grid is None:
@@ -342,7 +346,7 @@ def verify_lemma_inequalities(
     )
 
     # finite differences agree in sign away from the p = 3/2 boundary
-    h = grid.fd_step
+    h = FD_STEP
     keep = np.abs(orders - 1.5) > 0.01 + 1e-12
     pk = orders[keep]
     fd_f = (f_func(z[:, None], pk[None, :] + h) - f_func(z[:, None], pk[None, :] - h)) / (2.0 * h)
@@ -355,7 +359,6 @@ def verify_lemma_inequalities(
     )
 
     # analytic log-derivative of the norm ratio vs central differences
-    h = grid.fd_step
     fd_max = 0.0
     for kap in gains:
         for q in orders:
@@ -366,7 +369,7 @@ def verify_lemma_inequalities(
                 )
                 fd_max = max(fd_max, float(np.max(np.abs(ana - num))))
     report.fd_max_residual = fd_max
-    if fd_max > grid.fd_tol:
+    if fd_max > FD_TOL:
         report.all_hold = False
 
     if strict and not report.all_hold:
@@ -377,17 +380,17 @@ def verify_lemma_inequalities(
     return report
 
 
-def scan_ratio_maximizer(gain: float, p: float, q: float, points: int = 2000):
+def scan_ratio_maximizer(gain: float, p: float, q: float):
     """Locate the interior maximizer of the thermal norm ratio in z.
 
     Coarse scan over an interior grid, then golden-section refinement on
     the bracketing cell.  Returns (z_star, log_ratio_at_star).
     """
-    zg = np.arange(1, points + 1) / (points + 1.0)
+    zg = np.arange(1, SCAN_POINTS + 1) / (SCAN_POINTS + 1.0)
     vals = log_thermal_norm_ratio(zg, gain, p, q)
     j = int(np.argmax(vals))
     lo = zg[j - 1] if j > 0 else zg[j] / 2.0
-    hi = zg[j + 1] if j < points - 1 else 0.5 * (zg[j] + 1.0)
+    hi = zg[j + 1] if j < SCAN_POINTS - 1 else 0.5 * (zg[j] + 1.0)
     inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_gold * (b - a)
@@ -432,13 +435,11 @@ def pq_norm_saturation_probe(
     cutoff: int,
     trials: int,
     seed: int,
-    tolerance: float = 1e-6,
     strict: bool = True,
-    kinds: tuple = ("mixed", "pure", "diagonal"),
 ) -> SaturationProbeReport:
     """Check that no random input beats the thermal-family norm ratio.
 
-    Draws states of the requested kinds in rotation, pushes each through
+    Draws states of the PROBE_KINDS in rotation, pushes each through
     the quantum-limited amplifier, and compares the realized q-to-p norm
     ratio against the thermal ceiling.
     """
@@ -450,24 +451,21 @@ def pq_norm_saturation_probe(
     best = -math.inf
     for t in range(trials):
         rng = substream(seed, t)
-        kind = kinds[t % len(kinds)]
-        if kind == "mixed":
-            state = random_mixed(cutoff, cutoff, rng)
-        elif kind == "pure":
-            state = random_pure(cutoff, rng)
-        elif kind == "diagonal":
-            state = random_diagonal(cutoff, rng)
-        else:
-            raise DomainError(f"unknown probe state kind {kind!r}")
+        kind = PROBE_KINDS[t % len(PROBE_KINDS)]
         if kind == "diagonal":
+            state = random_diagonal(cutoff, rng)
             out = apply_diagonal(spec, state, dims)
+        elif kind == "mixed":
+            state = random_mixed(cutoff, cutoff, rng)
+            out = apply_channel(spec, state, dims)
         else:
+            state = random_pure(cutoff, rng)
             out = apply_channel(spec, state, dims)
         ratio = math.log(schatten_norm(out, q)) - math.log(schatten_norm(state, p))
         if ratio > best:
             best = ratio
-    margin = ceiling + tolerance - best
-    exceeded = best > ceiling + tolerance
+    margin = ceiling + PROBE_TOLERANCE - best
+    exceeded = best > ceiling + PROBE_TOLERANCE
     if strict and exceeded:
         raise SaturationViolationError(
             f"random input beat the thermal norm-ratio ceiling by {best - ceiling:.3e}"

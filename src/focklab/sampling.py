@@ -22,6 +22,10 @@ _MASK64 = (1 << 64) - 1
 
 PIN_TOL = 1e-9
 
+# the adversarial search's step angle starts at STEP_ANGLE and shrinks by
+# ANGLE_DECAY after every DECAY_AFTER rejections in a row
+STEP_ANGLE, ANGLE_DECAY, DECAY_AFTER = 0.05, 0.95, 50
+
 
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
@@ -93,10 +97,8 @@ def mix_entropy(t: float, dim: int) -> float:
     return s
 
 
-def entropy_pinned_state(
-    target: float, cutoff: int, rng: np.random.Generator, tol: float = PIN_TOL
-) -> DensityMatrix:
-    """Random state with von Neumann entropy within tol of target.
+def entropy_pinned_state(target: float, cutoff: int, rng: np.random.Generator) -> DensityMatrix:
+    """Random state with von Neumann entropy within PIN_TOL of target.
 
     Mixes a random pure state toward the maximally mixed state; the
     entropy of the mixture is strictly increasing in the mixing weight,
@@ -109,12 +111,12 @@ def entropy_pinned_state(
         raise DomainError(f"target entropy {target!r} unreachable at cutoff {cutoff}")
     base = random_pure(cutoff, rng).matrix
     t_star = 0.0
-    if target > tol:
+    if target > PIN_TOL:
         lo, hi = 0.0, 1.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             s_mid = mix_entropy(mid, cutoff)
-            if abs(s_mid - target) <= tol:
+            if abs(s_mid - target) <= PIN_TOL:
                 t_star = mid
                 break
             if s_mid < target:
@@ -134,7 +136,6 @@ class SamplerConfig:
     seed: int
     cutoff: int
     kind: str = "mixed"
-    rank: Optional[int] = None
     target_entropy: Optional[float] = None
 
 
@@ -143,8 +144,7 @@ def draw_state(config: SamplerConfig, index: int):
     if config.kind == "pure":
         return random_pure(config.cutoff, rng)
     if config.kind == "mixed":
-        rank = config.rank if config.rank is not None else config.cutoff
-        return random_mixed(config.cutoff, rank, rng)
+        return random_mixed(config.cutoff, config.cutoff, rng)
     if config.kind == "diagonal":
         return random_diagonal(config.cutoff, rng)
     if config.kind == "pinned":
@@ -165,10 +165,9 @@ class SearchResult:
     best_report: CmoeReport
     iterations: int
     accepted: int
-    final_step_angle: float
 
 
-def _escort_pin(values: np.ndarray, target: float, tol: float = PIN_TOL) -> Optional[np.ndarray]:
+def _escort_pin(values: np.ndarray, target: float) -> Optional[np.ndarray]:
     """Re-pin a spectrum to a target entropy by an escort power map.
 
     Returns probabilities lam**beta normalized, with beta bisected so
@@ -193,12 +192,12 @@ def _escort_pin(values: np.ndarray, target: float, tol: float = PIN_TOL) -> Opti
 
     lo, hi = 1e-4, 1e4
     # entropy decreases in beta: beta->0 flattens, beta->inf sharpens
-    if not (ent(hi) - tol <= target <= ent(lo) + tol):
+    if not (ent(hi) - PIN_TOL <= target <= ent(lo) + PIN_TOL):
         return None
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         s_mid = ent(mid)
-        if abs(s_mid - target) <= tol:
+        if abs(s_mid - target) <= PIN_TOL:
             out = np.zeros_like(values)
             out[mask] = escort(mid)
             return out
@@ -216,9 +215,6 @@ def adversarial_search(
     cutoff: int,
     seed: int,
     start: Optional[DensityMatrix] = None,
-    step_angle: float = 0.05,
-    angle_decay: float = 0.95,
-    decay_after: int = 50,
 ) -> SearchResult:
     """Greedy descent on output entropy over states of fixed input entropy.
 
@@ -235,7 +231,7 @@ def adversarial_search(
     best = check_cmoe(spec, state)
     accepted = 0
     rejected_streak = 0
-    angle = float(step_angle)
+    angle = STEP_ANGLE
     for _ in range(iterations):
         cand = None
         if rng.random() < 0.5:
@@ -262,14 +258,13 @@ def adversarial_search(
                 rejected_streak = 0
                 continue
         rejected_streak += 1
-        if rejected_streak % decay_after == 0:
-            angle *= angle_decay
+        if rejected_streak % DECAY_AFTER == 0:
+            angle *= ANGLE_DECAY
     return SearchResult(
         best_state=state,
         best_report=best,
         iterations=iterations,
         accepted=accepted,
-        final_step_angle=angle,
     )
 
 

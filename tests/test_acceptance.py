@@ -115,7 +115,7 @@ def test_criterion_02_quantum_limited_decompositions(capsys):
     for i in sorted(range(50), key=lambda i: i % len(cases)):
         rho = random_mixed(12, 12, substream(SEED, API_STREAM_BASE + i))
         spec = cases[i % len(cases)]
-        lam_p, kap_p = decompose(spec).pair
+        lam_p, kap_p = decompose(spec)
         direct = apply_channel_dense(spec, rho)
         staged = apply_channel(amplifier(kap_p), apply_channel(attenuator(lam_p), rho))
         worst = max(worst, trace_distance(direct, staged))

@@ -98,11 +98,11 @@ def test_parameter_property():
 
 def test_decompose_noisy_attenuator():
     lam, e = 0.3, 1.0
-    params = decompose(attenuator(lam, e))
+    pair = decompose(attenuator(lam, e))
     kap = (1.0 - lam) * e + 1.0
-    assert_allclose(params.pair, (lam / kap, kap), rtol=1e-14)
+    assert_allclose(pair, (lam / kap, kap), rtol=1e-14)
     # the composition reproduces the mean-energy law
-    lam_p, kap_p = params.pair
+    lam_p, kap_p = pair
     for e_in in (0.0, 1.0, 2.5):
         staged = amplifier(kap_p).output_energy(attenuator(lam_p).output_energy(e_in))
         assert_allclose(staged, attenuator(lam, e).output_energy(e_in), rtol=1e-13)
@@ -110,17 +110,17 @@ def test_decompose_noisy_attenuator():
 
 def test_decompose_noisy_amplifier():
     kap, e = 2.0, 0.5
-    params = decompose(amplifier(kap, e))
+    pair = decompose(amplifier(kap, e))
     scale = (1.0 - 1.0 / kap) * e + 1.0
-    assert_allclose(params.pair, (1.0 / scale, kap * scale), rtol=1e-14)
-    lam_p, kap_p = params.pair
+    assert_allclose(pair, (1.0 / scale, kap * scale), rtol=1e-14)
+    lam_p, kap_p = pair
     for e_in in (0.0, 1.0, 2.5):
         staged = amplifier(kap_p).output_energy(attenuator(lam_p).output_energy(e_in))
         assert_allclose(staged, amplifier(kap, e).output_energy(e_in), rtol=1e-13)
 
 
 def test_decompose_quantum_limited_is_trivial():
-    lam_p, kap_p = decompose(attenuator(0.4, 0.0)).pair
+    lam_p, kap_p = decompose(attenuator(0.4, 0.0))
     assert_allclose(lam_p, 0.4, atol=1e-15)
     assert_allclose(kap_p, 1.0, atol=1e-15)
 
@@ -390,7 +390,7 @@ def test_decomposition_identity_on_random_state():
     rng = substream(108, 0)
     rho = random_mixed(12, 12, rng)
     for spec in (attenuator(0.3, 1.0), amplifier(2.0, 0.5)):
-        lam_p, kap_p = decompose(spec).pair
+        lam_p, kap_p = decompose(spec)
         direct = apply_channel(spec, rho)
         staged = apply_channel(amplifier(kap_p), apply_channel(attenuator(lam_p), rho))
         assert trace_distance(direct, staged) < 1e-9

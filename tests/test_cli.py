@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import focklab.cmoe
 from focklab import cli
 from focklab.cli import (
     CMOE_COLUMNS,
@@ -27,6 +29,7 @@ from focklab.cli import (
     main,
 )
 from focklab.errors import ConfigError, TruncationError
+from focklab.sampling import state_from_json, write_counterexample
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -172,9 +175,16 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
-def test_invalid_json_config_exits_two(tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"{not json", id="not-json"),
+        pytest.param(b'{"out": "\xff"}', id="not-utf8"),
+    ],
+)
+def test_invalid_json_config_exits_two(tmp_path, content):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_bytes(content)
     assert main(["verify-thermal-laws", "--config", str(path)]) == EXIT_CONFIG
 
 
@@ -285,6 +295,29 @@ def test_report_rejects_corrupted_csv(tmp_path, capsys):
     assert THERMAL_CSV in err
 
 
+@pytest.mark.parametrize(
+    "name, content, code",
+    [
+        pytest.param(THERMAL_SUMMARY, b"[]", EXIT_CONFIG, id="summary-not-object"),
+        pytest.param(THERMAL_SUMMARY, b'{"passed": "\xff"}', EXIT_CONFIG, id="summary-not-utf8"),
+        pytest.param(THERMAL_CSV, b"channel,\xff\n", EXIT_CONFIG, id="csv-not-utf8"),
+        pytest.param(THERMAL_SUMMARY, b'{"passed": "false"}', EXIT_CLAIM_FAILED, id="passed-string"),
+    ],
+)
+def test_report_rejects_corrupted_outputs(tmp_path, capsys, name, content, code):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, SMALL_THERMAL)
+    assert main(["verify-thermal-laws", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    (out / name).write_bytes(content)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_CONFIG:
+        assert captured.err.startswith("config error:") and name in captured.err
+    else:
+        assert "FAIL    thermal" in captured.out
+
+
 def test_default_config_is_json_serializable():
     json.dumps(DEFAULT_CONFIG)
 
@@ -332,6 +365,8 @@ def test_library_error_from_bad_input_exits_two(tmp_path, capsys):
         ("verify-thermal-laws", {"thermal": {"fixed_cutoff": 2.5}}, "thermal.fixed_cutoff"),
         ("verify-cmoe", {"cmoe": {"channels": [{"kind": "amplifier", "gain": "2"}]}}, "gain"),
         ("verify-thermal-laws", {"thermal": {"tolerance": 10**400}}, "thermal.tolerance"),
+        ("verify-thermal-laws", {"thermal": 5}, "'thermal'"),
+        ("verify-lemma", {"lemma": []}, "'lemma'"),
     ],
 )
 def test_mistyped_config_value_exits_two(tmp_path, capsys, command, payload, where):
@@ -363,6 +398,53 @@ def test_suppressed_rows_fail_verify_cmoe(tmp_path, monkeypatch, capsys):
     suppressed = sum(rec["suppressed"] for rec in summary["per_channel"].values())
     assert suppressed > 0
     assert f"FAIL {suppressed} rows suppressed" in capsys.readouterr().err
+
+
+def test_violation_candidates_are_dumped(tmp_path, monkeypatch, capsys):
+    # one nat added to the bound turns every row into a violation candidate
+    bound = focklab.cmoe.bound_for
+    monkeypatch.setattr("focklab.cmoe.bound_for", lambda spec, s: bound(spec, s) + 1.0)
+    drawn, searched = [], []
+    draw, search = cli.draw_state, cli.adversarial_search
+
+    def recording_draw(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    def recording_search(*args):
+        result = search(*args)
+        searched.append(result.best_state)
+        return result
+
+    monkeypatch.setattr(cli, "draw_state", recording_draw)
+    monkeypatch.setattr(cli, "adversarial_search", recording_search)
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, SMALL_CMOE)
+    assert main(["verify-cmoe", "--config", cfg, "--jobs", "1", "--out", str(out)]) == EXIT_CLAIM_FAILED
+    rows = read_rows(out / CMOE_CSV)[1:]
+    dumped = [r for r in rows if r[0] != "equality"]
+    assert all(r[-1] == "ViolationCandidate" for r in dumped)
+    assert [r[6] for r in dumped] == ["mixed", "pure", "diagonal", "pinned", "mixed", "pure", "search-best"]
+    paths = [str(out / f"counterexample_{i}.json") for i in range(len(dumped))]
+    assert sorted(str(p) for p in out.glob("counterexample_*.json")) == sorted(paths)
+    assert json.loads((out / CMOE_SUMMARY).read_text())["counterexamples"] == paths
+    err = capsys.readouterr().err
+    seed = DEFAULT_CONFIG["seed"]
+    channel = cli.parse_channel(SMALL_CMOE["cmoe"]["channels"][0])
+    expected = tmp_path / "expected.json"
+    # trial rows come in draw order, then the search's row
+    assert len(drawn + searched) == len(paths)
+    for path, state, row in zip(paths, drawn + searched, dumped):
+        dense = state if hasattr(state, "matrix") else state.to_density()
+        write_counterexample(expected, dense, seed, channel)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.read_bytes()
+        with open(path) as fh:
+            rho, got_seed, spec = state_from_json(json.load(fh))
+        assert np.array_equal(rho.matrix, dense.matrix) and got_seed == seed
+        assert spec == channel
+        assert [spec.kind.value, fmt(spec.parameter), fmt(spec.env_energy)] == row[1:4]
+        assert f"FAIL violation candidate recorded at {path}" in err
 
 
 def _openblas_mapped():

@@ -16,10 +16,6 @@ from focklab.cmoe import (
     VERDICT_SATISFIED,
     VERDICT_SUPPRESSED,
     amplifier_entropy_chain,
-    bound_additive,
-    bound_amplifier,
-    bound_attenuator,
-    bound_contravariant,
     bound_for,
     check_cmoe,
     entropy_truncation_margin,
@@ -33,42 +29,36 @@ from focklab.thermal import g, thermal_state
 def test_bound_formulas_on_thermal_entropies():
     # with a thermal-entropy input the bound is g of the mean-energy law
     s_in = g(1.0)
-    assert_allclose(bound_attenuator(s_in, 0.3, 2.0), g(0.3 * 1.0 + 0.7 * 2.0), rtol=1e-12)
-    assert_allclose(bound_amplifier(s_in, 2.0, 0.5), g(2.0 * 1.0 + 1.0 * 1.5), rtol=1e-12)
-    assert_allclose(bound_additive(s_in, 2.0), g(3.0), rtol=1e-12)
-    assert_allclose(bound_contravariant(s_in, 2.0, 0.5), g(1.0 * 2.0 + 2.0 * 0.5), rtol=1e-12)
+    assert_allclose(bound_for(attenuator(0.3, 2.0), s_in), g(0.3 * 1.0 + 0.7 * 2.0), rtol=1e-12)
+    assert_allclose(bound_for(amplifier(2.0, 0.5), s_in), g(2.0 * 1.0 + 1.0 * 1.5), rtol=1e-12)
+    assert_allclose(bound_for(additive_noise(2.0), s_in), g(3.0), rtol=1e-12)
+    assert_allclose(
+        bound_for(contravariant_amplifier(2.0, 0.5), s_in), g(1.0 * 2.0 + 2.0 * 0.5), rtol=1e-12
+    )
 
 
 def test_bound_known_numbers():
     assert_allclose(g(0.5), 0.9547712524422195, rtol=1e-14)
     assert_allclose(g(3.0), 2.249340578475233, rtol=1e-14)
-    assert_allclose(bound_additive(g(1.0), 2.0), 2.249340578475233, rtol=1e-12)
-
-
-def test_bound_for_dispatches_by_kind():
-    s = 0.8
-    assert bound_for(attenuator(0.4, 1.0), s) == bound_attenuator(s, 0.4, 1.0)
-    assert bound_for(amplifier(1.5, 0.2), s) == bound_amplifier(s, 1.5, 0.2)
-    assert bound_for(additive_noise(0.7), s) == bound_additive(s, 0.7)
-    assert bound_for(contravariant_amplifier(1.5, 0.2), s) == bound_contravariant(s, 1.5, 0.2)
+    assert_allclose(bound_for(additive_noise(2.0), g(1.0)), 2.249340578475233, rtol=1e-12)
 
 
 def test_bounds_monotone_in_input_entropy():
     grid = np.linspace(0.05, 2.5, 40)
-    for fn in (
-        lambda s: bound_attenuator(s, 0.6, 0.5),
-        lambda s: bound_amplifier(s, 1.8, 0.5),
-        lambda s: bound_additive(s, 1.0),
-        lambda s: bound_contravariant(s, 1.8, 0.5),
+    for spec in (
+        attenuator(0.6, 0.5),
+        amplifier(1.8, 0.5),
+        additive_noise(1.0),
+        contravariant_amplifier(1.8, 0.5),
     ):
-        vals = np.array([fn(s) for s in grid])
+        vals = np.array([bound_for(spec, s) for s in grid])
         assert np.all(np.diff(vals) > 0)
 
 
 def test_bound_at_zero_entropy():
     # vacuum input: the bound reduces to the zero-input-energy law
-    assert_allclose(bound_attenuator(0.0, 0.5, 1.0), g(0.5), rtol=1e-12)
-    assert_allclose(bound_amplifier(0.0, 2.0, 0.0), g(1.0), rtol=1e-12)
+    assert_allclose(bound_for(attenuator(0.5, 1.0), 0.0), g(0.5), rtol=1e-12)
+    assert_allclose(bound_for(amplifier(2.0, 0.0), 0.0), g(1.0), rtol=1e-12)
 
 
 def test_entropy_truncation_margin():
