@@ -320,28 +320,36 @@ class ChannelMap:
 
     bands[k] maps the k-th subdiagonal of the input to the k-th
     subdiagonal of the output (its conjugate for the contravariant
-    case); bands[0] is the Fock transition matrix.
+    case); bands[0] is the Fock transition matrix.  Bands are built on
+    first request: bands holds band 0 and whatever complete() has added.
     """
 
-    def __init__(self, d_in, d_out, bands, contravariant):
+    def __init__(self, d_in, d_out, stream, contravariant):
         self.d_in = d_in
         self.d_out = d_out
-        self.bands = bands
+        self.bands = [next(stream)]
         self.contravariant = contravariant
+        self._stream = stream
+        self._lock = threading.Lock()
+
+    def complete(self) -> list:
+        """All min(d_in, d_out) bands, building the ones still missing."""
+        with self._lock:  # two threads may not advance one iterator
+            self.bands.extend(self._stream)  # a no-op once the stream is spent
+        return self.bands
+
+    def _fit(self, x: np.ndarray) -> np.ndarray:
+        """x zero-padded along every axis to the map's input dim."""
+        n = x.shape[0]
+        if n > self.d_in:
+            raise DomainError(f"input dim {n} exceeds map input dim {self.d_in}")
+        return np.pad(x, [(0, self.d_in - n)] * x.ndim) if n < self.d_in else x
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape[0] > self.d_in:
-            raise DomainError(
-                f"input dim {rho.shape[0]} exceeds map input dim {self.d_in}"
-            )
-        if rho.shape[0] < self.d_in:
-            padded = np.zeros((self.d_in, self.d_in), dtype=complex)
-            padded[: rho.shape[0], : rho.shape[0]] = rho
-            rho = padded
+        rho = self._fit(np.asarray(rho, dtype=complex))
         out = np.zeros((self.d_out, self.d_out), dtype=complex)
         idx = np.arange(self.d_out)
-        for k, band in enumerate(self.bands):
+        for k, band in enumerate(self.complete()):
             vin = np.diagonal(rho, offset=-k)
             if self.contravariant:
                 vin = vin.conj()
@@ -356,12 +364,7 @@ class ChannelMap:
         return out
 
     def apply_probs(self, probs: np.ndarray) -> np.ndarray:
-        p = np.asarray(probs, dtype=float)
-        if p.size > self.d_in:
-            raise DomainError(f"input dim {p.size} exceeds map input dim {self.d_in}")
-        if p.size < self.d_in:
-            p = np.concatenate([p, np.zeros(self.d_in - p.size)])
-        return self.bands[0] @ p
+        return self.bands[0] @ self._fit(np.asarray(probs, dtype=float))
 
 
 def _xlog(power, base: float):
@@ -375,7 +378,8 @@ def _xlog(power, base: float):
 def _kraus_bands(kind: ChannelKind, parameter: float, d_in: int, d_out: int):
     """Bands of a quantum-limited channel from its closed-form Kraus operators.
 
-    Yields them one at a time, so a caller that needs fewer stops early.
+    Returns an iterator that builds them one at a time, so a caller that
+    needs fewer stops early, and keeps no band's temporaries in between.
 
     Entry [i, c] of band k carries input element (c+k, c) to output
     element (i+k, i).  With C the binomial coefficient:
@@ -389,7 +393,7 @@ def _kraus_bands(kind: ChannelKind, parameter: float, d_in: int, d_out: int):
     def log_binom(n, m):
         return lf[n] - lf[m] - lf[n - m]
 
-    for k in range(min(d_in, d_out)):
+    def band(k):
         i = np.arange(d_out - k)[:, None]
         c = np.arange(d_in - k)[None, :]
         if kind == ChannelKind.ATTENUATOR:
@@ -418,7 +422,9 @@ def _kraus_bands(kind: ChannelKind, parameter: float, d_in: int, d_out: int):
                 - (c + 1.0 + 0.5 * k) * math.log(parameter)
                 + _xlog(i + 0.5 * k, 1.0 - 1.0 / parameter)
             )
-        yield np.where(valid, np.exp(log_b), 0.0)
+        return np.where(valid, np.exp(log_b), 0.0)
+
+    return map(band, range(min(d_in, d_out)))
 
 
 def _stages(spec: ChannelSpec) -> list:
@@ -535,11 +541,11 @@ def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = 
         keeps_size = kind == ChannelKind.ATTENUATOR and n < len(stages) - 1
         size_out = size if keeps_size else d_out
         stage = _kraus_bands(kind, parameter, size, size_out)
-        # a later stage builds only the bands the earlier ones produced
-        bands = list(stage) if bands is None else [s @ b for b, s in zip(bands, stage)]
+        # a later stage builds only the bands the earlier ones produced;
+        # map() keeps neither factor of a product once it is made
+        bands = stage if bands is None else map(lambda b, s: s @ b, bands, stage)
         size = size_out
-    contravariant = spec.kind == ChannelKind.CONTRAVARIANT
-    built = ChannelMap(d_in, d_out, bands, contravariant)
+    built = ChannelMap(d_in, d_out, bands, spec.kind == ChannelKind.CONTRAVARIANT)
     with _cache_lock:
         _map_cache.setdefault(key, built)
     return _map_cache[key]

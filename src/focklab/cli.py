@@ -535,7 +535,7 @@ def _adversarial_job(args) -> dict:
 
 
 def _equality_rows(cfg: dict) -> list:
-    """Thermal inputs on the equality grid; rows off the bound are counted, not dumped."""
+    """_report_row items of the thermal inputs on the equality grid."""
     section = cfg["cmoe"]
     tail = section["equality_tail_target"]
     grid_section = {
@@ -543,8 +543,7 @@ def _equality_rows(cfg: dict) -> list:
         "gains": section["equality_gains"],
         "env_energies": section["equality_env_energies"],
     }
-    rows = []
-    trial = 0
+    items = []
     for spec in thermal_grid_channels(grid_section):
         for e_in in section["equality_input_energies"]:
             c_in, dims = thermal_grid_dims(spec, e_in, tail)
@@ -552,21 +551,21 @@ def _equality_rows(cfg: dict) -> list:
                 dims = None  # additive rows keep the default output size
             state = thermal_state(e_in, c_in)
             rep = check_cmoe(spec, state, dims)
-            item = _report_row(cfg["seed"], "equality", spec, c_in, trial, "thermal", rep, state)
-            rows.append(item["row"])
-            trial += 1
-    return rows
+            items.append(
+                _report_row(cfg["seed"], "equality", spec, c_in, len(items), "thermal", rep, state)
+            )
+    return items
 
 
 def _warm_caches(specs, cutoffs) -> None:
-    """Build every channel map the trial suites will need, pre-fork.
+    """Build every band of each channel map the trial suites will need, pre-fork.
 
     Maps are built directly at the trials' input sizes, so no probe
     state can fail on a small cutoff.
     """
     for spec in specs:
         for cutoff in cutoffs:
-            channel_maps.get_channel_map(spec, cutoff)
+            channel_maps.get_channel_map(spec, cutoff).complete()
 
 
 def _run_tasks(jobs: int, tasks: list) -> list:
@@ -587,13 +586,8 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     section = cfg["cmoe"]
     seed = cfg["seed"]
     jobs = cfg["jobs"]
-    rows = []
-    counterexamples = []
-
-    rows.extend(_equality_rows(cfg))
-    equality_bad = [
-        r for r in rows if r["suite"] == "equality" and r["verdict"] != VERDICT_EQUALITY
-    ]
+    items = _equality_rows(cfg)
+    equality_bad = [item for item in items if item["row"]["verdict"] != VERDICT_EQUALITY]
 
     if not section["thermal_only"]:
         specs = [parse_channel(entry) for entry in section["channels"]]
@@ -621,10 +615,9 @@ def cmd_verify_cmoe(cfg: dict) -> int:
         # still list every trial before the searches
         done = _run_tasks(jobs, search_tasks + trial_tasks)
         searched, batches = done[: len(search_tasks)], done[len(search_tasks) :]
-        for item in [item for batch in batches for item in batch] + searched:
-            rows.append(item["row"])
-            if item["counterexample"] is not None:
-                counterexamples.append(item["counterexample"])
+        items += [item for batch in batches for item in batch] + searched
+    rows = [item["row"] for item in items]
+    counterexamples = [item["counterexample"] for item in items if item["counterexample"]]
 
     write_csv(os.path.join(out_dir, CMOE_CSV), CMOE_COLUMNS, rows)
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -412,19 +414,97 @@ def test_map_build_memory_is_bounded_by_the_bands_it_keeps():
 
     Its later stages act on d_out levels and could make 157 bands each;
     building all of them took 20 MB of temporaries.  Only the bands the
-    first stage produced are built, one at a time.
+    first stage produced are built, one at a time.  A fresh map holds
+    band 0 alone; complete() builds the rest.
     """
     clear_caches()
     spec = contravariant_amplifier(2.0, 0.5)
     tracemalloc.start()
     try:
         cmap = get_channel_map(spec, 24)
+        fresh = len(cmap.bands)
+        cmap.complete()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         clear_caches()
+    assert fresh == 1
     assert cmap.d_out == 157 and len(cmap.bands) == 24
     assert peak < 4 * 2**20
+
+
+# every kind, quantum-limited and noisy
+LAZY_SPECS = [
+    attenuator(0.6),
+    attenuator(0.6, 0.4),
+    amplifier(1.8),
+    amplifier(1.8, 0.3),
+    additive_noise(0.5),
+    contravariant_amplifier(1.6),
+    contravariant_amplifier(1.6, 0.3),
+]
+
+
+def _spec_id(spec):
+    return f"{spec.kind.value}-{spec.parameter:g}-env{spec.env_energy:g}"
+
+
+def _completed_at_once(spec, d_in):
+    """A map completed straight after its build, left out of the cache."""
+    clear_caches()
+    cmap = get_channel_map(spec, d_in)
+    cmap.complete()
+    clear_caches()
+    return cmap
+
+
+@pytest.mark.parametrize("spec", LAZY_SPECS, ids=_spec_id)
+def test_bands_do_not_depend_on_build_order(spec):
+    d_in = 10
+    at_once = _completed_at_once(spec, d_in).bands
+    rho = random_mixed(d_in, d_in, substream(111, 0))
+    apply_diagonal(spec, rho.diagonal_part())
+    assert len(get_channel_map(spec, d_in).bands) == 1
+    apply_channel(spec, rho)
+    built = get_channel_map(spec, d_in)
+    assert len(built.bands) == len(at_once) == min(d_in, built.d_out)
+    assert all(np.array_equal(a, b) for a, b in zip(built.bands, at_once))
+    clear_caches()
+
+
+@pytest.mark.parametrize("spec", LAZY_SPECS, ids=_spec_id)
+def test_threads_complete_one_map(spec):
+    # more threads than cores, switching often, all completing one fresh map
+    d_in = 24
+    rho = random_mixed(d_in, d_in, substream(112, 0))
+    expected = _completed_at_once(spec, d_in).apply_matrix(rho.matrix)
+    cmap = get_channel_map(spec, d_in)
+    threads = 4
+    start = threading.Barrier(threads)
+    outputs = [None] * threads
+
+    def run(slot):
+        start.wait()
+        try:
+            outputs[slot] = cmap.apply_matrix(rho.matrix)
+        except Exception as exc:  # reported below, with the thread's error
+            outputs[slot] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(slot,)) for slot in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    clear_caches()
+    assert not any(t.is_alive() for t in workers)
+    for out in outputs:
+        assert isinstance(out, np.ndarray), out
+        assert np.array_equal(out, expected)
 
 
 def test_transmissivity_one_is_identity():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import focklab.cmoe
+from focklab import channels as channel_maps
 from focklab import cli
 from focklab.cli import (
     CMOE_COLUMNS,
@@ -404,8 +405,12 @@ def test_violation_candidates_are_dumped(tmp_path, monkeypatch, capsys):
     # one nat added to the bound turns every row into a violation candidate
     bound = focklab.cmoe.bound_for
     monkeypatch.setattr("focklab.cmoe.bound_for", lambda spec, s: bound(spec, s) + 1.0)
-    drawn, searched = [], []
-    draw, search = cli.draw_state, cli.adversarial_search
+    checked, drawn, searched = [], [], []
+    check, draw, search = cli.check_cmoe, cli.draw_state, cli.adversarial_search
+
+    def recording_check(spec, state, *rest):
+        checked.append((spec, state))
+        return check(spec, state, *rest)
 
     def recording_draw(*args):
         drawn.append(draw(*args))
@@ -416,25 +421,33 @@ def test_violation_candidates_are_dumped(tmp_path, monkeypatch, capsys):
         searched.append(result.best_state)
         return result
 
+    monkeypatch.setattr(cli, "check_cmoe", recording_check)
     monkeypatch.setattr(cli, "draw_state", recording_draw)
     monkeypatch.setattr(cli, "adversarial_search", recording_search)
     out = tmp_path / "run"
     cfg = write_config(tmp_path, SMALL_CMOE)
     assert main(["verify-cmoe", "--config", cfg, "--jobs", "1", "--out", str(out)]) == EXIT_CLAIM_FAILED
     rows = read_rows(out / CMOE_CSV)[1:]
-    dumped = [r for r in rows if r[0] != "equality"]
-    assert all(r[-1] == "ViolationCandidate" for r in dumped)
-    assert [r[6] for r in dumped] == ["mixed", "pure", "diagonal", "pinned", "mixed", "pure", "search-best"]
-    paths = [str(out / f"counterexample_{i}.json") for i in range(len(dumped))]
+    assert all(r[-1] == "ViolationCandidate" for r in rows)
+    # the equality rows are checked first, one thermal input per grid channel
+    equality = checked[: len(checked) - len(drawn)]
+    assert {spec.kind for spec, _ in equality} == set(cli.ChannelKind)
+    assert [r[6] for r in rows] == ["thermal"] * len(equality) + [
+        "mixed", "pure", "diagonal", "pinned", "mixed", "pure", "search-best"
+    ]
+    paths = [str(out / f"counterexample_{i}.json") for i in range(len(rows))]
     assert sorted(str(p) for p in out.glob("counterexample_*.json")) == sorted(paths)
-    assert json.loads((out / CMOE_SUMMARY).read_text())["counterexamples"] == paths
+    summary = json.loads((out / CMOE_SUMMARY).read_text())
+    assert summary["counterexamples"] == paths
+    assert summary["violations"] == len(rows)
     err = capsys.readouterr().err
     seed = DEFAULT_CONFIG["seed"]
     channel = cli.parse_channel(SMALL_CMOE["cmoe"]["channels"][0])
     expected = tmp_path / "expected.json"
-    # trial rows come in draw order, then the search's row
-    assert len(drawn + searched) == len(paths)
-    for path, state, row in zip(paths, drawn + searched, dumped):
+    # equality rows, then trial rows in draw order, then the search's row
+    dumped = equality + [(channel, state) for state in drawn + searched]
+    assert len(dumped) == len(paths)
+    for path, (channel, state), row in zip(paths, dumped, rows):
         dense = state if hasattr(state, "matrix") else state.to_density()
         write_counterexample(expected, dense, seed, channel)
         with open(path, "rb") as fh:
@@ -445,6 +458,33 @@ def test_violation_candidates_are_dumped(tmp_path, monkeypatch, capsys):
         assert spec == channel
         assert [spec.kind.value, fmt(spec.parameter), fmt(spec.env_energy)] == row[1:4]
         assert f"FAIL violation candidate recorded at {path}" in err
+
+
+def test_maps_hold_only_the_bands_their_callers_read(tmp_path, monkeypatch):
+    # verify-thermal-laws reads only the transition matrix of each map
+    channel_maps.clear_caches()
+    assert main(["verify-thermal-laws", "--out", str(tmp_path / "thermal")]) == EXIT_OK
+    assert channel_maps._map_cache
+    assert all(len(cmap.bands) == 1 for cmap in channel_maps._map_cache.values())
+    # verify-cmoe completes every trial map before the pool forks
+    channel_maps.clear_caches()
+    section = TWO_CHANNEL_CMOE["cmoe"]
+    specs = [cli.parse_channel(entry) for entry in section["channels"]]
+    run_tasks, seen = cli._run_tasks, []
+
+    def checking_run_tasks(jobs, tasks):
+        for spec in specs:
+            for cutoff in section["cutoffs"]:
+                cmap = channel_maps.get_channel_map(spec, cutoff)
+                seen.append(len(cmap.bands) == min(cmap.d_in, cmap.d_out))
+        return run_tasks(jobs, tasks)
+
+    monkeypatch.setattr(cli, "_run_tasks", checking_run_tasks)
+    cfg = write_config(tmp_path, TWO_CHANNEL_CMOE)
+    out = str(tmp_path / "cmoe")
+    assert main(["verify-cmoe", "--config", cfg, "--jobs", "2", "--out", out]) == EXIT_OK
+    assert seen and all(seen)
+    channel_maps.clear_caches()
 
 
 def _openblas_mapped():
