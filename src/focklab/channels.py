@@ -235,11 +235,8 @@ def _expm_blocks(tridiag_entries, classes_env_ranges):
 
     iG is Hermitian, and with D = diag(i^k) the matrix T = D+ (iG) D is
     real symmetric tridiagonal with off-diagonal -sup, so
-    exp(G) = D exp(-iT) D+ from one tridiagonal eigensolve.  Only the
-    dilation reference comes here, so scipy loads with its first call.
+    exp(G) = D exp(-iT) D+ from one symmetric eigensolve.
     """
-    import scipy.linalg
-
     blocks = []
     for cls, lo, hi, sup in zip(*classes_env_ranges, tridiag_entries):
         n = hi - lo
@@ -248,7 +245,8 @@ def _expm_blocks(tridiag_entries, classes_env_ranges):
         if n == 1:
             mat = np.ones((1, 1))
         else:
-            lam, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(n), -np.asarray(sup))
+            off = -np.asarray(sup)
+            lam, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
             phase = _I_POWERS[np.arange(n) % 4]
             rotated = (vecs * np.exp(-1j * lam)) @ vecs.T
             mat = (phase[:, None] * rotated * phase.conj()[None, :]).real

@@ -13,6 +13,7 @@ import contextlib
 import copy
 import csv
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -219,8 +220,9 @@ def _is_real(value) -> bool:
     return finite_float(value) is not None
 
 
-# (description, test) pairs for config values; a rule in a one-element
-# list applies to every entry of a list value
+# (description, test) pairs for config values; a rule in a list applies
+# to every entry of a list value, which needs at least one entry, or as
+# many as the list's second element
 NONNEGATIVE = ("a number >= 0", lambda v: _is_real(v) and v >= 0.0)
 POSITIVE = ("a number > 0", lambda v: _is_real(v) and v > 0.0)
 OPEN_UNIT = ("a number in (0, 1)", lambda v: _is_real(v) and 0.0 < v < 1.0)
@@ -257,12 +259,12 @@ CONFIG_RULES = {
     },
     "lemma": {
         "grid_z_points": LEVELS,
-        "grid_order_points": POSITIVE_COUNT,
+        "grid_order_points": LEVELS,
         "grid_gains": [ABOVE_ONE],
         "solver_z": [OPEN_UNIT],
         "solver_gains": [ABOVE_ONE],
         "solver_q": [ABOVE_ONE],
-        "trend_q": [ABOVE_ONE],
+        "trend_q": [ABOVE_ONE, 2],
         "probe_gain": ABOVE_ONE,
         "probe_p": ABOVE_ONE,
         "probe_q": ABOVE_ONE,
@@ -275,8 +277,9 @@ CONFIG_RULES = {
 
 def _check_value(where: str, value, rule) -> None:
     if isinstance(rule, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list, got {value!r}")
+        least = rule[1] if len(rule) > 1 else 1
+        if not isinstance(value, list) or len(value) < least:
+            raise ConfigError(f"{where} must be a list of {least} or more entries, got {value!r}")
         for i, item in enumerate(value):
             _check_value(f"{where}[{i}]", item, rule[0])
         return
@@ -301,8 +304,6 @@ def validate_config(cfg: dict) -> None:
     if fixed is not None:
         _check_value("thermal.fixed_cutoff", fixed, POSITIVE_COUNT)
     cm = cfg["cmoe"]
-    if not cm["cutoffs"]:
-        raise ConfigError("cmoe.cutoffs must not be empty")
     if not isinstance(cm["channels"], list) or not cm["channels"]:
         raise ConfigError("cmoe.channels must be a nonempty list")
     for ch in cm["channels"]:
@@ -397,8 +398,6 @@ def cmd_verify_thermal_laws(cfg: dict) -> int:
     out_dir = ensure_outdir(cfg)
     section = cfg["thermal"]
     channels = thermal_grid_channels(section)
-    if not channels or not section["input_energies"]:
-        raise ConfigError("thermal grid is empty")
     tol = section["tolerance"]
     max_deficit = section["max_deficit"]
     fixed = section["fixed_cutoff"]
@@ -745,7 +744,7 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
         order_points=section["grid_order_points"],
         gains=tuple(float(g) for g in section["grid_gains"]),
     )
-    grid_report = verify_lemma_inequalities(grid, strict=False)
+    grid_report = verify_lemma_inequalities(grid)
 
     solver_rows = []
     for zb in section["solver_z"]:
@@ -780,7 +779,6 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
         cutoff=section["probe_cutoff"],
         trials=section["probe_trials"],
         seed=cfg["seed"],
-        strict=False,
     )
 
     strict_solver_rows = [r for r in solver_rows if not r["exploratory"]]
@@ -794,7 +792,7 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
         "seed": cfg["seed"],
         "config": section,
         "exploratory": exploratory,
-        "grid": grid_report.to_dict(),
+        "grid": dataclasses.asdict(grid_report),
         "solver_rows": len(solver_rows),
         "solver_ok": solver_ok,
         "trend": trend,
@@ -802,17 +800,7 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
         "boundary_derivative_at_zero": d0,
         "boundary_derivative_near_one": d1,
         "boundary_ok": boundary_ok,
-        "probe": {
-            "gain": probe.gain,
-            "p": probe.p,
-            "q": probe.q,
-            "cutoff": probe.cutoff,
-            "trials": probe.trials,
-            "thermal_log_ceiling": probe.thermal_log_ceiling,
-            "best_trial_log_ratio": probe.best_trial_log_ratio,
-            "worst_margin": probe.worst_margin,
-            "exceeded": probe.exceeded,
-        },
+        "probe": dataclasses.asdict(probe),
         "passed": passed,
     }
     write_summary(os.path.join(out_dir, LEMMA_SUMMARY), summary)

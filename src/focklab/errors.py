@@ -22,11 +22,7 @@ class NonHermitianError(FockLabError, ValueError):
 
 
 class EigensolverError(FockLabError):
-    """The eigensolver failed to converge; carries a residual estimate."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """The eigensolver failed to converge."""
 
 
 class PositivityError(FockLabError, ValueError):
@@ -46,15 +42,7 @@ class TruncationError(FockLabError):
 
 
 class LemmaViolationError(FockLabError):
-    """A scalar inequality that should hold on the grid failed; carries the point."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
-
-class SaturationViolationError(FockLabError):
-    """A random state exceeded the thermal norm-ratio ceiling beyond tolerance."""
+    """The stationary-order solver found no root to bracket."""
 
 
 class ConfigError(FockLabError, ValueError):

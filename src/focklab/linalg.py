@@ -14,7 +14,7 @@ from .errors import (
     NonHermitianError,
     ResourceLimitError,
 )
-from .states import HERMITICITY_TOL, DensityMatrix
+from .states import HERMITICITY_TOL
 
 # Largest dense joint dimension we will materialize (e.g. 128 x 128 modes).
 MAX_JOINT_DIM = 16384
@@ -30,13 +30,6 @@ def ladder(cutoff: int) -> np.ndarray:
     return a
 
 
-def number_op(cutoff: int) -> np.ndarray:
-    """Photon number operator diag(0, 1, ..., cutoff-1)."""
-    if cutoff < 1:
-        raise InvalidDimensionError(f"number_op needs cutoff >= 1, got {cutoff}")
-    return np.diag(np.arange(cutoff, dtype=float)).astype(complex)
-
-
 def check_joint_dim(d_sys: int, d_env: int) -> int:
     joint = d_sys * d_env
     if joint > MAX_JOINT_DIM:
@@ -44,14 +37,6 @@ def check_joint_dim(d_sys: int, d_env: int) -> int:
             f"dense joint dimension {d_sys}*{d_env}={joint} exceeds limit {MAX_JOINT_DIM}"
         )
     return joint
-
-
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product of two states, system-major index order."""
-    check_joint_dim(a.dim, b.dim)
-    m = np.kron(a.matrix, b.matrix)
-    deficit = max(0.0, 1.0 - float(np.trace(m).real))
-    return DensityMatrix(m, deficit)
 
 
 def partial_trace(joint: np.ndarray, d_sys: int, d_env: int, keep: str = "sys") -> np.ndarray:

@@ -81,14 +81,6 @@ def z_of_energy(energy: float) -> float:
     return e / (e + 1.0)
 
 
-def energy_of_z(z: float) -> float:
-    """Mean photon number E = z/(1-z)."""
-    zz = float(z)
-    if not 0.0 <= zz < 1.0:
-        raise DomainError(f"energy_of_z needs 0 <= z < 1, got {zz!r}")
-    return zz / (1.0 - zz)
-
-
 def thermal_state(energy: float, cutoff: int) -> DiagonalState:
     """Thermal state truncated at `cutoff` levels; deficit is exactly z^cutoff."""
     e = float(energy)

@@ -209,7 +209,11 @@ def test_criterion_05_amplifier_entropy_chain(capsys):
 
 def test_criterion_06_scalar_inequality_grid(capsys):
     start = time.time()
-    report = verify_lemma_inequalities(LemmaGridSpec())
+    section = DEFAULT_CONFIG["lemma"]
+    grid = LemmaGridSpec(
+        section["grid_z_points"], section["grid_order_points"], tuple(section["grid_gains"])
+    )
+    report = verify_lemma_inequalities(grid)
     elapsed = time.time() - start
     min_margin = min(entry["min_margin"] for entry in report.margins.values())
     ok = (
@@ -257,7 +261,7 @@ def test_criterion_07_stationary_order_solver(capsys):
 
 def test_criterion_08_norm_ratio_saturation_probe(capsys):
     start = time.time()
-    report = pq_norm_saturation_probe(2.0, 1.2, 1.35, 24, 500, seed=SEED, strict=False)
+    report = pq_norm_saturation_probe(2.0, 1.2, 1.35, 24, 500, seed=SEED)
     elapsed = time.time() - start
     ok = not report.exceeded and report.best_trial_log_ratio <= report.thermal_log_ceiling + 1e-6
     _report(

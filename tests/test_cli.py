@@ -344,7 +344,7 @@ def test_cmoe_small_cutoff_warms_caches_without_probe(tmp_path):
 def test_library_error_from_bad_input_exits_two(tmp_path, capsys):
     # q passes the config's q > 1 rule, but the solver's bracket
     # (1 + 1e-9, q - 1e-9) is empty there
-    payload = {"lemma": dict(SMALL_LEMMA["lemma"], trend_q=[1.000000000001])}
+    payload = {"lemma": dict(SMALL_LEMMA["lemma"], trend_q=[1.1, 1.000000000001])}
     cfg = write_config(tmp_path, payload)
     code = main(["verify-lemma", "--config", cfg, "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
@@ -368,6 +368,12 @@ def test_library_error_from_bad_input_exits_two(tmp_path, capsys):
         ("verify-thermal-laws", {"thermal": {"tolerance": 10**400}}, "thermal.tolerance"),
         ("verify-thermal-laws", {"thermal": 5}, "'thermal'"),
         ("verify-lemma", {"lemma": []}, "'lemma'"),
+        ("verify-lemma", {"lemma": {"grid_gains": []}}, "lemma.grid_gains"),
+        ("verify-lemma", {"lemma": {"grid_order_points": 1}}, "lemma.grid_order_points"),
+        ("verify-lemma", {"lemma": {"solver_z": []}}, "lemma.solver_z"),
+        ("verify-lemma", {"lemma": {"trend_q": [1.1]}}, "lemma.trend_q"),
+        ("verify-cmoe", {"cmoe": {"equality_input_energies": []}}, "cmoe.equality_input_energies"),
+        ("verify-cmoe", {"cmoe": {"cutoffs": []}}, "cmoe.cutoffs"),
     ],
 )
 def test_mistyped_config_value_exits_two(tmp_path, capsys, command, payload, where):
@@ -590,7 +596,7 @@ def test_scipy_loads_only_for_the_search_and_the_reference(tmp_path):
         "import": False,
         "verify-thermal-laws": False,
         "verify-lemma": False,
-        "dense": True,
+        "dense": False,
     }
     assert got["error"] < 1e-12
 

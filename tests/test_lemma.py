@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from focklab.lemma import (
     psi,
     scan_ratio_maximizer,
     solve_p_of_q,
-    thermal_norm_ratio,
     verify_lemma_inequalities,
 )
 from focklab.thermal import thermal_state, z_of_energy
@@ -105,7 +105,7 @@ def test_thermal_norm_ratio_against_spectral_norms():
     state_in = thermal_state(z / (1.0 - z), 60)
     state_out = apply_diagonal(amplifier(kap), state_in)
     direct = schatten_norm(state_out, q) / schatten_norm(state_in, p)
-    assert_allclose(thermal_norm_ratio(z, kap, p, q), direct, rtol=1e-7)
+    assert_allclose(np.exp(log_thermal_norm_ratio(z, kap, p, q)), direct, rtol=1e-7)
 
 
 def test_norm_ratio_log_derivative_matches_finite_difference():
@@ -191,9 +191,47 @@ def test_grid_verification_small_grid():
 
 def test_grid_report_serializes():
     grid = LemmaGridSpec(z_points=10, order_points=4, gains=(2.0,))
-    payload = verify_lemma_inequalities(grid).to_dict()
+    payload = dataclasses.asdict(verify_lemma_inequalities(grid))
     assert payload["all_hold"] is True
     assert "margins" in payload and "fd_max_residual" in payload
+
+
+def test_grid_argmin_points_reproduce_the_margins():
+    grid = LemmaGridSpec(z_points=30, order_points=6, gains=(1.5, 2.0, 4.0))
+    margins = verify_lemma_inequalities(grid).margins
+    at = margins["f_strictly_ordered"]["argmin"]
+    gap = f_func(at["z"], at["p"]) - f_func(amplifier_z_map(at["z"], at["gain"]), at["q"])
+    assert_allclose(margins["f_strictly_ordered"]["min_margin"], gap, rtol=1e-12)
+    at = margins["phi_image_below_source"]["argmin"]
+    gap = phi(at["z"], at["q"]) - phi(amplifier_z_map(at["z"], at["gain"]), at["q"])
+    assert_allclose(margins["phi_image_below_source"]["min_margin"], gap, rtol=1e-12)
+    # the ratio's drop is taken toward the next grid point in z
+    at = margins["phi_ratio_decreasing_in_z"]["argmin"]
+    z_next = (round(at["z"] * 31.0) + 1.0) / 31.0
+
+    def ratio(z):
+        return phi(z, at["p"]) / phi(amplifier_z_map(z, at["gain"]), at["q"])
+
+    drop = ratio(at["z"]) - ratio(z_next)
+    assert_allclose(margins["phi_ratio_decreasing_in_z"]["min_margin"], drop, rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        LemmaGridSpec(z_points=30, order_points=1, gains=(2.0,)),
+        LemmaGridSpec(z_points=30, order_points=4, gains=()),
+        LemmaGridSpec(z_points=1, order_points=4, gains=(2.0,)),
+    ],
+    ids=["one-order", "no-gains", "one-z"],
+)
+def test_inequality_checked_at_no_points_fails(grid):
+    # a one-order grid has no pair p < q, no gains leave nothing to map,
+    # and one z point has no neighbour to decrease toward
+    report = verify_lemma_inequalities(grid)
+    assert not report.all_hold
+    empty = [name for name, entry in report.margins.items() if entry["argmin"] == {}]
+    assert empty and all(math.isnan(report.margins[name]["min_margin"]) for name in empty)
 
 
 def test_probe_thermal_input_cannot_beat_ceiling():
@@ -221,3 +259,15 @@ def test_entropy_matched_thermal_attains_ratio():
     realized = math.log(schatten_norm(state_out, q)) - math.log(schatten_norm(state_in, p))
     assert realized <= log_ceiling + 1e-9
     assert_allclose(realized, log_ceiling, atol=1e-7)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_value_is_the_smallest_margin():
+    # an infinite gain maps every z to NaN; a NaN margin must surface at
+    # that gain instead of losing every comparison with a finite one
+    grid = LemmaGridSpec(z_points=20, order_points=4, gains=(2.0, math.inf))
+    report = verify_lemma_inequalities(grid)
+    assert not report.all_hold
+    for name in ("phi_image_positive", "phi_ratio_decreasing_in_z", "f_strictly_ordered"):
+        entry = report.margins[name]
+        assert math.isnan(entry["min_margin"]) and entry["argmin"]["gain"] == math.inf, name

@@ -13,11 +13,8 @@ from focklab.linalg import (
     hermitian_eigh,
     hermitian_spectrum,
     ladder,
-    number_op,
     partial_trace,
-    tensor,
 )
-from focklab.states import DensityMatrix
 
 
 def test_ladder_action_on_basis():
@@ -41,35 +38,10 @@ def test_ladder_commutator_is_identity_below_cutoff():
     assert_allclose(comm, expected, atol=1e-13)
 
 
-def test_number_op_diagonal():
-    assert_allclose(number_op(6), np.diag(np.arange(6.0)), atol=0)
-
-
-def test_number_op_matches_ladder_product():
-    a = ladder(9)
-    assert_allclose(a.conj().T @ a, number_op(9), atol=1e-13)
-
-
 def test_check_joint_dim_limit():
     assert check_joint_dim(100, 100) == 10000
     with pytest.raises(ResourceLimitError):
         check_joint_dim(200, 200)
-
-
-def test_tensor_trace_and_shape():
-    rng = np.random.default_rng(7)
-    m1 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    m1 = m1 @ m1.conj().T
-    m1 /= np.trace(m1).real
-    m2 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m2 = m2 @ m2.conj().T
-    m2 /= np.trace(m2).real
-    a = DensityMatrix.from_matrix(m1)
-    b = DensityMatrix.from_matrix(m2)
-    joint = tensor(a, b)
-    assert joint.dim == 12
-    assert_allclose(joint.trace, 1.0, atol=1e-12)
-    assert_allclose(joint.matrix, np.kron(m1, m2), atol=1e-14)
 
 
 def test_partial_trace_recovers_factors():

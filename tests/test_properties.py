@@ -1,8 +1,9 @@
 """Property tests of the channel maps over every kind, quantum-limited and noisy.
 
 Inputs live on at most 8 levels (12 for majorization) and use default
-output sizes.  The hypothesis profile in conftest.py fixes the
-examples, so a run is deterministic.
+output sizes; the dilation reference gets extra levels in both modes.
+The hypothesis profile in conftest.py fixes the examples, so a run is
+deterministic.
 """
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from focklab.channels import (
+    ChannelDims,
     ChannelKind,
     additive_noise,
     amplifier,
     apply_channel,
+    apply_channel_dense,
     apply_diagonal,
     attenuator,
     clear_caches,
@@ -27,6 +30,10 @@ MAX_LEVELS = 8
 
 # slack allowed on a partial sum of the majorization check
 MAJORIZATION_TOL = 1e-12
+
+# the dilation reference gets this many levels above d_out in both modes,
+# so that its squeezer cut reaches no output entry
+REFERENCE_HEADROOM = 30
 
 # an environment energy of exactly 0 gives the quantum-limited channel
 env_energies = st.just(0.0) | st.floats(0.01, 1.5)
@@ -109,3 +116,13 @@ def test_passive_input_output_majorizes(spec, rank, seed):
     top_passive = np.cumsum(np.sort(passive.probs)[::-1])
     top = np.cumsum(np.sort(np.linalg.eigvalsh(out.matrix))[::-1])
     assert np.all(top_passive >= top - MAJORIZATION_TOL)
+
+
+@given(specs, states())
+def test_agrees_with_the_dilation_reference(spec, rho):
+    # the channel's own two-mode dilation with a thermal environment,
+    # evaluated without the Kraus bands or the stage decomposition
+    out = apply_channel(spec, rho)
+    d = out.dim + REFERENCE_HEADROOM
+    ref = apply_channel_dense(spec, rho, ChannelDims(d, d, out.dim))
+    assert_allclose(ref.matrix, out.matrix, rtol=0, atol=1e-12)
