@@ -9,10 +9,8 @@ pairs produce byte-identical files.  Exit codes: 0 all checks passed,
 
 import argparse
 import concurrent.futures
-import contextlib
 import copy
 import csv
-import ctypes
 import dataclasses
 import json
 import math
@@ -44,6 +42,7 @@ from .lemma import (
     solve_p_of_q,
     verify_lemma_inequalities,
 )
+from .linalg import _single_blas_thread
 from .sampling import (
     SamplerConfig,
     _splitmix64,
@@ -816,6 +815,16 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
                     f"FAIL solver at z_bar={r['z_bar']} gain={r['gain']} q={r['q']}",
                     file=sys.stderr,
                 )
+        if not trend_ok:
+            print(
+                f"FAIL p-1 does not decrease along trend_q={section['trend_q']}", file=sys.stderr
+            )
+        if not boundary_ok:
+            print(
+                f"FAIL ratio derivative at the boundary: {d0!r} at z=0 (want > 0), "
+                f"{d1!r} near z=1 (want < -1)",
+                file=sys.stderr,
+            )
         if probe.exceeded:
             print("FAIL saturation probe exceeded the thermal ceiling", file=sys.stderr)
         return EXIT_CLAIM_FAILED
@@ -939,69 +948,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# thread-count getter and setter of each OpenBLAS build: scipy-openblas
-# wheels prefix the symbols, and 64-bit-integer builds add a suffix
-OPENBLAS_THREAD_SYMBOLS = tuple(
-    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-    for prefix in ("scipy_openblas", "openblas")
-    for suffix in ("64_", "")
-)
-
-
-def _loaded_openblas() -> list:
-    """(get_num_threads, set_num_threads) of every OpenBLAS in this process.
-
-    Finds the libraries in /proc/self/maps; where that file does not
-    exist (not Linux) or no OpenBLAS is mapped (e.g. MKL) the list is
-    empty.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return []
-    paths = sorted(
-        {f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
-    )
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, put = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
-                break
-    return controls
-
-
-@contextlib.contextmanager
-def _single_blas_thread():
-    """Run every loaded OpenBLAS on one thread, restoring the counts on exit.
-
-    Pool workers forked inside inherit the single thread, so --jobs is
-    a command's only parallelism: threaded BLAS in each of several
-    workers would oversubscribe the cores.
-    """
-    saved = [(put, get()) for get, put in _loaded_openblas()]
-    for put, _ in saved:
-        put(1)
-    try:
-        yield
-    finally:
-        for put, count in saved:
-            put(count)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify-cmoe":
-        # the adversarial search's expm runs on scipy's own OpenBLAS, which
-        # the scope below pins only if it is already loaded
+        # loaded once here, so the pool workers fork with it: each would
+        # otherwise pay the ~0.3 s import again for the search's expm
         import scipy.linalg  # noqa: F401
     with _single_blas_thread():
         try:

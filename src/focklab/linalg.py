@@ -5,6 +5,11 @@ indices are system-major, (m, j) -> m * d_env + j for system level m and
 environment level j.  Dense joint objects are refused above MAX_JOINT_DIM.
 """
 
+import contextlib
+import ctypes
+import os
+import threading
+
 import numpy as np
 
 from .errors import (
@@ -18,6 +23,20 @@ from .states import HERMITICITY_TOL
 
 # Largest dense joint dimension we will materialize (e.g. 128 x 128 modes).
 MAX_JOINT_DIM = 16384
+
+# thread-count getter and setter of each OpenBLAS build: scipy-openblas
+# wheels prefix the symbols, and 64-bit-integer builds add a suffix
+OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+)
+
+# open single-thread scopes, and the thread count each OpenBLAS had when
+# the outermost scope first set it to 1 (keyed by library path)
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = {}
 
 
 def ladder(cutoff: int) -> np.ndarray:
@@ -83,3 +102,64 @@ def hermitian_eigh(m: np.ndarray):
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(vals)[::-1]
     return vals[order].copy(), vecs[:, order].copy()
+
+
+def _loaded_openblas() -> dict:
+    """Path -> (get_num_threads, set_num_threads) of every OpenBLAS in this process.
+
+    Finds the libraries in /proc/self/maps; where that file does not
+    exist (not Linux) or no OpenBLAS is mapped (e.g. MKL) the dict is
+    empty.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return {}
+    paths = sorted(
+        {f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    )
+    controls = {}
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls[path] = (get, put)
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run every loaded OpenBLAS on one thread until the last open scope closes.
+
+    Scopes nest and may overlap across threads.  Each scope that opens
+    saves the count of, and sets to 1, every OpenBLAS not yet saved,
+    including one loaded since an outer scope opened; the last scope to
+    close puts the saved counts back.  One thread matters twice: with
+    numpy's and scipy's OpenBLAS both loaded, each library's thread pool
+    spins while the other works; and pool workers forked inside inherit
+    the single thread, so --jobs is a command's only parallelism.
+    """
+    global _blas_depth
+    with _blas_lock:
+        for path, (get, put) in _loaded_openblas().items():
+            if path not in _blas_saved:
+                _blas_saved[path] = (put, get())
+                put(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for put, count in _blas_saved.values():
+                    put(count)
+                _blas_saved.clear()

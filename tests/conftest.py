@@ -1,5 +1,7 @@
+import os
 import tempfile
 
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -18,3 +20,40 @@ def pytest_configure(config):
     storage = tempfile.TemporaryDirectory(prefix="focklab-hypothesis-")
     config.add_cleanup(storage.cleanup)
     set_hypothesis_home_dir(storage.name)
+
+
+def _openblas_or_skip():
+    from focklab.linalg import _loaded_openblas
+
+    controls = list(_loaded_openblas().values())
+    if not controls:
+        with open("/proc/self/maps") as fh:
+            assert "openblas" not in fh.read(), "an OpenBLAS is mapped but was not found"
+        pytest.skip("no OpenBLAS loaded")
+    return controls
+
+
+@pytest.fixture
+def blas_controls():
+    """(get, put) of every loaded OpenBLAS; skipped when none is loaded."""
+    return _openblas_or_skip()
+
+
+@pytest.fixture
+def threaded_blas():
+    """Set every OpenBLAS, scipy's included, to 2 threads; yield a reader of the counts.
+
+    The counts are put back after the test.  Skipped on one core, where
+    OpenBLAS starts with one thread, and when no OpenBLAS is loaded.
+    """
+    import scipy.linalg  # noqa: F401
+
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts with one thread on one core")
+    controls = _openblas_or_skip()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(2)
+    yield lambda: [get() for get, _ in controls]
+    for (_, put), count in zip(controls, saved):
+        put(count)

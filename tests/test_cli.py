@@ -9,7 +9,7 @@ import pytest
 
 import focklab.cmoe
 from focklab import channels as channel_maps
-from focklab import cli
+from focklab import cli, linalg
 from focklab.cli import (
     CMOE_COLUMNS,
     CMOE_CSV,
@@ -261,6 +261,29 @@ def test_lemma_exploratory_orders_need_flag(tmp_path):
     assert flags[1.3] == "false"
 
 
+def _lemma_failure(tmp_path, capsys, payload):
+    code = main(["verify-lemma", "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "run")])
+    summary = json.loads((tmp_path / "run" / LEMMA_SUMMARY).read_text())
+    return code, summary, capsys.readouterr().err.strip().splitlines()
+
+
+def test_lemma_trend_failure_is_named(tmp_path, capsys):
+    # an increasing trend_q list: p - 1 grows along it
+    code, summary, err = _lemma_failure(tmp_path, capsys, {"lemma": {"trend_q": [1.01, 1.1]}})
+    assert code == EXIT_CLAIM_FAILED
+    assert summary["trend_ok"] is False and summary["boundary_ok"] is True
+    assert len(err) == 1 and err[0].startswith("FAIL") and "trend_q=[1.01, 1.1]" in err[0]
+
+
+def test_lemma_boundary_failure_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "norm_ratio_log_derivative", lambda z, gain, p, q: 0.0)
+    code, summary, err = _lemma_failure(tmp_path, capsys, SMALL_LEMMA)
+    assert code == EXIT_CLAIM_FAILED
+    assert summary["boundary_ok"] is False and summary["trend_ok"] is True
+    assert len(err) == 1 and err[0].startswith("FAIL") and "derivative" in err[0]
+
+
 def test_report_aggregates_suites(tmp_path, capsys):
     out = str(tmp_path / "run")
     main(["verify-thermal-laws", "--config", write_config(tmp_path, SMALL_THERMAL), "--out", out])
@@ -493,28 +516,12 @@ def test_maps_hold_only_the_bands_their_callers_read(tmp_path, monkeypatch):
     channel_maps.clear_caches()
 
 
-def _openblas_mapped():
-    try:
-        with open("/proc/self/maps") as fh:
-            return "openblas" in fh.read()
-    except OSError:
-        return False
-
-
-def _blas_controls():
-    controls = cli._loaded_openblas()
-    if not controls:
-        assert not _openblas_mapped(), "an OpenBLAS is mapped but was not found"
-        pytest.skip("no OpenBLAS loaded")
-    return controls
-
-
 def _blas_threads(_=None):
-    return [get() for get, _ in cli._loaded_openblas()]
+    return [get() for get, _ in linalg._loaded_openblas().values()]
 
 
-def test_commands_run_blas_on_one_thread_and_restore(tmp_path, monkeypatch):
-    controls = _blas_controls()
+def test_commands_run_blas_on_one_thread_and_restore(tmp_path, monkeypatch, blas_controls):
+    controls = blas_controls
     saved = [get() for get, _ in controls]
     seen = []
 
@@ -549,9 +556,9 @@ def test_commands_run_blas_on_one_thread_and_restore(tmp_path, monkeypatch):
             put(count)
 
 
-def test_pool_workers_inherit_one_blas_thread():
-    controls = _blas_controls()
-    with cli._single_blas_thread():
+def test_pool_workers_inherit_one_blas_thread(blas_controls):
+    controls = blas_controls
+    with linalg._single_blas_thread():
         counts = cli._run_tasks(2, [(_blas_threads, 0), (_blas_threads, 1)])
     assert counts == [[1] * len(controls)] * 2
 
@@ -603,7 +610,7 @@ def test_scipy_loads_only_for_the_search_and_the_reference(tmp_path):
 
 SEARCH_WORKER_BLAS = r"""
 import importlib.util, json, os, sys
-from focklab import cli
+from focklab import cli, linalg
 
 search = cli.adversarial_search
 
@@ -613,7 +620,7 @@ def recording(*args, **kwargs):
         paths = {line.split()[-1] for line in fh if "openblas" in os.path.basename(line.split()[-1])}
     record = {
         "pid": os.getpid(),
-        "threads": [get() for get, _ in cli._loaded_openblas()],
+        "threads": [get() for get, _ in linalg._loaded_openblas().values()],
         "paths": sorted(paths),
     }
     with open(os.path.join(sys.argv[2], f"search{os.getpid()}.json"), "w") as fh:
@@ -628,8 +635,7 @@ print(json.dumps({"pid": os.getpid(), "scipy_dir": scipy_dir}))
 """
 
 
-def test_search_workers_run_every_blas_on_one_thread(tmp_path):
-    _blas_controls()
+def test_search_workers_run_every_blas_on_one_thread(tmp_path, blas_controls):
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("OpenBLAS starts with one thread on one core")
     records = tmp_path / "records"

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from focklab import linalg
 from focklab.errors import (
     DimensionMismatchError,
     InvalidDimensionError,
@@ -9,6 +13,7 @@ from focklab.errors import (
     ResourceLimitError,
 )
 from focklab.linalg import (
+    _single_blas_thread,
     check_joint_dim,
     hermitian_eigh,
     hermitian_spectrum,
@@ -142,3 +147,65 @@ def test_spectrum_moment_identities():
     for k in range(1, 5):
         power = power @ m
         assert_allclose(np.trace(power).real, np.sum(vals**k), rtol=1e-11)
+
+
+def test_overlapping_blas_scopes_restore_when_the_last_closes(threaded_blas):
+    # thread A opens, B opens, A closes, B closes
+    counts = threaded_blas
+    original = counts()
+    ones = [1] * len(original)
+    a_open, b_open, a_closed = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def a():
+        with _single_blas_thread():
+            a_open.set()
+            assert b_open.wait(30)
+            seen["both open"] = counts()
+        a_closed.set()
+
+    def b():
+        assert a_open.wait(30)
+        with _single_blas_thread():
+            b_open.set()
+            assert a_closed.wait(30)
+            seen["A closed"] = counts()
+        seen["B closed"] = counts()
+
+    workers = [threading.Thread(target=f) for f in (a, b)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(60)
+    assert not any(w.is_alive() for w in workers)
+    assert seen == {"both open": ones, "A closed": ones, "B closed": original}
+
+
+def test_blas_scopes_under_thread_contention(threaded_blas):
+    # a lost update of the open-scope count would restore the counts while
+    # a scope is still open, or leave them at 1 after the last one closed
+    counts = threaded_blas
+    original = counts()
+    ones = [1] * len(original)
+    wrong = []
+
+    def worker():
+        for _ in range(50):
+            with _single_blas_thread():
+                with _single_blas_thread():
+                    if counts() != ones:
+                        wrong.append(counts())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == [] and counts() == original
+    assert linalg._blas_depth == 0 and linalg._blas_saved == {}

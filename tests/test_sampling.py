@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from focklab import sampling
 from focklab.channels import amplifier, attenuator
 from focklab.cmoe import VERDICT_EQUALITY, check_cmoe
 from focklab.entropy import state_spectrum, von_neumann_entropy
@@ -199,6 +200,25 @@ def test_adversarial_search_only_improves():
         spec, target, 25, 8, seed=6, start=entropy_pinned_state(target, 8, substream(6, 0))
     )
     assert result.best_report.output_entropy <= start_rep.output_entropy + 1e-12
+
+
+def test_adversarial_search_rejects_start_of_wrong_size():
+    start = entropy_pinned_state(0.8, 6, substream(6, 0))
+    with pytest.raises(DomainError, match="6 levels"):
+        adversarial_search(amplifier(1.5, 0.1), 0.8, 25, 8, seed=6, start=start)
+
+
+def test_adversarial_search_runs_blas_on_one_thread_and_restores(threaded_blas, monkeypatch):
+    before, seen = threaded_blas(), []
+
+    def recording(spec, state):
+        seen.append(threaded_blas())
+        return check_cmoe(spec, state)
+
+    monkeypatch.setattr(sampling, "check_cmoe", recording)
+    adversarial_search(amplifier(1.5, 0.1), 0.8, 10, 8, seed=5)
+    assert len(seen) > 1 and all(c == [1] * len(before) for c in seen)
+    assert threaded_blas() == before
 
 
 def test_identity_gain_search_sits_at_equality():
