@@ -27,7 +27,7 @@ from .channels import (
     attenuator,
     finite_float,
 )
-from .cmoe import VERDICT_EQUALITY, VERDICT_VIOLATION, check_cmoe
+from .cmoe import VERDICT_EQUALITY, VERDICT_SUPPRESSED, VERDICT_VIOLATION, check_cmoe
 from .entropy import spectral_distance
 from .errors import ConfigError, FockLabError, TruncationError
 from .lemma import (
@@ -110,57 +110,6 @@ LEMMA_COLUMNS = [
     "passed",
 ]
 
-DEFAULT_CONFIG = {
-    "schema_version": SCHEMA_VERSION,
-    "seed": 20260823,
-    "jobs": 1,
-    "out": "runs/latest",
-    "thermal": {
-        "input_energies": [0.0, 0.5, 1.0, 2.0],
-        "transmissivities": [0.3, 0.7],
-        "gains": [1.5, 2.0],
-        "env_energies": [0.0, 1.0],
-        "tail_target": 1e-14,
-        "tolerance": 1e-7,
-        "max_deficit": 1e-9,
-        "fixed_cutoff": None,
-    },
-    "cmoe": {
-        "trials_per_channel": 10000,
-        "cutoffs": [16, 24],
-        "channels": [
-            {"kind": "attenuator", "transmissivity": 0.7, "env_energy": 0.5},
-            {"kind": "amplifier", "gain": 2.0, "env_energy": 0.5},
-            {"kind": "additive", "env_energy": 1.0},
-            {"kind": "contravariant", "gain": 2.0, "env_energy": 0.5},
-        ],
-        "adversarial_searches": 10,
-        "adversarial_iterations": 200,
-        "adversarial_cutoff": 16,
-        "equality_input_energies": [0.0, 0.5, 1.0, 2.0],
-        "equality_transmissivities": [0.3, 0.7],
-        "equality_gains": [1.5, 2.0],
-        "equality_env_energies": [0.0, 1.0],
-        "equality_tail_target": 1e-14,
-        "thermal_only": False,
-    },
-    "lemma": {
-        "grid_z_points": 199,
-        "grid_order_points": 25,
-        "grid_gains": [1.25, 1.5, 2.0, 4.0],
-        "solver_z": [0.25, 0.5, 0.75],
-        "solver_gains": [1.5, 2.0],
-        "solver_q": [1.1, 1.3, 1.49],
-        "trend_q": [1.1, 1.01, 1.001],
-        "probe_gain": 2.0,
-        "probe_p": 1.2,
-        "probe_q": 1.35,
-        "probe_cutoff": 24,
-        "probe_trials": 500,
-        "exploratory_q": [1.6, 2.0],
-    },
-}
-
 
 def fmt(value) -> str:
     """Fixed 17-significant-digit float serialization for CSV cells."""
@@ -231,45 +180,62 @@ ABOVE_ONE = ("a number > 1", lambda v: _is_real(v) and v > 1.0)
 COUNT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
 POSITIVE_COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 LEVELS = ("an integer >= 2", lambda v: _is_int(v) and v >= 2)
-FLAG = ("true or false", lambda v: isinstance(v, bool))
 
-CONFIG_RULES = {
+# (default, rule) of each config value, by section; DEFAULT_CONFIG and
+# validate_config both read this table.  cmoe.channels has no rule here:
+# parse_channel checks its entries.
+CONFIG_SECTIONS = {
     "thermal": {
-        "input_energies": [NONNEGATIVE],
-        "transmissivities": [TRANSMISSIVITY],
-        "gains": [CHANNEL_GAIN],
-        "env_energies": [NONNEGATIVE],
-        "tail_target": OPEN_UNIT,
-        "tolerance": POSITIVE,
-        "max_deficit": POSITIVE,
+        "input_energies": ([0.0, 0.5, 1.0, 2.0], [NONNEGATIVE]),
+        "transmissivities": ([0.3, 0.7], [TRANSMISSIVITY]),
+        "gains": ([1.5, 2.0], [CHANNEL_GAIN]),
+        "env_energies": ([0.0, 1.0], [NONNEGATIVE]),
+        "tail_target": (1e-14, OPEN_UNIT),
+        "tolerance": (1e-7, POSITIVE),
+        "max_deficit": (1e-9, POSITIVE),
     },
     "cmoe": {
-        "trials_per_channel": POSITIVE_COUNT,
-        "cutoffs": [LEVELS],
-        "adversarial_searches": COUNT,
-        "adversarial_iterations": COUNT,
-        "adversarial_cutoff": LEVELS,
-        "equality_input_energies": [NONNEGATIVE],
-        "equality_transmissivities": [TRANSMISSIVITY],
-        "equality_gains": [CHANNEL_GAIN],
-        "equality_env_energies": [NONNEGATIVE],
-        "equality_tail_target": OPEN_UNIT,
-        "thermal_only": FLAG,
+        "trials_per_channel": (10000, POSITIVE_COUNT),
+        "cutoffs": ([16, 24], [LEVELS]),
+        "channels": (
+            [
+                {"kind": "attenuator", "transmissivity": 0.7, "env_energy": 0.5},
+                {"kind": "amplifier", "gain": 2.0, "env_energy": 0.5},
+                {"kind": "additive", "env_energy": 1.0},
+                {"kind": "contravariant", "gain": 2.0, "env_energy": 0.5},
+            ],
+            None,
+        ),
+        "adversarial_searches": (10, COUNT),
+        "adversarial_iterations": (200, COUNT),
+        "adversarial_cutoff": (16, LEVELS),
+        "equality_input_energies": ([0.0, 0.5, 1.0, 2.0], [NONNEGATIVE]),
     },
     "lemma": {
-        "grid_z_points": LEVELS,
-        "grid_order_points": LEVELS,
-        "grid_gains": [ABOVE_ONE],
-        "solver_z": [OPEN_UNIT],
-        "solver_gains": [ABOVE_ONE],
-        "solver_q": [ABOVE_ONE],
-        "trend_q": [ABOVE_ONE, 2],
-        "probe_gain": ABOVE_ONE,
-        "probe_p": ABOVE_ONE,
-        "probe_q": ABOVE_ONE,
-        "probe_cutoff": POSITIVE_COUNT,
-        "probe_trials": POSITIVE_COUNT,
-        "exploratory_q": [ABOVE_ONE],
+        "grid_z_points": (199, LEVELS),
+        "grid_order_points": (25, LEVELS),
+        "grid_gains": ([1.25, 1.5, 2.0, 4.0], [ABOVE_ONE]),
+        "solver_z": ([0.25, 0.5, 0.75], [OPEN_UNIT]),
+        "solver_gains": ([1.5, 2.0], [ABOVE_ONE]),
+        "solver_q": ([1.1, 1.3, 1.49], [ABOVE_ONE]),
+        "trend_q": ([1.1, 1.01, 1.001], [ABOVE_ONE, 2]),
+        "probe_gain": (2.0, ABOVE_ONE),
+        "probe_p": (1.2, ABOVE_ONE),
+        "probe_q": (1.35, ABOVE_ONE),
+        "probe_cutoff": (24, POSITIVE_COUNT),
+        "probe_trials": (500, POSITIVE_COUNT),
+        "exploratory_q": ([1.6, 2.0], [ABOVE_ONE]),
+    },
+}
+
+DEFAULT_CONFIG = {
+    "schema_version": SCHEMA_VERSION,
+    "seed": 20260823,
+    "jobs": 1,
+    "out": "runs/latest",
+    **{
+        section: {key: default for key, (default, _) in values.items()}
+        for section, values in CONFIG_SECTIONS.items()
     },
 }
 
@@ -296,12 +262,10 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("jobs must be a positive integer")
     if not isinstance(cfg["out"], str):
         raise ConfigError("out must be a path string")
-    for section, rules in CONFIG_RULES.items():
-        for key, rule in rules.items():
-            _check_value(f"{section}.{key}", cfg[section][key], rule)
-    fixed = cfg["thermal"]["fixed_cutoff"]
-    if fixed is not None:
-        _check_value("thermal.fixed_cutoff", fixed, POSITIVE_COUNT)
+    for section, values in CONFIG_SECTIONS.items():
+        for key, (_, rule) in values.items():
+            if rule is not None:
+                _check_value(f"{section}.{key}", cfg[section][key], rule)
     cm = cfg["cmoe"]
     if not isinstance(cm["channels"], list) or not cm["channels"]:
         raise ConfigError("cmoe.channels must be a nonempty list")
@@ -377,68 +341,69 @@ def thermal_grid_dims(spec: ChannelSpec, input_energy: float, tail: float):
     return c_in, ChannelDims(d_sys=d, d_env=d, d_out=d)
 
 
-def thermal_grid_channels(section: dict):
-    chans = []
-    for lam in section["transmissivities"]:
-        for e in section["env_energies"]:
-            chans.append(attenuator(lam, e))
-    for kap in section["gains"]:
-        for e in section["env_energies"]:
-            chans.append(amplifier(kap, e))
-    for e in section["env_energies"]:
-        chans.append(ChannelSpec(kind=ChannelKind.ADDITIVE, env_energy=e))
-    for kap in section["gains"]:
-        for e in section["env_energies"]:
-            chans.append(ChannelSpec(kind=ChannelKind.CONTRAVARIANT, gain=kap, env_energy=e))
-    return chans
+def thermal_grid(section: dict, input_energies):
+    """(spec, e_in, c_in, dims) at each point of the thermal channel grid.
+
+    The channels are drawn from the section's transmissivities, gains and
+    env_energies; each input is sized by thermal_grid_dims at the
+    section's tail_target.
+    """
+    envs = section["env_energies"]
+    channels = (
+        [attenuator(lam, e) for lam in section["transmissivities"] for e in envs]
+        + [amplifier(kap, e) for kap in section["gains"] for e in envs]
+        + [ChannelSpec(kind=ChannelKind.ADDITIVE, env_energy=e) for e in envs]
+        + [
+            ChannelSpec(kind=ChannelKind.CONTRAVARIANT, gain=kap, env_energy=e)
+            for kap in section["gains"]
+            for e in envs
+        ]
+    )
+    for spec in channels:
+        for e_in in input_energies:
+            c_in, dims = thermal_grid_dims(spec, e_in, section["tail_target"])
+            yield spec, e_in, c_in, dims
 
 
 def cmd_verify_thermal_laws(cfg: dict) -> int:
     out_dir = ensure_outdir(cfg)
     section = cfg["thermal"]
-    channels = thermal_grid_channels(section)
     tol = section["tolerance"]
     max_deficit = section["max_deficit"]
-    fixed = section["fixed_cutoff"]
     rows = []
     failures = []
-    for spec in channels:
-        for e_in in section["input_energies"]:
-            predicted_energy = spec.output_energy(e_in)
-            c_in, dims = thermal_grid_dims(spec, e_in, section["tail_target"])
-            if fixed is not None:
-                # the deliberate small-cutoff failure path
-                c_in, dims = fixed, ChannelDims(d_sys=fixed, d_env=fixed, d_out=fixed)
-            try:
-                out = apply_diagonal(spec, thermal_state(e_in, c_in), dims)
-                predicted = thermal_state(predicted_energy, out.dim)
-                dist = spectral_distance(out, predicted)
-                deficit = out.trace_deficit
-                out_dim = out.dim
-            except TruncationError as exc:
-                dist = float("nan")
-                deficit = exc.deficit
-                out_dim = 0
-            passed = dist <= tol and deficit <= max_deficit
-            if not passed:
-                failures.append(
-                    f"{spec.kind.value} parameter={fmt(spec.parameter)} env={fmt(spec.env_energy)}"
-                    f" input_energy={fmt(e_in)}: distance={fmt(dist)} deficit={fmt(deficit)}"
-                )
-            rows.append(
-                {
-                    "channel": spec.kind.value,
-                    "parameter": spec.parameter,
-                    "env_energy": spec.env_energy,
-                    "input_energy": e_in,
-                    "input_cutoff": c_in,
-                    "output_cutoff": out_dim,
-                    "predicted_energy": predicted_energy,
-                    "spectral_distance": dist,
-                    "output_deficit": deficit,
-                    "passed": passed,
-                }
+    for spec, e_in, c_in, dims in thermal_grid(section, section["input_energies"]):
+        predicted_energy = spec.output_energy(e_in)
+        try:
+            out = apply_diagonal(spec, thermal_state(e_in, c_in), dims)
+            predicted = thermal_state(predicted_energy, out.dim)
+            dist = spectral_distance(out, predicted)
+            deficit = out.trace_deficit
+            out_dim = out.dim
+        except TruncationError as exc:
+            dist = float("nan")
+            deficit = exc.deficit
+            out_dim = 0
+        passed = dist <= tol and deficit <= max_deficit
+        if not passed:
+            failures.append(
+                f"{spec.kind.value} parameter={fmt(spec.parameter)} env={fmt(spec.env_energy)}"
+                f" input_energy={fmt(e_in)}: distance={fmt(dist)} deficit={fmt(deficit)}"
             )
+        rows.append(
+            {
+                "channel": spec.kind.value,
+                "parameter": spec.parameter,
+                "env_energy": spec.env_energy,
+                "input_energy": e_in,
+                "input_cutoff": c_in,
+                "output_cutoff": out_dim,
+                "predicted_energy": predicted_energy,
+                "spectral_distance": dist,
+                "output_deficit": deficit,
+                "passed": passed,
+            }
+        )
     write_csv(os.path.join(out_dir, THERMAL_CSV), THERMAL_COLUMNS, rows)
     finite = [r["spectral_distance"] for r in rows if not math.isnan(r["spectral_distance"])]
     summary = {
@@ -533,25 +498,17 @@ def _adversarial_job(args) -> dict:
 
 
 def _equality_rows(cfg: dict) -> list:
-    """_report_row items of the thermal inputs on the equality grid."""
-    section = cfg["cmoe"]
-    tail = section["equality_tail_target"]
-    grid_section = {
-        "transmissivities": section["equality_transmissivities"],
-        "gains": section["equality_gains"],
-        "env_energies": section["equality_env_energies"],
-    }
+    """_report_row items of the thermal inputs on the thermal grid."""
     items = []
-    for spec in thermal_grid_channels(grid_section):
-        for e_in in section["equality_input_energies"]:
-            c_in, dims = thermal_grid_dims(spec, e_in, tail)
-            if spec.kind == ChannelKind.ADDITIVE:
-                dims = None  # additive rows keep the default output size
-            state = thermal_state(e_in, c_in)
-            rep = check_cmoe(spec, state, dims)
-            items.append(
-                _report_row(cfg["seed"], "equality", spec, c_in, len(items), "thermal", rep, state)
-            )
+    grid = thermal_grid(cfg["thermal"], cfg["cmoe"]["equality_input_energies"])
+    for spec, e_in, c_in, dims in grid:
+        if spec.kind == ChannelKind.ADDITIVE:
+            dims = None  # additive rows keep the default output size
+        state = thermal_state(e_in, c_in)
+        rep = check_cmoe(spec, state, dims)
+        items.append(
+            _report_row(cfg["seed"], "equality", spec, c_in, len(items), "thermal", rep, state)
+        )
     return items
 
 
@@ -587,33 +544,32 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     items = _equality_rows(cfg)
     equality_bad = [item for item in items if item["row"]["verdict"] != VERDICT_EQUALITY]
 
-    if not section["thermal_only"]:
-        specs = [parse_channel(entry) for entry in section["channels"]]
-        cutoffs = section["cutoffs"]
-        trials = section["trials_per_channel"]
-        searches = section["adversarial_searches"]
-        search_cutoff = section["adversarial_cutoff"]
-        iterations = section["adversarial_iterations"]
-        _warm_caches(specs, cutoffs)
-        chunk = max(1, trials // max(1, jobs * 8))
-        trial_tasks = [
-            (
-                _cmoe_trial_batch,
-                (seed, spec, cutoffs, ch_idx * trials, list(range(lo, min(lo + chunk, trials)))),
-            )
-            for ch_idx, spec in enumerate(specs)
-            for lo in range(0, trials, chunk)
-        ]
-        search_tasks = [
-            (_adversarial_job, (seed, spec, search_cutoff, iterations, ch_idx * searches + s))
-            for ch_idx, spec in enumerate(specs)
-            for s in range(searches)
-        ]
-        # the searches are the longest tasks, so they start first; the rows
-        # still list every trial before the searches
-        done = _run_tasks(jobs, search_tasks + trial_tasks)
-        searched, batches = done[: len(search_tasks)], done[len(search_tasks) :]
-        items += [item for batch in batches for item in batch] + searched
+    specs = [parse_channel(entry) for entry in section["channels"]]
+    cutoffs = section["cutoffs"]
+    trials = section["trials_per_channel"]
+    searches = section["adversarial_searches"]
+    search_cutoff = section["adversarial_cutoff"]
+    iterations = section["adversarial_iterations"]
+    _warm_caches(specs, cutoffs)
+    chunk = max(1, trials // max(1, jobs * 8))
+    trial_tasks = [
+        (
+            _cmoe_trial_batch,
+            (seed, spec, cutoffs, ch_idx * trials, list(range(lo, min(lo + chunk, trials)))),
+        )
+        for ch_idx, spec in enumerate(specs)
+        for lo in range(0, trials, chunk)
+    ]
+    search_tasks = [
+        (_adversarial_job, (seed, spec, search_cutoff, iterations, ch_idx * searches + s))
+        for ch_idx, spec in enumerate(specs)
+        for s in range(searches)
+    ]
+    # the searches are the longest tasks, so they start first; the rows
+    # still list every trial before the searches
+    done = _run_tasks(jobs, search_tasks + trial_tasks)
+    searched, batches = done[: len(search_tasks)], done[len(search_tasks) :]
+    items += [item for batch in batches for item in batch] + searched
     rows = [item["row"] for item in items]
     counterexamples = [item["counterexample"] for item in items if item["counterexample"]]
 
@@ -636,7 +592,7 @@ def cmd_verify_cmoe(cfg: dict) -> int:
             },
         )
         rec["trials"] += 1
-        if r["verdict"] == "Suppressed":
+        if r["verdict"] == VERDICT_SUPPRESSED:
             rec["suppressed"] += 1
             continue
         if r["verdict"] == VERDICT_VIOLATION:

@@ -12,24 +12,18 @@ import numpy as np
 
 from .errors import DomainError
 from .linalg import hermitian_spectrum
-from .states import DensityMatrix, DiagonalState, clamp_spectrum
+from .states import DiagonalState, clamp_spectrum
 
 # Spectrum entries below this are treated as exact zeros in x ln x sums.
 ENTROPY_FLOOR = 1e-300
 
 
 def state_spectrum(state) -> np.ndarray:
-    """Descending clamped spectrum of a state, matrix or probability vector."""
-    if isinstance(state, DensityMatrix):
-        vals = hermitian_spectrum(state.matrix)
-    elif isinstance(state, DiagonalState):
+    """Descending clamped spectrum of a DensityMatrix or DiagonalState."""
+    if isinstance(state, DiagonalState):
         vals = np.sort(state.probs)[::-1]
     else:
-        arr = np.asarray(state)
-        if arr.ndim == 1:
-            vals = np.sort(arr.real.astype(float))[::-1]
-        else:
-            vals = hermitian_spectrum(arr)
+        vals = hermitian_spectrum(state.matrix)
     return clamp_spectrum(vals)
 
 
@@ -68,11 +62,9 @@ def renyi_entropy(state, alpha: float) -> float:
 
 
 def _as_matrix(state) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        return state.matrix
     if isinstance(state, DiagonalState):
         return np.diag(state.probs.astype(complex))
-    return np.asarray(state, dtype=complex)
+    return state.matrix
 
 
 def trace_distance(a, b) -> float:

@@ -376,24 +376,17 @@ def pq_norm_saturation_probe(
     the quantum-limited amplifier, and compares the realized q-to-p norm
     ratio against the thermal ceiling.
     """
-    from .sampling import random_diagonal, random_mixed, random_pure, substream
+    from .sampling import SamplerConfig, draw_state
 
     spec = ChannelSpec(kind=ChannelKind.AMPLIFIER, gain=float(gain))
     dims = default_dims(spec, cutoff)
     _, ceiling = scan_ratio_maximizer(gain, p, q)
     best = -math.inf
     for t in range(trials):
-        rng = substream(seed, t)
         kind = PROBE_KINDS[t % len(PROBE_KINDS)]
-        if kind == "diagonal":
-            state = random_diagonal(cutoff, rng)
-            out = apply_diagonal(spec, state, dims)
-        elif kind == "mixed":
-            state = random_mixed(cutoff, cutoff, rng)
-            out = apply_channel(spec, state, dims)
-        else:
-            state = random_pure(cutoff, rng)
-            out = apply_channel(spec, state, dims)
+        state = draw_state(SamplerConfig(seed, cutoff, kind), t)
+        apply = apply_diagonal if kind == "diagonal" else apply_channel
+        out = apply(spec, state, dims)
         ratio = math.log(schatten_norm(out, q)) - math.log(schatten_norm(state, p))
         if ratio > best:
             best = ratio

@@ -44,6 +44,7 @@ SMALL_THERMAL = {
 }
 
 SMALL_CMOE = {
+    "thermal": {"transmissivities": [0.5], "gains": [1.5], "env_energies": [0.0]},
     "cmoe": {
         "trials_per_channel": 6,
         "cutoffs": [6],
@@ -52,24 +53,22 @@ SMALL_CMOE = {
         "adversarial_iterations": 4,
         "adversarial_cutoff": 6,
         "equality_input_energies": [0.5],
-        "equality_transmissivities": [0.5],
-        "equality_gains": [1.5],
-        "equality_env_energies": [0.0],
-    }
+    },
 }
 
 # two channels with two searches each, so searches and trial chunks of
 # several channels share the pool
-TWO_CHANNEL_CMOE = {
-    "cmoe": dict(
+TWO_CHANNEL_CMOE = dict(
+    SMALL_CMOE,
+    cmoe=dict(
         SMALL_CMOE["cmoe"],
         channels=[
             {"kind": "attenuator", "transmissivity": 0.6, "env_energy": 0.4},
             {"kind": "contravariant", "gain": 1.5, "env_energy": 0.2},
         ],
         adversarial_searches=2,
-    )
-}
+    ),
+)
 
 SMALL_LEMMA = {
     "lemma": {
@@ -154,13 +153,20 @@ def test_thermal_small_grid_passes(tmp_path):
 
 
 def test_thermal_forced_failure_exits_one(tmp_path):
-    payload = {"thermal": dict(SMALL_THERMAL["thermal"], fixed_cutoff=3)}
+    # a 1% tail cuts the grid's inputs and outputs short: some outputs lose
+    # more than 1% of their trace and are refused, others miss the
+    # predicted spectrum at a finite distance
+    payload = {"thermal": dict(SMALL_THERMAL["thermal"], tail_target=0.01)}
     cfg = write_config(tmp_path, payload)
     out = str(tmp_path / "run")
     assert main(["verify-thermal-laws", "--config", cfg, "--out", out]) == EXIT_CLAIM_FAILED
     summary = json.loads((tmp_path / "run" / THERMAL_SUMMARY).read_text())
     assert summary["passed"] is False
     assert summary["failures"]
+    failed = [dict(zip(THERMAL_COLUMNS, r)) for r in read_rows(os.path.join(out, THERMAL_CSV))[1:]]
+    failed = [r for r in failed if r["passed"] == "false"]
+    assert any(r["output_cutoff"] == "0" and r["spectral_distance"] == "nan" for r in failed)
+    assert any(r["spectral_distance"] != "nan" for r in failed)
 
 
 def test_thermal_empty_grid_exits_two(tmp_path):
@@ -169,11 +175,28 @@ def test_thermal_empty_grid_exits_two(tmp_path):
     assert main(["verify-thermal-laws", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
 
-def test_unknown_config_key_exits_two(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"thermal": {"bogus_key": 1}})
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        pytest.param("thermal", "bogus_key", 1, id="bogus_key"),
+        # keys that no longer exist: the CMOE equality rows walk the thermal grid
+        pytest.param("thermal", "fixed_cutoff", 3, id="thermal.fixed_cutoff"),
+        pytest.param(
+            "cmoe", "equality_transmissivities", [0.5], id="cmoe.equality_transmissivities"
+        ),
+        pytest.param("cmoe", "equality_gains", [1.5], id="cmoe.equality_gains"),
+        pytest.param("cmoe", "equality_env_energies", [0.0], id="cmoe.equality_env_energies"),
+        pytest.param("cmoe", "equality_tail_target", 1e-14, id="cmoe.equality_tail_target"),
+        pytest.param("cmoe", "thermal_only", True, id="cmoe.thermal_only"),
+    ],
+)
+def test_unknown_config_key_exits_two(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path, {section: {key: value}})
     code = main(["verify-thermal-laws", "--config", cfg, "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
-    assert "bogus_key" in capsys.readouterr().err
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and f"{section}.{key}" in err[0]
 
 
 @pytest.mark.parametrize(
@@ -222,6 +245,16 @@ def test_cmoe_small_run_passes(tmp_path):
     assert summary["passed"] is True
     assert summary["violations"] == 0
     assert summary["counterexamples"] == []
+
+
+def test_equality_rows_walk_the_thermal_laws_grid(tmp_path):
+    cfg = write_config(tmp_path, SMALL_THERMAL)
+    out = str(tmp_path / "run")
+    assert main(["verify-thermal-laws", "--config", cfg, "--out", out]) == EXIT_OK
+    thermal = {tuple(r[:3]) for r in read_rows(os.path.join(out, THERMAL_CSV))[1:]}
+    args = build_parser().parse_args(["verify-cmoe", "--config", cfg])
+    rows = [item["row"] for item in cli._equality_rows(cli.load_config(args))]
+    assert {(r["channel"], fmt(r["parameter"]), fmt(r["env_energy"])) for r in rows} == thermal
 
 
 def test_cmoe_jobs_do_not_change_bytes(tmp_path):
@@ -349,14 +382,15 @@ def test_default_config_is_json_serializable():
 def test_cmoe_small_cutoff_warms_caches_without_probe(tmp_path):
     # a thermal(0.5) probe on 4 levels lacks 1.2% of its mass; the
     # warm-up builds the maps at that input size instead
-    payload = {
-        "cmoe": dict(
+    payload = dict(
+        SMALL_CMOE,
+        cmoe=dict(
             SMALL_CMOE["cmoe"],
             cutoffs=[4],
             adversarial_cutoff=4,
             channels=[{"kind": "amplifier", "gain": 2.0, "env_energy": 0.5}],
-        )
-    }
+        ),
+    )
     cfg = write_config(tmp_path, payload)
     out = str(tmp_path / "run")
     assert main(["verify-cmoe", "--config", cfg, "--out", out]) == EXIT_OK
@@ -386,7 +420,7 @@ def test_library_error_from_bad_input_exits_two(tmp_path, capsys):
         ("verify-cmoe", {"cmoe": {"cutoffs": [16, 1]}}, "cmoe.cutoffs[1]"),
         ("verify-cmoe", {"cmoe": {"channels": ["attenuator"]}}, "bad channel entry"),
         ("verify-thermal-laws", {"thermal": {"gains": 2.0}}, "thermal.gains"),
-        ("verify-thermal-laws", {"thermal": {"fixed_cutoff": 2.5}}, "thermal.fixed_cutoff"),
+        ("verify-cmoe", {"thermal": {"tail_target": 1.0}}, "thermal.tail_target"),
         ("verify-cmoe", {"cmoe": {"channels": [{"kind": "amplifier", "gain": "2"}]}}, "gain"),
         ("verify-thermal-laws", {"thermal": {"tolerance": 10**400}}, "thermal.tolerance"),
         ("verify-thermal-laws", {"thermal": 5}, "'thermal'"),
@@ -405,13 +439,6 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, command, payload, whe
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and where in err[0]
-
-
-def test_every_config_value_has_a_rule():
-    # values checked outside the table: channel entries and the nullable cutoff
-    outside = {"cmoe": {"channels"}, "thermal": {"fixed_cutoff"}, "lemma": set()}
-    for section, rules in cli.CONFIG_RULES.items():
-        assert set(rules) | outside[section] == set(DEFAULT_CONFIG[section])
 
 
 def test_suppressed_rows_fail_verify_cmoe(tmp_path, monkeypatch, capsys):
