@@ -2,13 +2,15 @@
 
 Every channel map sends the k-th matrix diagonal of the input to the
 k-th diagonal of the output (phase covariance; the contravariant
-amplifier conjugates it first), so a map is a list of bands.  The three
-quantum-limited channels -- attenuator, amplifier and contravariant
-amplifier -- have Kraus operators in closed form (Ivan, Sabapathy &
-Simon, PRA 84, 042311, 2011), and their bands are written down directly
-from binomial weights in log space.  Every noisy channel is a
-composition of quantum-limited stages (Garcia-Patron et al., PRL 108,
-110505, 2012), and a composed band is the product of the stage bands:
+amplifier conjugates it first), so a map is a list of bands; a completed
+map keeps them two to a real slab and applies them all in one stacked
+matmul (ChannelMap).  The three quantum-limited channels -- attenuator,
+amplifier and contravariant amplifier -- have Kraus operators in closed
+form (Ivan, Sabapathy & Simon, PRA 84, 042311, 2011), and their bands
+are written down directly from binomial weights in log space.  Every
+noisy channel is a composition of quantum-limited stages (Garcia-Patron
+et al., PRL 108, 110505, 2012), and a composed band is the product of
+the stage bands:
 
 - noisy attenuator and amplifier: attenuator then amplifier, per decompose();
 - additive noise e: attenuator(1/(e+1)) then amplifier(e+1);
@@ -22,11 +24,12 @@ is never used to build a map.
 """
 
 import functools
+import itertools
 import math
 import numbers
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -193,18 +196,34 @@ class DilationBlock:
 
 @dataclass(frozen=True)
 class DilationUnitary:
-    """Two-mode coupling unitary, stored block-factored."""
+    """Two-mode coupling unitary, stored block-factored.
+
+    classes maps each conserved quantity to (env_lo, superdiagonal) of
+    its generator block; block(cls) exponentiates one on first request.
+    """
 
     generator: str  # "beamsplitter" | "squeezer"
     parameter: float  # transmissivity or gain
     d_sys: int
     d_env: int
-    blocks: tuple
+    classes: dict
+    _built: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _sys_level(self, cls: int, env: int) -> int:
         if self.generator == "beamsplitter":
             return cls - env
         return cls + env
+
+    def block(self, cls: int) -> DilationBlock:
+        got = self._built.get(cls)
+        if got is None:
+            lo, sup = self.classes[cls]
+            got = self._built.setdefault(cls, DilationBlock(cls, lo, _expm_block(sup)))
+        return got
+
+    @property
+    def blocks(self) -> tuple:
+        return tuple(self.block(cls) for cls in self.classes)
 
     def dense(self) -> np.ndarray:
         """Materialize the joint matrix (system-major); guarded by size limit."""
@@ -230,28 +249,21 @@ class DilationUnitary:
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _expm_blocks(tridiag_entries, classes_env_ranges):
-    """exp(G) per block, G real tridiagonal with superdiagonal sup, subdiagonal -sup.
+def _expm_block(sup) -> np.ndarray:
+    """exp(G), G real tridiagonal with superdiagonal sup, subdiagonal -sup.
 
     iG is Hermitian, and with D = diag(i^k) the matrix T = D+ (iG) D is
     real symmetric tridiagonal with off-diagonal -sup, so
     exp(G) = D exp(-iT) D+ from one symmetric eigensolve.
     """
-    blocks = []
-    for cls, lo, hi, sup in zip(*classes_env_ranges, tridiag_entries):
-        n = hi - lo
-        if n <= 0:
-            continue
-        if n == 1:
-            mat = np.ones((1, 1))
-        else:
-            off = -np.asarray(sup)
-            lam, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-            phase = _I_POWERS[np.arange(n) % 4]
-            rotated = (vecs * np.exp(-1j * lam)) @ vecs.T
-            mat = (phase[:, None] * rotated * phase.conj()[None, :]).real
-        blocks.append(DilationBlock(cls, lo, np.ascontiguousarray(mat)))
-    return tuple(blocks)
+    n = len(sup) + 1
+    if n == 1:
+        return np.ones((1, 1))
+    off = -np.asarray(sup)
+    lam, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    phase = _I_POWERS[np.arange(n) % 4]
+    rotated = (vecs * np.exp(-1j * lam)) @ vecs.T
+    return np.ascontiguousarray((phase[:, None] * rotated * phase.conj()[None, :]).real)
 
 
 def beamsplitter_unitary(transmissivity: float, d_sys: int, d_env: int) -> DilationUnitary:
@@ -265,20 +277,14 @@ def beamsplitter_unitary(transmissivity: float, d_sys: int, d_env: int) -> Dilat
     if d_sys < 1 or d_env < 1:
         raise DomainError(f"need d_sys, d_env >= 1, got {d_sys}, {d_env}")
     theta = math.acos(math.sqrt(lam))
-    classes, los, his, entries = [], [], [], []
+    classes = {}
     for s in range(d_sys + d_env - 1):
         lo = max(0, s - d_sys + 1)
-        hi = min(d_env - 1, s) + 1
-        j = np.arange(lo + 1, hi)
+        j = np.arange(lo + 1, min(d_env - 1, s) + 1)
         # raising the env index j -> j from j-1 couples via a+ b with
         # weight sqrt((s - j + 1) * j); sign fixed by the generator order
-        sup = theta * np.sqrt((s - j + 1.0) * j)
-        classes.append(s)
-        los.append(lo)
-        his.append(hi)
-        entries.append(sup)
-    blocks = _expm_blocks(entries, (classes, los, his))
-    return DilationUnitary("beamsplitter", lam, d_sys, d_env, blocks)
+        classes[s] = (lo, theta * np.sqrt((s - j + 1.0) * j))
+    return DilationUnitary("beamsplitter", lam, d_sys, d_env, classes)
 
 
 def squeezer_unitary(gain: float, d_sys: int, d_env: int) -> DilationUnitary:
@@ -292,20 +298,14 @@ def squeezer_unitary(gain: float, d_sys: int, d_env: int) -> DilationUnitary:
     if d_sys < 1 or d_env < 1:
         raise DomainError(f"need d_sys, d_env >= 1, got {d_sys}, {d_env}")
     r = math.acosh(math.sqrt(kap))
-    classes, los, his, entries = [], [], [], []
+    classes = {}
     for delta in range(-(d_env - 1), d_sys):
         lo = max(0, -delta)
-        hi = min(d_env - 1, d_sys - 1 - delta) + 1
-        j = np.arange(lo, hi - 1)
+        j = np.arange(lo, min(d_env - 1, d_sys - 1 - delta))
         # a b lowers both modes; entry above the diagonal in env order is
         # -r sqrt((j + delta + 1)(j + 1)) from <j| a b |j+1>
-        sup = -r * np.sqrt((j + delta + 1.0) * (j + 1.0))
-        classes.append(delta)
-        los.append(lo)
-        his.append(hi)
-        entries.append(sup)
-    blocks = _expm_blocks(entries, (classes, los, his))
-    return DilationUnitary("squeezer", kap, d_sys, d_env, blocks)
+        classes[delta] = (lo, -r * np.sqrt((j + delta + 1.0) * (j + 1.0)))
+    return DilationUnitary("squeezer", kap, d_sys, d_env, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,12 @@ class ChannelMap:
     bands[k] maps the k-th subdiagonal of the input to the k-th
     subdiagonal of the output (its conjugate for the contravariant
     case); bands[0] is the Fock transition matrix.  Bands are built on
-    first request: bands holds band 0 and whatever complete() has added.
+    first request: a fresh map holds band 0 alone, and complete() writes
+    all K = min(d_in, d_out) of them into (K+1)//2 real slabs of shape
+    (d_out, 2 d_in - K + 1), band k and band K-1-k side by side in slab
+    k, after which bands holds views into the slabs.  apply_matrix
+    gathers the input diagonals, applies every band in one stacked real
+    matmul and scatters the output diagonals through flat indices.
     """
 
     def __init__(self, d_in, d_out, stream, contravariant):
@@ -329,12 +334,40 @@ class ChannelMap:
         self.contravariant = contravariant
         self._stream = stream
         self._lock = threading.Lock()
+        self._slabs = None
 
     def complete(self) -> list:
         """All min(d_in, d_out) bands, building the ones still missing."""
         with self._lock:  # two threads may not advance one iterator
-            self.bands.extend(self._stream)  # a no-op once the stream is spent
+            if self._slabs is None:
+                self._build_slabs()
         return self.bands
+
+    def _build_slabs(self) -> None:
+        d_in, d_out = self.d_in, self.d_out
+        count = min(d_in, d_out)
+        width = 2 * d_in - count + 1
+        slabs = np.zeros(((count + 1) // 2, d_out, width))
+        # input slot (slab, column, side) -> flat index into rho, or the zero appended to it
+        gather = np.full((len(slabs), width, 2), d_in * d_in)
+        # output slot (slab, row, side) -> flat index into the output, or the spare entry after it
+        lower = np.full((len(slabs), d_out, 2), d_out * d_out)
+        upper = lower.copy()
+        bands = []
+        for k, band in enumerate(itertools.chain(self.bands, self._stream)):
+            rows, cols = band.shape
+            j, side, col = (k, 0, 0) if 2 * k < count else (count - 1 - k, 1, width - cols)
+            bands.append(slabs[j, :rows, col : col + cols])
+            bands[-1][...] = band
+            c, i = np.arange(cols), np.arange(rows)
+            gather[j, col : col + cols, side] = (c + k) * d_in + c
+            lower[j, :rows, side] = (i + k) * d_out + i
+            upper[j, :rows, side] = i * d_out + i + k
+        # the contravariant output is the conjugate of the covariant one
+        self._to_vals, self._to_conj = (upper, lower) if self.contravariant else (lower, upper)
+        self._gather = gather
+        self.bands = bands
+        self._slabs = slabs
 
     def _fit(self, x: np.ndarray) -> np.ndarray:
         """x zero-padded along every axis to the map's input dim."""
@@ -344,22 +377,15 @@ class ChannelMap:
         return np.pad(x, [(0, self.d_in - n)] * x.ndim) if n < self.d_in else x
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
+        self.complete()
         rho = self._fit(np.asarray(rho, dtype=complex))
-        out = np.zeros((self.d_out, self.d_out), dtype=complex)
-        idx = np.arange(self.d_out)
-        for k, band in enumerate(self.complete()):
-            vin = np.diagonal(rho, offset=-k)
-            if self.contravariant:
-                vin = vin.conj()
-            vout = band @ vin
-            rows = idx[: self.d_out - k] + k
-            cols = idx[: self.d_out - k]
-            if k == 0:
-                out[rows, cols] = vout.real
-            else:
-                out[rows, cols] = vout
-                out[cols, rows] = vout.conj()
-        return out
+        vin = np.append(rho.ravel(), 0.0)[self._gather]
+        vout = np.matmul(self._slabs, vin.view(float)).view(complex)
+        out = np.zeros(self.d_out * self.d_out + 1, dtype=complex)
+        out[self._to_vals] = vout
+        out[self._to_conj] = vout.conj()
+        out[:: self.d_out + 1].imag = 0.0
+        return out[:-1].reshape(self.d_out, self.d_out)
 
     def apply_probs(self, probs: np.ndarray) -> np.ndarray:
         return self.bands[0] @ self._fit(np.asarray(probs, dtype=float))
@@ -482,12 +508,14 @@ def _negative_binomial_span(successes: int, inv_gain: float, tail: float) -> int
     return k
 
 
+@functools.lru_cache(maxsize=256)
 def default_dims(spec: ChannelSpec, d_in: int) -> ChannelDims:
     """Output cutoff for an arbitrary input supported on d_in levels.
 
     d_sys and d_env equal d_out and size only the dilation reference;
     the beamsplitter conserves total photon number, so the attenuator's
-    reference is then exact up to its environment tail.
+    reference is then exact up to its environment tail.  Memoized per
+    (spec, d_in); clear_caches() empties the memo.
     """
     if d_in < 1:
         raise DomainError(f"d_in must be >= 1, got {d_in}")
@@ -514,6 +542,7 @@ _cache_lock = threading.Lock()
 def clear_caches() -> None:
     with _cache_lock:
         _map_cache.clear()
+    default_dims.cache_clear()
     _reference_dilation.cache_clear()
 
 
@@ -556,6 +585,8 @@ def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = 
 
 def _checked_deficit(trace: float) -> float:
     """Mass missing from an output of the given trace; refuses lossy outputs."""
+    if not math.isfinite(trace):
+        raise DomainError(f"output trace {trace!r} is not finite")
     deficit = max(0.0, 1.0 - trace)
     if deficit > MAX_APPLY_DEFICIT:
         raise TruncationError(
@@ -617,12 +648,10 @@ def _columns_reduced(unitary: DilationUnitary, rho: np.ndarray, j: int, keep: st
     d_traced = unitary.d_env if keep == "sys" else unitary.d_sys
     kept = np.zeros((n, d_traced), dtype=np.intp)
     amps = np.zeros((n, d_traced))
-    by_cls = {blk.cls: blk for blk in unitary.blocks}
     for a in range(n):
-        cls = a + j if unitary.generator == "beamsplitter" else a - j
-        blk = by_cls[cls]
+        blk = unitary.block(a + j if unitary.generator == "beamsplitter" else a - j)
         env = blk.env_lo + np.arange(blk.matrix.shape[0])
-        sys_lv = unitary._sys_level(cls, env)
+        sys_lv = unitary._sys_level(blk.cls, env)
         col = blk.matrix[:, j - blk.env_lo]
         if keep == "sys":
             kept[a, env], amps[a, env] = sys_lv, col

@@ -77,6 +77,8 @@ def _require_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
+    if (m == m.conj().T).all():  # every channel output and sampled state
+        return m
     defect = float(np.abs(m - m.conj().T).max(initial=0.0))
     if defect > HERMITICITY_TOL * max(1.0, float(np.abs(m).max(initial=0.0))):
         raise NonHermitianError(f"Hermiticity defect {defect:.3e} too large")

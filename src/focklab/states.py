@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimensionError, NonHermitianError, PositivityError
+from .errors import DomainError, InvalidDimensionError, NonHermitianError, PositivityError
 
 # Validation tolerances.  Eigenvalues in [NEG_EIG_CLAMP, 0) are treated as
 # roundoff and clamped to zero; anything more negative is a real failure.
@@ -21,8 +21,10 @@ TRACE_SLACK = 1e-12
 
 
 def clamp_spectrum(values, floor=NEG_EIG_CLAMP):
-    """Clamp tiny negative eigenvalues to zero, reject larger ones."""
+    """Clamp tiny negative eigenvalues to zero, reject larger ones and non-finite ones."""
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise DomainError("spectrum has a non-finite value")
     low = float(values.min(initial=0.0))
     if low < floor:
         raise PositivityError(
@@ -92,6 +94,8 @@ class DiagonalState:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise InvalidDimensionError(f"probability vector must be 1-d, got shape {p.shape}")
+        if not np.isfinite(p).all():
+            raise DomainError("probability vector has a non-finite entry")
         low = float(p.min(initial=0.0))
         if low < DIAG_NEG_CLAMP:
             raise PositivityError(f"negative probability {low:.3e} below {DIAG_NEG_CLAMP:.1e}")

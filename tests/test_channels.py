@@ -12,7 +12,10 @@ from focklab.channels import (
     AMPLIFIER_TAIL_TARGET,
     ChannelDims,
     ChannelKind,
+    _checked_deficit,
+    _kraus_bands,
     _negative_binomial_span,
+    _reference_dilation,
     additive_noise,
     amplifier,
     apply_channel,
@@ -505,6 +508,86 @@ def test_threads_complete_one_map(spec):
     for out in outputs:
         assert isinstance(out, np.ndarray), out
         assert np.array_equal(out, expected)
+
+
+def _band_loop(cmap, rho):
+    """The per-band loop apply_matrix ran before the slabs: the oracle."""
+    rho = cmap._fit(np.asarray(rho, dtype=complex))
+    out = np.zeros((cmap.d_out, cmap.d_out), dtype=complex)
+    idx = np.arange(cmap.d_out)
+    for k, band in enumerate(cmap.complete()):
+        vin = np.diagonal(rho, offset=-k)
+        if cmap.contravariant:
+            vin = vin.conj()
+        vout = band @ vin
+        rows = idx[: cmap.d_out - k] + k
+        cols = idx[: cmap.d_out - k]
+        if k == 0:
+            out[rows, cols] = vout.real
+        else:
+            out[rows, cols] = vout
+            out[cols, rows] = vout.conj()
+    return out
+
+
+@pytest.mark.parametrize("spec", LAZY_SPECS, ids=_spec_id)
+@pytest.mark.parametrize("d_in", [1, 2, 7, 8])
+def test_slab_apply_matches_the_band_loop(spec, d_in):
+    # odd and even band counts, default and explicit dims (d_out below
+    # d_in too), and inputs smaller than the map's input dim
+    clear_caches()
+    for dims in (None, ChannelDims(d_in + 3, d_in + 3, max(1, d_in - 3))):
+        cmap = get_channel_map(spec, d_in, dims)
+        for n in sorted({1, max(1, d_in - 2), d_in}):
+            rho = random_mixed(n, n, substream(113, n)).matrix
+            out = cmap.apply_matrix(rho)
+            assert out.shape == (cmap.d_out, cmap.d_out)
+            assert np.array_equal(out, out.conj().T)
+            tol = 1e-15 * float(np.abs(rho).max())
+            assert_allclose(out, _band_loop(cmap, rho), rtol=0, atol=tol)
+    clear_caches()
+
+
+@pytest.mark.parametrize(
+    "kind, parameter",
+    [(ChannelKind.ATTENUATOR, 0.6), (ChannelKind.AMPLIFIER, 1.8), (ChannelKind.CONTRAVARIANT, 1.6)],
+)
+@pytest.mark.parametrize("d_in, d_out", [(1, 1), (2, 5), (7, 12), (8, 8), (8, 3)])
+def test_completed_bands_equal_a_fresh_stream(kind, parameter, d_in, d_out):
+    spec = {
+        ChannelKind.ATTENUATOR: attenuator,
+        ChannelKind.AMPLIFIER: amplifier,
+        ChannelKind.CONTRAVARIANT: contravariant_amplifier,
+    }[kind](parameter)
+    clear_caches()
+    cmap = get_channel_map(spec, d_in, ChannelDims(d_out, d_out, d_out))
+    bands = cmap.complete()
+    fresh = list(_kraus_bands(kind, parameter, d_in, d_out))
+    clear_caches()
+    assert len(bands) == len(fresh) == min(d_in, d_out)
+    assert all(np.array_equal(a, b) for a, b in zip(bands, fresh))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_trace_is_refused(value):
+    with pytest.raises(DomainError):
+        _checked_deficit(value)
+
+
+def test_dilation_builds_only_the_blocks_it_reads():
+    # each block comes from the same eigensolve whether built on request
+    # or with every other block
+    clear_caches()
+    spec = amplifier(1.5, 0.2)
+    rho = random_mixed(4, 4, substream(114, 0))
+    d_out = default_dims(spec, 4).d_out
+    d = d_out + 10
+    apply_channel_dense(spec, rho, ChannelDims(d, d, d_out))
+    read = _reference_dilation("squeezer", spec.gain, d, d)._built
+    full = {blk.cls: blk for blk in squeezer_unitary(spec.gain, d, d).blocks}
+    clear_caches()
+    assert 0 < len(read) < len(full)
+    assert all(np.array_equal(blk.matrix, full[cls].matrix) for cls, blk in read.items())
 
 
 def test_transmissivity_one_is_identity():

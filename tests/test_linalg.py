@@ -82,6 +82,17 @@ def test_hermitian_spectrum_rejects_non_hermitian():
         hermitian_spectrum(m)
 
 
+@pytest.mark.parametrize("scale", [1.0, 250.0])
+def test_hermiticity_tolerance_edges(scale):
+    # the defect allowed is HERMITICITY_TOL * max(1, max|m|)
+    m = np.diag([scale, 1.0]).astype(complex)
+    m[1, 0] = 0.99e-12 * scale
+    assert hermitian_spectrum(m).shape == (2,)
+    m[1, 0] = 1.01e-12 * scale
+    with pytest.raises(NonHermitianError):
+        hermitian_spectrum(m)
+
+
 def test_eigh_reconstructs_matrix():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from focklab.errors import InvalidDimensionError, NonHermitianError, PositivityError
+from focklab.channels import amplifier
+from focklab.cmoe import check_cmoe
+from focklab.errors import (
+    DomainError,
+    EigensolverError,
+    InvalidDimensionError,
+    NonHermitianError,
+    PositivityError,
+)
 from focklab.states import DensityMatrix, DiagonalState, clamp_spectrum
 
 
@@ -101,3 +109,16 @@ def test_to_density_round_trip():
     assert isinstance(rho, DensityMatrix)
     assert_allclose(rho.matrix, np.diag([0.2, 0.3, 0.4]).astype(complex), atol=0)
     assert_allclose(rho.trace_deficit, state.trace_deficit, atol=0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_populations_are_refused(value):
+    with pytest.raises(DomainError):
+        DiagonalState([0.5, value, 0.25, 0.25])
+    with pytest.raises(DomainError):
+        clamp_spectrum([0.5, value])
+    # a dense state with a non-finite entry fails in its eigensolve
+    m = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+    m[1, 1] = value
+    with pytest.raises(EigensolverError):
+        check_cmoe(amplifier(2.0), DensityMatrix(m))

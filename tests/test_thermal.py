@@ -1,9 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from focklab.channels import additive_noise, amplifier, attenuator, contravariant_amplifier
+from focklab.cmoe import bound_for
 from focklab.errors import DomainError
 from focklab.thermal import (
     g,
@@ -46,6 +49,72 @@ def test_g_inv_round_trip():
 def test_g_inv_rejects_negative():
     with pytest.raises(DomainError):
         g_inv(-0.1)
+
+
+def _g_decimal(energy):
+    # (E+1) ln(E+1) - E ln E with enough digits to survive the cancellation
+    with localcontext() as ctx:
+        ctx.prec = 400
+        e = Decimal(energy)
+        return float((e + 1) * (e + 1).ln() - e * e.ln())
+
+
+def test_g_matches_a_decimal_oracle():
+    for e in np.logspace(-300, 300, 121):
+        assert_allclose(g(float(e)), _g_decimal(float(e)), rtol=1e-15, atol=0)
+    assert_allclose(g(1e15), 35.5387763949107, rtol=1e-14)
+    assert g(2.0**60) > g(2.0**53) > 0.0
+
+
+def test_g_inv_round_trip_at_large_energies():
+    for e in np.logspace(-12, 15, 82):
+        assert_allclose(g_inv(g(float(e))), float(e), rtol=1e-14)
+    assert_allclose(g_inv(36.0), 1.586013452313e15, rtol=1e-12)
+    with pytest.raises(DomainError):
+        g_inv(math.inf)
+
+
+def _g_inv_bisection(s):
+    # the doubling-bracket bisection g_inv used before its Newton start
+    lo, hi = 0.0, 1.0
+    while g(hi) < s:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        if hi - lo <= 1e-15 * max(1.0, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if g(mid) < s:
+            lo = mid
+        else:
+            hi = mid
+    e = 0.5 * (lo + hi)
+    for _ in range(2):
+        if e <= 0.0:
+            break
+        step = (g(e) - s) / g_prime(e)
+        if e - step > 0.0:
+            e = e - step
+    return e
+
+
+def test_g_inv_agrees_with_bisection():
+    # below s ~ 2e-12 the bisection's absolute bracket of 1e-15 leaves its
+    # own answer off by up to ~1e-13 relative; there the Newton root must
+    # solve g(E) = s at least as closely
+    for s in np.logspace(-12, math.log10(math.log(256.0)), 400):
+        s = float(s)
+        new, old = g_inv(s), _g_inv_bisection(s)
+        close = abs(new - old) <= 1e-13 * old
+        assert close or abs(g(new) - s) <= abs(g(old) - s), (s, new, old)
+        assert abs(new - old) <= 2e-13 * old
+    specs = (attenuator(0.7, 0.3), amplifier(2.0, 0.5), additive_noise(0.8),
+             contravariant_amplifier(1.5, 0.2))
+    for spec in specs:
+        for s in np.linspace(1e-6, math.log(256.0), 60):
+            old = g(spec.output_energy(_g_inv_bisection(float(s))))
+            assert abs(bound_for(spec, float(s)) - old) <= 1e-12
 
 
 def test_z_energy_round_trip():
