@@ -31,6 +31,7 @@ from .cmoe import VERDICT_EQUALITY, VERDICT_SUPPRESSED, VERDICT_VIOLATION, check
 from .entropy import spectral_distance
 from .errors import ConfigError, FockLabError, TruncationError
 from .lemma import (
+    FD_TOL,
     P_SOLVER_RESIDUAL,
     SCAN_POINTS,
     LemmaGridSpec,
@@ -760,11 +761,12 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
     }
     write_summary(os.path.join(out_dir, LEMMA_SUMMARY), summary)
     if not passed:
-        if not grid_report.all_hold:
-            bad = {
-                k: v for k, v in grid_report.margins.items() if not v["min_margin"] > 0.0
-            }
+        bad = {k: v for k, v in grid_report.margins.items() if not v["min_margin"] > 0.0}
+        if bad:
             print(f"FAIL lemma grid margins: {bad}", file=sys.stderr)
+        fd = grid_report.fd_max_residual
+        if not fd <= FD_TOL:
+            print(f"FAIL lemma fd residual {fd:.3e} not within FD_TOL {FD_TOL:g}", file=sys.stderr)
         for r in strict_solver_rows:
             if not r["passed"]:
                 print(

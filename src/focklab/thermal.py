@@ -45,13 +45,21 @@ def g_inv(entropy: float) -> float:
     g(E) <= ln(E+1) + 1 and g(E) <= E(1 + E - ln E), so g is at most s
     at the start expm1(s - 1) for s > 1 and s/(3 - 2 ln s) for s <= 1;
     g is concave and increasing, so the iterates rise monotonically to
-    the root, in at most 7 steps for s from 1e-300 to 710.
+    the root, in at most 7 steps for s from 1e-300 to 710.  Below
+    _G_SMALL, where 1/E overflows, it solves E(1 - ln E) = s instead.
     """
     s = float(entropy)
     if not 0.0 <= s < math.inf:
         raise DomainError(f"g_inv needs a finite entropy >= 0, got {s!r}")
     if s == 0.0:
         return 0.0
+    if s < _G_SMALL:
+        # E = s/(1 - ln E) contracts by 1/(1 - ln E) < 1/690 a step; on
+        # t = E * 2**600 only the last division rounds to a subnormal
+        t = s * 2.0**600
+        for _ in range(8):
+            t = s * 2.0**600 / (1.0 + 600.0 * math.log(2.0) - math.log(t))
+        return t / 2.0**600
     try:
         e = math.expm1(s - 1.0) if s > 1.0 else s / (3.0 - 2.0 * math.log(s))
     except OverflowError:
@@ -105,21 +113,28 @@ def thermal_tail_cutoff(energy: float, tail: float) -> int:
     return max(1, math.ceil(math.log(t) / math.log(z)))
 
 
-def log_thermal_schatten_norm(z, p):
-    """ln ||thermal(z)||_p = ln(1-z) - (1/p) ln(1-z^p), in closed form.
+def _log_norm(z, p):
+    """log_thermal_schatten_norm without argument checks: 0 <= z < 1, p > 1."""
+    with np.errstate(divide="ignore"):
+        log_z = np.where(z > 0.0, np.log(z), -np.inf)
+    one_minus_zp = -np.expm1(p * log_z)  # 1 - z^p, accurate for z near 1
+    return np.log1p(-z) - np.log(one_minus_zp) / p
 
-    Accepts scalars or arrays; stable near z -> 1 via expm1/log1p.
-    """
+
+def _norm_args(z, p):
     z_arr = np.asarray(z, dtype=float)
     p_arr = np.asarray(p, dtype=float)
     if np.any(z_arr < 0.0) or np.any(z_arr >= 1.0):
         raise DomainError("log_thermal_schatten_norm needs 0 <= z < 1")
     if np.any(p_arr <= 1.0):
         raise DomainError("log_thermal_schatten_norm needs p > 1")
-    with np.errstate(divide="ignore"):
-        log_z = np.where(z_arr > 0.0, np.log(z_arr), -np.inf)
-    one_minus_zp = -np.expm1(p_arr * log_z)  # 1 - z^p, accurate for z near 1
-    out = np.log1p(-z_arr) - np.log(one_minus_zp) / p_arr
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return z_arr, p_arr
+
+
+def log_thermal_schatten_norm(z, p):
+    """ln ||thermal(z)||_p = ln(1-z) - (1/p) ln(1-z^p), in closed form.
+
+    Accepts scalars or arrays; stable near z -> 1 via expm1/log1p.
+    """
+    out = _log_norm(*_norm_args(z, p))
+    return float(out) if out.ndim == 0 else out

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import focklab.cmoe
+import focklab.lemma
 from focklab import channels as channel_maps
 from focklab import cli, linalg
 from focklab.cli import (
@@ -30,6 +31,7 @@ from focklab.cli import (
     main,
 )
 from focklab.errors import ConfigError, TruncationError
+from focklab.lemma import FD_TOL
 from focklab.sampling import state_from_json, write_counterexample
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -315,6 +317,22 @@ def test_lemma_boundary_failure_is_named(tmp_path, capsys, monkeypatch):
     assert code == EXIT_CLAIM_FAILED
     assert summary["boundary_ok"] is False and summary["trend_ok"] is True
     assert len(err) == 1 and err[0].startswith("FAIL") and "derivative" in err[0]
+
+
+@pytest.mark.parametrize("shift", [np.nan, 1e-3], ids=["nan", "above-tolerance"])
+def test_lemma_fd_residual_failure_is_named(tmp_path, capsys, monkeypatch, shift):
+    # a NaN residual must fail like one above FD_TOL, and neither may
+    # print an empty margins line
+    derivative = focklab.lemma.norm_ratio_log_derivative
+    monkeypatch.setattr(
+        focklab.lemma, "norm_ratio_log_derivative", lambda *args: derivative(*args) + shift
+    )
+    code, summary, err = _lemma_failure(tmp_path, capsys, SMALL_LEMMA)
+    assert code == EXIT_CLAIM_FAILED
+    residual = summary["grid"]["fd_max_residual"]
+    assert summary["grid"]["all_hold"] is False and not residual <= FD_TOL
+    assert all(m["min_margin"] > 0.0 for m in summary["grid"]["margins"].values())
+    assert err == [f"FAIL lemma fd residual {residual:.3e} not within FD_TOL 1e-06"]
 
 
 def test_report_aggregates_suites(tmp_path, capsys):

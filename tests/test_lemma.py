@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_equal
 
 from focklab.channels import amplifier, apply_diagonal
 from focklab.entropy import schatten_norm
 from focklab.errors import DomainError, LemmaViolationError
+from focklab.cli import DEFAULT_CONFIG
 from focklab.lemma import (
+    FD_STEP,
+    FD_TOL,
+    LemmaGridReport,
     LemmaGridSpec,
+    _one_minus_pow,
     amplifier_z_map,
     f_func,
     f_partial_p,
@@ -271,3 +276,146 @@ def test_nan_value_is_the_smallest_margin():
     for name in ("phi_image_positive", "phi_ratio_decreasing_in_z", "f_strictly_ordered"):
         entry = report.margins[name]
         assert math.isnan(entry["min_margin"]) and entry["argmin"]["gain"] == math.inf, name
+
+
+def test_norm_ratio_and_scan_reject_bad_arguments():
+    for args in ((1.0, 2.0, 1.2, 1.3), (-0.1, 2.0, 1.2, 1.3), (0.5, 0.9, 1.2, 1.3),
+                 (0.5, 2.0, 1.0, 1.3), (0.5, 2.0, 1.2, 1.0)):
+        with pytest.raises(DomainError):
+            log_thermal_norm_ratio(*args)
+    for gain, p, q in ((0.9, 1.2, 1.3), (2.0, 1.0, 1.3), (2.0, 1.2, 0.5)):
+        with pytest.raises(DomainError):
+            scan_ratio_maximizer(gain, p, q)
+
+
+def test_scan_value_is_the_checked_ratio_at_its_maximizer():
+    # the golden-section steps skip the argument checks but share the arithmetic
+    for kap, p, q in ((1.5, 1.1, 1.3), (2.0, 1.2, 1.35), (4.0, 1.3, 1.49)):
+        z_star, log_ratio = scan_ratio_maximizer(kap, p, q)
+        assert log_ratio == log_thermal_norm_ratio(z_star, kap, p, q)
+        assert type(log_ratio) is float
+
+
+# ---------------------------------------------------------------------------
+# the grid verifier's per-pair loops, kept as the oracle for its broadcasts
+# ---------------------------------------------------------------------------
+
+
+def _record_per_chunk(report, name, chunks):
+    best = None
+    for values, axes in chunks:
+        if not values.size:
+            continue
+        j = int(np.argmin(values))
+        v = float(values.flat[j])
+        key = (not math.isnan(v), v)
+        if best is None or key < best[0]:
+            best = (key, axes, j, values.shape)
+        report.points_checked += values.size
+    if best is None:
+        report.margins[name] = {"min_margin": math.nan, "argmin": {}}
+        return
+    (_, v), axes, j, shape = best
+    idx = iter(np.unravel_index(j, shape))
+    point = {k: float(g if np.ndim(g) == 0 else g[next(idx)]) for k, g in axes.items()}
+    report.margins[name] = {"min_margin": v, "argmin": point}
+
+
+def _verify_per_pair(grid):
+    report = LemmaGridReport()
+    z = grid.z_grid()
+    orders = grid.order_grid()
+    gains = np.asarray(grid.gains, dtype=float)
+    pairs = [
+        (ip, iq)
+        for ip in range(orders.size)
+        for iq in range(orders.size)
+        if orders[ip] < orders[iq]
+    ]
+    vals = np.sqrt(z) + z * np.log(z) / (1.0 - z)
+    _record_per_chunk(report, "sqrt_log_positivity", [(vals, {"z": z})])
+    x = _one_minus_pow(z[:, None], orders[None, :] - 1.0)
+    vals = -x - 0.5 * x * x - np.log1p(-x)
+    _record_per_chunk(report, "log_tail_positivity", [(vals, {"z": z, "p": orders})])
+    pz = phi(z[:, None], orders[None, :])
+    images = [phi(amplifier_z_map(z, kap)[:, None], orders[None, :]) for kap in gains]
+    _record_per_chunk(
+        report,
+        "phi_image_positive",
+        [(low, {"gain": kap, "z": z, "q": orders}) for kap, low in zip(gains, images)],
+    )
+    _record_per_chunk(
+        report,
+        "phi_image_below_source",
+        ((pz - low, {"gain": kap, "z": z, "q": orders}) for kap, low in zip(gains, images)),
+    )
+    dz = pz[:-1, :] - pz[1:, :]
+    _record_per_chunk(report, "phi_decreasing_in_z", [(dz, {"z": z, "p": orders})])
+
+    def ratio_drops():
+        for kap, pzk in zip(gains, images):
+            for ip, iq in pairs:
+                ratio = pz[:, ip] / pzk[:, iq]
+                axes = {"gain": kap, "z": z, "p": orders[ip], "q": orders[iq]}
+                yield ratio[:-1] - ratio[1:], axes
+
+    _record_per_chunk(report, "phi_ratio_decreasing_in_z", ratio_drops())
+    fz = [f_func(z, p) for p in orders]
+
+    def f_gaps():
+        for kap in gains:
+            zk = amplifier_z_map(z, kap)
+            fzk = [f_func(zk, q) for q in orders]
+            for ip, iq in pairs:
+                axes = {"gain": kap, "z": z, "p": orders[ip], "q": orders[iq]}
+                yield fz[ip] - fzk[iq], axes
+
+    _record_per_chunk(report, "f_strictly_ordered", f_gaps())
+    dfp = -f_partial_p(z[:, None], orders[None, :])
+    _record_per_chunk(report, "f_decreasing_in_p", [(dfp, {"z": z, "p": orders})])
+    h = FD_STEP
+    keep = np.abs(orders - 1.5) > 0.01 + 1e-12
+    pk = orders[keep]
+    fd_f = (f_func(z[:, None], pk[None, :] + h) - f_func(z[:, None], pk[None, :] - h)) / (2.0 * h)
+    _record_per_chunk(report, "f_decreasing_in_p_fd", [(-fd_f, {"z": z, "p": pk})])
+    # the per-pair residual loop; its max() drops a NaN, so no grid below has one
+    fd_max = 0.0
+    for kap in gains:
+        for q in orders:
+            for p in orders[orders < q]:
+                ana = norm_ratio_log_derivative(z, kap, p, q)
+                num = (
+                    log_thermal_norm_ratio(z + h, kap, p, q) - log_thermal_norm_ratio(z - h, kap, p, q)
+                ) / (2.0 * h)
+                fd_max = max(fd_max, float(np.max(np.abs(ana - num))))
+    report.fd_max_residual = fd_max
+    report.all_hold = fd_max <= FD_TOL and all(
+        m["min_margin"] > 0.0 for m in report.margins.values()
+    )
+    return report
+
+
+_DEFAULT_GRID = LemmaGridSpec(
+    z_points=DEFAULT_CONFIG["lemma"]["grid_z_points"],
+    order_points=DEFAULT_CONFIG["lemma"]["grid_order_points"],
+    gains=tuple(DEFAULT_CONFIG["lemma"]["grid_gains"]),
+)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        _DEFAULT_GRID,
+        dataclasses.replace(_DEFAULT_GRID, gains=(2.0,)),
+        dataclasses.replace(_DEFAULT_GRID, order_points=2),
+        dataclasses.replace(_DEFAULT_GRID, z_points=2),
+    ],
+    ids=["default", "one-gain", "one-pair", "two-z"],
+)
+def test_grid_broadcasts_equal_the_per_pair_loops(grid):
+    # same values, same first-minimum argmin points, same point count;
+    # assert_equal compares NaN as NaN
+    assert_equal(
+        dataclasses.asdict(verify_lemma_inequalities(grid)),
+        dataclasses.asdict(_verify_per_pair(grid)),
+    )

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from focklab.cli import CMOE_CSV, EXIT_OK, THERMAL_CSV, main
+from focklab.cli import CMOE_CSV, EXIT_OK, LEMMA_CSV, THERMAL_CSV, main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 SEED = 20260823
@@ -43,6 +43,7 @@ gate = _load_gate()
     [
         ("thermal-laws", ["verify-thermal-laws", "--jobs", "1"], {}, THERMAL_CSV, False),
         ("cmoe-cli", ["verify-cmoe", "--jobs", "2"], CMOE_CLI_CONFIG, CMOE_CSV, True),
+        ("lemma", ["verify-lemma", "--jobs", "1"], {}, LEMMA_CSV, True),
     ],
 )
 def test_workload_matches_benchmark_reference(tmp_path, workload, argv, config, csv_name, seeded):

@@ -74,6 +74,27 @@ def test_g_inv_round_trip_at_large_energies():
         g_inv(math.inf)
 
 
+def _g_inv_decimal(entropy):
+    # Newton on (E+1) ln(E+1) - E ln E = s from a start below the root
+    with localcontext() as ctx:
+        ctx.prec = 400
+        s = Decimal(entropy)
+        e = s / (3 - 2 * s.ln())
+        for _ in range(30):
+            e += (s - ((e + 1) * (e + 1).ln() - e * e.ln())) / (1 + 1 / e).ln()
+        return e
+
+
+def test_g_inv_at_subnormal_entropies():
+    # 1/E overflows below _G_SMALL; the root is then found from the small-E
+    # form of g and rounded to a subnormal (0.0 for the last two)
+    spacing = Decimal(5e-324)
+    for s in (1e-300, 1e-310, 1e-320, 1e-323, 5e-324):
+        root, e = _g_inv_decimal(s), g_inv(s)
+        assert abs(Decimal(e) - root) <= max(spacing, Decimal("1e-13") * root), (s, e)
+    assert g_inv(5e-324) == 0.0
+
+
 def _g_inv_bisection(s):
     # the doubling-bracket bisection g_inv used before its Newton start
     lo, hi = 0.0, 1.0
