@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, ResourceLimitError, TruncationError
 from .linalg import check_joint_dim
 from .states import DensityMatrix, DiagonalState
 from .thermal import thermal_state, thermal_tail_cutoff
@@ -50,6 +50,11 @@ MAX_APPLY_DEFICIT = 0.01
 
 # Tail-mass target used when sizing the attenuator environment.
 ENV_TAIL_TARGET = 1e-14
+
+# Largest output dim a map completes its bands for, so that apply_matrix
+# allocates at most a 2048 x 2048 complex output (64 MiB); the band-0
+# path (apply_probs) has no limit.
+MAX_DENSE_D_OUT = 2048
 
 
 def finite_float(value) -> Optional[float]:
@@ -338,6 +343,10 @@ class ChannelMap:
 
     def complete(self) -> list:
         """All min(d_in, d_out) bands, building the ones still missing."""
+        if self.d_out > MAX_DENSE_D_OUT:
+            raise ResourceLimitError(
+                f"dense output dim {self.d_out} exceeds limit {MAX_DENSE_D_OUT}"
+            )
         with self._lock:  # two threads may not advance one iterator
             if self._slabs is None:
                 self._build_slabs()

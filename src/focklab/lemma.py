@@ -15,6 +15,7 @@ import numpy as np
 from .channels import ChannelKind, ChannelSpec, apply_channel, apply_diagonal, default_dims
 from .entropy import schatten_norm
 from .errors import DomainError, LemmaViolationError
+from .linalg import _require_hermitian
 from .thermal import _log_norm, _norm_args
 
 P_SOLVER_WIDTH = 1e-14
@@ -25,7 +26,9 @@ P_SOLVER_RESIDUAL = 1e-12
 GRID_P_LO, GRID_P_HI = 1.01, 1.49
 FD_STEP, FD_TOL = 1e-7, 1e-6
 SCAN_POINTS = 2000  # coarse-scan points of scan_ratio_maximizer
-PROBE_TOLERANCE = 1e-6  # slack of the saturation probe over the thermal ceiling
+# slack of the saturation probe over the thermal ceiling, and the margin
+# by which a skipped output's bound must fall below the best ratio
+PROBE_TOLERANCE = 1e-6
 PROBE_KINDS = ("mixed", "pure", "diagonal")
 
 
@@ -362,6 +365,21 @@ class SaturationProbeReport:
     exceeded: bool
 
 
+def log_schatten_bound(m: np.ndarray, q: float) -> float:
+    """Upper bound on ln ||m||_q of a positive matrix m for 1 < q <= 2, in O(d^2).
+
+    The l_q norm of a spectrum interpolates between its l_1 and l_2
+    norms (Lyapunov): with theta = 2/q - 1, ||x||_q <= ||x||_1**theta *
+    ||x||_2**(1 - theta), and for a positive matrix ||x||_1 = tr m and
+    ||x||_2 = ||m||_F.  Rank one attains it.
+    """
+    q = float(q)
+    if not 1.0 < q <= 2.0:
+        raise DomainError(f"the trace-Frobenius bound needs 1 < q <= 2, got {q!r}")
+    theta = 2.0 / q - 1.0
+    return theta * math.log(np.trace(m).real) + (1.0 - theta) * math.log(np.linalg.norm(m))
+
+
 def pq_norm_saturation_probe(
     gain: float,
     p: float,
@@ -374,7 +392,10 @@ def pq_norm_saturation_probe(
 
     Draws states of the PROBE_KINDS in rotation, pushes each through
     the quantum-limited amplifier, and compares the realized q-to-p norm
-    ratio against the thermal ceiling.
+    ratio against the thermal ceiling.  For 1 < q <= 2 a dense output
+    is first bounded by log_schatten_bound, and one that cannot raise the
+    best ratio skips its eigensolve; every field of the report is still
+    exact.
     """
     from .sampling import SamplerConfig, draw_state
 
@@ -387,7 +408,18 @@ def pq_norm_saturation_probe(
         state = draw_state(SamplerConfig(seed, cutoff, kind), t)
         apply = apply_diagonal if kind == "diagonal" else apply_channel
         out = apply(spec, state, dims)
-        ratio = math.log(schatten_norm(out, q)) - math.log(schatten_norm(state, p))
+        log_in = math.log(schatten_norm(state, p))
+        if kind != "diagonal" and q <= 2.0 and best > -math.inf:
+            # The computed ratio exceeds this bound by rounding only: the
+            # eigensolver's, ~d_out * eps, and the clamp window, where
+            # clamp_spectrum zeroes eigenvalues in [NEG_EIG_CLAMP, 0) and
+            # so adds at most d_out * |NEG_EIG_CLAMP| (~1e-8 here) to the
+            # spectrum's l_1 norm over tr out >= 1 - MAX_APPLY_DEFICIT.
+            # An output below best - PROBE_TOLERANCE cannot be the best.
+            bound = log_schatten_bound(_require_hermitian(out.matrix), q) - log_in
+            if bound < best - PROBE_TOLERANCE:
+                continue
+        ratio = math.log(schatten_norm(out, q)) - log_in
         if ratio > best:
             best = ratio
     margin = ceiling + PROBE_TOLERANCE - best

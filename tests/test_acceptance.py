@@ -44,6 +44,10 @@ from focklab.thermal import log_thermal_schatten_norm, thermal_state, thermal_ta
 SEED = DEFAULT_CONFIG["seed"]
 API_STREAM_BASE = 1_000_000  # disjoint from the command-line trial streams
 
+# criterion 08's probe at the default config: (thermal_log_ceiling,
+# best_trial_log_ratio, worst_margin)
+PROBE_REPLAY = (-0.30751349835665653, -0.5069921144745436, 0.19947961611788706)
+
 
 def _report(capsys, name, ok, detail):
     with capsys.disabled():
@@ -264,13 +268,18 @@ def test_criterion_08_norm_ratio_saturation_probe(capsys):
     report = pq_norm_saturation_probe(2.0, 1.2, 1.35, 24, 500, seed=SEED)
     elapsed = time.time() - start
     ok = not report.exceeded and report.best_trial_log_ratio <= report.thermal_log_ceiling + 1e-6
+    # the benchmark gate and the reference replay compare lemma_solver.csv
+    # only, so the probe block of lemma_report.json is pinned here
+    replay = (report.thermal_log_ceiling, report.best_trial_log_ratio, report.worst_margin)
+    ok = ok and replay == PROBE_REPLAY
     _report(
         capsys,
         "criterion 08: random inputs never beat the thermal norm-ratio ceiling",
         ok,
         f"{report.trials} trials at cutoff {report.cutoff}, ceiling "
         f"{report.thermal_log_ceiling:.6f}, best trial {report.best_trial_log_ratio:.6f}, "
-        f"margin {report.worst_margin:.3e}, {elapsed:.1f}s",
+        f"margin {report.worst_margin:.3e}, {elapsed:.1f}s, replay "
+        + ("exact" if replay == PROBE_REPLAY else f"{replay!r} != {PROBE_REPLAY!r}"),
     )
 
 

@@ -10,6 +10,7 @@ from scipy import stats
 
 from focklab.channels import (
     AMPLIFIER_TAIL_TARGET,
+    MAX_DENSE_D_OUT,
     ChannelDims,
     ChannelKind,
     _checked_deficit,
@@ -31,7 +32,7 @@ from focklab.channels import (
     squeezer_unitary,
 )
 from focklab.entropy import trace_distance
-from focklab.errors import DomainError, TruncationError
+from focklab.errors import DomainError, ResourceLimitError, TruncationError
 from focklab.linalg import ladder, partial_trace
 from focklab.sampling import random_mixed, substream
 from focklab.states import DensityMatrix, DiagonalState
@@ -434,6 +435,24 @@ def test_map_build_memory_is_bounded_by_the_bands_it_keeps():
     assert fresh == 1
     assert cmap.d_out == 157 and len(cmap.bands) == 24
     assert peak < 4 * 2**20
+
+
+def test_oversized_dense_map_is_refused_before_it_allocates():
+    # gain 1000 at 4 input levels sizes d_out in the tens of thousands:
+    # a d_out x d_out output of ~10 GiB.  Band 0 (d_out x 4) still serves
+    # Fock-diagonal inputs.
+    clear_caches()
+    try:
+        spec = amplifier(1000.0)
+        cmap = get_channel_map(spec, 4)
+        assert cmap.d_out > MAX_DENSE_D_OUT
+        with pytest.raises(ResourceLimitError, match="exceeds limit"):
+            apply_channel(spec, DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)))
+        assert len(cmap.bands) == 1
+        out = apply_diagonal(spec, DiagonalState(np.array([1.0, 0.0, 0.0, 0.0])))
+        assert out.dim == cmap.d_out
+    finally:
+        clear_caches()
 
 
 # every kind, quantum-limited and noisy

@@ -429,6 +429,29 @@ def test_library_error_from_bad_input_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("verify-lemma", {"lemma": dict(SMALL_LEMMA["lemma"], probe_gain=1000.0)}),
+        (
+            "verify-cmoe",
+            dict(
+                SMALL_CMOE,
+                cmoe=dict(SMALL_CMOE["cmoe"], channels=[{"kind": "amplifier", "gain": 1000.0}]),
+            ),
+        ),
+    ],
+)
+def test_oversized_dense_channel_exits_two(tmp_path, capsys, command, payload):
+    # gain 1000 sizes d_out in the tens of thousands; the probe's and the
+    # trial warm-up's band completion refuse it before allocating
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("input error: ResourceLimitError:") and "exceeds limit" in err[0]
+
+
+@pytest.mark.parametrize(
     "command, payload, where",
     [
         ("verify-lemma", {"lemma": {"probe_trials": "many"}}, "lemma.probe_trials"),

@@ -5,19 +5,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_equal
 
-from focklab.channels import amplifier, apply_diagonal
+import focklab.entropy
+from focklab.channels import amplifier, apply_channel, apply_diagonal, default_dims
 from focklab.entropy import schatten_norm
 from focklab.errors import DomainError, LemmaViolationError
 from focklab.cli import DEFAULT_CONFIG
 from focklab.lemma import (
     FD_STEP,
     FD_TOL,
+    PROBE_KINDS,
+    PROBE_TOLERANCE,
     LemmaGridReport,
     LemmaGridSpec,
+    SaturationProbeReport,
     _one_minus_pow,
     amplifier_z_map,
     f_func,
     f_partial_p,
+    log_schatten_bound,
     log_thermal_norm_ratio,
     norm_ratio_log_derivative,
     phi,
@@ -27,6 +32,7 @@ from focklab.lemma import (
     solve_p_of_q,
     verify_lemma_inequalities,
 )
+from focklab.sampling import SamplerConfig, draw_state
 from focklab.thermal import thermal_state, z_of_energy
 
 
@@ -286,6 +292,9 @@ def test_norm_ratio_and_scan_reject_bad_arguments():
     for gain, p, q in ((0.9, 1.2, 1.3), (2.0, 1.0, 1.3), (2.0, 1.2, 0.5)):
         with pytest.raises(DomainError):
             scan_ratio_maximizer(gain, p, q)
+    for q in (1.0, 2.5):  # the trace-Frobenius bound fails above q = 2
+        with pytest.raises(DomainError):
+            log_schatten_bound(np.eye(2) / 2.0, q)
 
 
 def test_scan_value_is_the_checked_ratio_at_its_maximizer():
@@ -419,3 +428,67 @@ def test_grid_broadcasts_equal_the_per_pair_loops(grid):
         dataclasses.asdict(verify_lemma_inequalities(grid)),
         dataclasses.asdict(_verify_per_pair(grid)),
     )
+
+
+# ---------------------------------------------------------------------------
+# the saturation probe without its bound, kept as the oracle for the pruning
+# ---------------------------------------------------------------------------
+
+
+def _probe_unpruned(gain, p, q, cutoff, trials, seed):
+    spec = amplifier(gain)
+    dims = default_dims(spec, cutoff)
+    _, ceiling = scan_ratio_maximizer(gain, p, q)
+    best = -math.inf
+    for t in range(trials):
+        kind = PROBE_KINDS[t % len(PROBE_KINDS)]
+        state = draw_state(SamplerConfig(seed, cutoff, kind), t)
+        apply = apply_diagonal if kind == "diagonal" else apply_channel
+        out = apply(spec, state, dims)
+        ratio = math.log(schatten_norm(out, q)) - math.log(schatten_norm(state, p))
+        if ratio > best:
+            best = ratio
+    return SaturationProbeReport(
+        gain=float(gain),
+        p=float(p),
+        q=float(q),
+        cutoff=int(cutoff),
+        trials=int(trials),
+        thermal_log_ceiling=float(ceiling),
+        best_trial_log_ratio=float(best),
+        worst_margin=float(ceiling + PROBE_TOLERANCE - best),
+        exceeded=bool(best > ceiling + PROBE_TOLERANCE),
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2.0, 1.2, 1.35, 24, 500, DEFAULT_CONFIG["seed"]),
+        (1.5, 1.1, 1.3, 16, 300, 7),  # a pure trial is the best
+        (2.0, 1.2, 2.0, 10, 60, 4),  # theta = 0: the bound is the Frobenius norm
+        (2.0, 1.2, 3.0, 12, 60, 11),  # q > 2: no pruning
+        (2.0, 1.2, 1.35, 1, 30, 5),
+        (2.0, 1.2, 1.35, 2, 30, 5),
+        (2.0, 1.2, 1.35, 24, 1, 3),
+    ],
+    ids=["default", "pure-best", "q-two", "q-three", "cutoff-1", "cutoff-2", "one-trial"],
+)
+def test_pruned_probe_equals_the_unpruned_loop(args):
+    assert pq_norm_saturation_probe(*args) == _probe_unpruned(*args)
+
+
+def test_probe_skips_almost_every_output_eigensolve(monkeypatch):
+    # 334 of the default probe's 500 outputs are dense (mixed and pure
+    # inputs); the trace-Frobenius bound rules out all but a handful
+    d_out = default_dims(amplifier(2.0), 24).d_out
+    dims = []
+    spectrum = focklab.entropy.hermitian_spectrum
+
+    def counted(m):
+        dims.append(m.shape[0])
+        return spectrum(m)
+
+    monkeypatch.setattr(focklab.entropy, "hermitian_spectrum", counted)
+    pq_norm_saturation_probe(2.0, 1.2, 1.35, 24, 500, seed=DEFAULT_CONFIG["seed"])
+    assert 1 <= dims.count(d_out) <= 5

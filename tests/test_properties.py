@@ -1,10 +1,13 @@
-"""Property tests of the channel maps over every kind, quantum-limited and noisy.
+"""Property tests of the channel maps over every kind, quantum-limited and noisy,
+and of the trace-Frobenius bound on Schatten q-norms that the lemma probe uses.
 
 Inputs live on at most 8 levels (12 for majorization) and use default
 output sizes; the dilation reference gets extra levels in both modes.
 The hypothesis profile in conftest.py fixes the examples, so a run is
 deterministic.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given
@@ -23,6 +26,8 @@ from focklab.channels import (
     clear_caches,
     contravariant_amplifier,
 )
+from focklab.entropy import schatten_norm
+from focklab.lemma import log_schatten_bound
 from focklab.sampling import random_diagonal, random_mixed, random_pure, substream
 from focklab.states import DensityMatrix, DiagonalState
 
@@ -34,6 +39,9 @@ MAJORIZATION_TOL = 1e-12
 # the dilation reference gets this many levels above d_out in both modes,
 # so that its squeezer cut reaches no output entry
 REFERENCE_HEADROOM = 30
+
+# slack allowed on the trace-Frobenius bound of ln ||x||_q
+NORM_BOUND_TOL = 1e-12
 
 # an environment energy of exactly 0 gives the quantum-limited channel
 env_energies = st.just(0.0) | st.floats(0.01, 1.5)
@@ -60,9 +68,41 @@ def states(draw):
     return random_diagonal(dim, rng).to_density()
 
 
+@st.composite
+def sub_unit_states(draw):
+    """A mixed state of any rank, scaled to a trace in (0, 1]."""
+    dim = draw(st.integers(1, MAX_LEVELS))
+    rng = substream(draw(st.integers(0, 2**32 - 1)), 0)
+    rho = random_mixed(dim, draw(st.integers(1, dim)), rng)
+    return DensityMatrix(draw(st.floats(1e-3, 1.0)) * rho.matrix)
+
+
+# the trace-Frobenius bound holds for 1 < q <= 2
+bound_orders = st.floats(1.0, 2.0, exclude_min=True)
+
+
 @given(specs, states())
 def test_outputs_are_valid_states(spec, rho):
     apply_channel(spec, rho).validate()
+
+
+@given(sub_unit_states() | st.builds(apply_channel, specs, states()), bound_orders)
+def test_trace_frobenius_bound_holds(x, q):
+    # ||x||_q <= (tr x)**theta * ||x||_F**(1 - theta), theta = 2/q - 1
+    assert math.log(schatten_norm(x, q)) <= log_schatten_bound(x.matrix, q) + NORM_BOUND_TOL
+
+
+@given(st.integers(1, MAX_LEVELS), st.data(), st.floats(1e-3, 1.0), bound_orders)
+def test_trace_frobenius_bound_is_attained_on_flat_spectra(dim, data, t, q):
+    # t/r on r levels: ||x||_q = t r**(1/q - 1) equals the bound exactly
+    # when theta = 2/q - 1; at rank one ||x||_q = tr x = ||x||_F = t
+    rank = data.draw(st.integers(1, dim))
+    rng = substream(data.draw(st.integers(0, 2**32 - 1)), 0)
+    iso, _ = np.linalg.qr(rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))
+    for r in (1, rank):
+        x = DensityMatrix(t / r * iso[:, :r] @ iso[:, :r].conj().T)
+        gap = log_schatten_bound(x.matrix, q) - math.log(schatten_norm(x, q))
+        assert abs(gap) <= NORM_BOUND_TOL
 
 
 @given(specs, states())
