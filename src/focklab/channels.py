@@ -56,6 +56,10 @@ ENV_TAIL_TARGET = 1e-14
 # path (apply_probs) has no limit.
 MAX_DENSE_D_OUT = 2048
 
+# Largest dense_bytes a map completes its bands for: at gain 2 it admits
+# 300 input levels (277 MiB) and refuses 400 (626 MiB).
+MAX_DENSE_BYTES = 512 * 2**20
+
 
 def finite_float(value) -> Optional[float]:
     """value as a float when it is a finite real number (not a bool), else None."""
@@ -347,6 +351,12 @@ class ChannelMap:
             raise ResourceLimitError(
                 f"dense output dim {self.d_out} exceeds limit {MAX_DENSE_D_OUT}"
             )
+        size = dense_bytes(self.d_in, self.d_out)
+        if size > MAX_DENSE_BYTES:
+            raise ResourceLimitError(
+                f"dense {self.d_in} -> {self.d_out} level map needs {size / 2**20:.0f} MiB,"
+                f" exceeds limit {MAX_DENSE_BYTES // 2**20} MiB"
+            )
         with self._lock:  # two threads may not advance one iterator
             if self._slabs is None:
                 self._build_slabs()
@@ -398,6 +408,14 @@ class ChannelMap:
 
     def apply_probs(self, probs: np.ndarray) -> np.ndarray:
         return self.bands[0] @ self._fit(np.asarray(probs, dtype=float))
+
+
+def dense_bytes(d_in: int, d_out: int) -> int:
+    """Bytes of a completed map's slabs and index arrays plus one output."""
+    count = min(d_in, d_out)
+    slabs, width = (count + 1) // 2, 2 * d_in - count + 1
+    # slabs (d_out x width floats), gather (width x 2), lower and upper (d_out x 2 each)
+    return 8 * slabs * (d_out * width + 2 * width + 4 * d_out) + 16 * d_out * d_out
 
 
 def _xlog(power, base: float):

@@ -8,7 +8,6 @@ pairs produce byte-identical files.  Exit codes: 0 all checks passed,
 """
 
 import argparse
-import concurrent.futures
 import copy
 import csv
 import dataclasses
@@ -532,6 +531,8 @@ def _run_tasks(jobs: int, tasks: list) -> list:
     """
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(arg) for worker, arg in tasks]
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(worker, arg) for worker, arg in tasks]
         return [f.result() for f in futures]

@@ -2,8 +2,12 @@
 
 Streams are keyed counter-based generators: substream(seed, index) is
 stable across processes and platforms, so trial i of a run is the same
-state no matter how the trials are scheduled.
+state no matter how the trials are scheduled.  The annotations are
+postponed, so numpy.random loads with the first substream, not with the
+module.
 """
+
+from __future__ import annotations
 
 import json
 import math

@@ -10,6 +10,7 @@ from scipy import stats
 
 from focklab.channels import (
     AMPLIFIER_TAIL_TARGET,
+    MAX_DENSE_BYTES,
     MAX_DENSE_D_OUT,
     ChannelDims,
     ChannelKind,
@@ -28,6 +29,7 @@ from focklab.channels import (
     contravariant_amplifier,
     decompose,
     default_dims,
+    dense_bytes,
     get_channel_map,
     squeezer_unitary,
 )
@@ -453,6 +455,45 @@ def test_oversized_dense_map_is_refused_before_it_allocates():
         assert out.dim == cmap.d_out
     finally:
         clear_caches()
+
+
+@pytest.mark.parametrize("spec", [amplifier(2.0), attenuator(0.6, 0.4), contravariant_amplifier(1.6)])
+def test_dense_bytes_counts_what_the_dense_path_allocates(spec):
+    clear_caches()
+    try:
+        cmap = get_channel_map(spec, 7)
+        out = cmap.apply_matrix(random_mixed(7, 7, substream(3, 0)).matrix)
+        arrays = (cmap._slabs, cmap._gather, cmap._to_vals, cmap._to_conj, out)
+        assert dense_bytes(cmap.d_in, cmap.d_out) == sum(a.nbytes for a in arrays)
+    finally:
+        clear_caches()
+
+
+def test_dense_byte_limit_admits_300_and_refuses_400_levels_at_gain_two():
+    # sized by the formula alone: neither map is built
+    spec = amplifier(2.0)
+    need = {d_in: dense_bytes(d_in, default_dims(spec, d_in).d_out) for d_in in (300, 400)}
+    assert need[300] <= MAX_DENSE_BYTES < need[400]
+
+
+def test_dense_map_over_the_byte_limit_is_refused_before_it_allocates():
+    # 400 levels at gain 2: d_out 987 is under MAX_DENSE_D_OUT, but the
+    # slabs, their index arrays and one output need 626 MiB
+    clear_caches()
+    tracemalloc.start()
+    try:
+        cmap = get_channel_map(amplifier(2.0), 400)
+        assert cmap.d_out <= MAX_DENSE_D_OUT
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]  # band 0, 3 MiB
+        with pytest.raises(ResourceLimitError, match="exceeds limit"):
+            cmap.complete()
+        grown = tracemalloc.get_traced_memory()[1] - held
+        assert len(cmap.bands) == 1
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert grown < 2**20
 
 
 # every kind, quantum-limited and noisy

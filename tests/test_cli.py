@@ -451,6 +451,16 @@ def test_oversized_dense_channel_exits_two(tmp_path, capsys, command, payload):
     assert err[0].startswith("input error: ResourceLimitError:") and "exceeds limit" in err[0]
 
 
+def test_dense_probe_over_the_byte_limit_exits_two(tmp_path, capsys):
+    # 500 levels at gain 2: d_out 1,207 passes MAX_DENSE_D_OUT, but the
+    # dense path would need 1,187 MiB
+    cfg = write_config(tmp_path, {"lemma": dict(SMALL_LEMMA["lemma"], probe_cutoff=500)})
+    assert main(["verify-lemma", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["input error: ResourceLimitError: dense 500 -> 1207 level map needs 1187 MiB,"
+                   " exceeds limit 512 MiB"]
+
+
 @pytest.mark.parametrize(
     "command, payload, where",
     [
@@ -674,6 +684,75 @@ def test_scipy_loads_only_for_the_search_and_the_reference(tmp_path):
         "dense": False,
     }
     assert got["error"] < 1e-12
+
+
+FOOTPRINT = r"""
+import importlib, json, sys
+
+steps, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+loaded = []
+for op, *args in steps:
+    if op == "import":
+        importlib.import_module(args[0])
+    elif op == "main":
+        assert sys.modules["focklab.cli"].main(args) == 0, args
+    else:
+        sys.modules["focklab.sampling"].substream(1, 0)
+    loaded.append({name: name in sys.modules for name in watched})
+print(json.dumps(loaded))
+"""
+
+# modules a command should load only when it draws a state (numpy.random,
+# and hashlib through its secrets import), forks a pool or searches (scipy)
+RNG, POOL, SCIPY = "numpy.random", "concurrent.futures", "scipy"
+NONE_LOADED = {RNG: False, "hashlib": False, POOL: False, SCIPY: False}
+
+
+@pytest.mark.parametrize(
+    "steps, expected",
+    [
+        pytest.param([("import", "focklab.cli")], [NONE_LOADED], id="import-cli"),
+        pytest.param(
+            [
+                ("import", "focklab.cli"),
+                ("main", "verify-thermal-laws", "--config", "{thermal}", "--out", "{out}"),
+            ],
+            [NONE_LOADED, NONE_LOADED],
+            id="verify-thermal-laws",
+        ),
+        pytest.param(
+            [("import", "focklab.cli"), ("main", "report", "--out", "{out}")],
+            [NONE_LOADED, NONE_LOADED],
+            id="report",
+        ),
+        pytest.param(
+            [
+                ("import", "focklab.cli"),
+                ("main", "verify-lemma", "--config", "{lemma}", "--out", "{out}"),
+            ],
+            [NONE_LOADED, {RNG: True, POOL: False, SCIPY: False}],
+            id="verify-lemma",
+        ),
+        pytest.param(
+            [("import", "focklab.sampling"), ("substream",)],
+            [{RNG: False}, {RNG: True}],
+            id="sampling-substream",
+        ),
+    ],
+)
+def test_import_footprint_per_command(tmp_path, steps, expected):
+    paths = {
+        "thermal": write_config(tmp_path, SMALL_THERMAL, "thermal.json"),
+        "lemma": write_config(tmp_path, SMALL_LEMMA, "lemma.json"),
+        "out": str(tmp_path / "run"),
+    }
+    if ("main", "report", "--out", "{out}") in steps:  # give report suites to read
+        for command, config in (("verify-thermal-laws", "thermal"), ("verify-lemma", "lemma")):
+            assert main([command, "--config", paths[config], "--out", paths["out"]]) == EXIT_OK
+    steps = [[arg.format(**paths) for arg in step] for step in steps]
+    watched = sorted({name for row in expected for name in row})
+    loaded = _run_script(FOOTPRINT, json.dumps(steps), json.dumps(watched))
+    assert [{name: row[name] for name in want} for row, want in zip(loaded, expected)] == expected
 
 
 SEARCH_WORKER_BLAS = r"""
