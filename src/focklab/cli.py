@@ -909,10 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify-cmoe":
-        # loaded once here, so the pool workers fork with it: each would
-        # otherwise pay the ~0.3 s import again for the search's expm
-        import scipy.linalg  # noqa: F401
     with _single_blas_thread():
         try:
             cfg = load_config(args)

@@ -7,6 +7,8 @@ environment level j.  Dense joint objects are refused above MAX_JOINT_DIM.
 
 import contextlib
 import ctypes
+import importlib.machinery
+import importlib.util
 import os
 import threading
 
@@ -104,6 +106,86 @@ def hermitian_eigh(m: np.ndarray):
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(vals)[::-1]
     return vals[order].copy(), vecs[:, order].copy()
+
+
+# scipy release from which _load_expm runs the compiled kernel itself: its
+# pade_UV_calc takes (work, m) and pick_pade_structure scales the work
+# array, and the oracle test in tests/test_linalg.py proves the bits on it.
+# Earlier releases are untested here and may call the kernel otherwise.
+EXPM_KERNEL_SCIPY = (1, 17)
+
+
+def _scipy_file(name: str, *parts: str):
+    """Execute the file scipy/<parts> as module `name` and return it.
+
+    Neither scipy/__init__ nor a subpackage __init__ runs, and the module
+    is not entered in sys.modules.
+    """
+    path = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], *parts)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _scipy_version() -> tuple:
+    """(major, minor) of the installed scipy, read from scipy/version.py.
+
+    importlib.metadata would cost ~1.5 MB of RSS and ~30 ms per process.
+    """
+    version = _scipy_file("scipy.version", "version.py").short_version
+    return tuple(int(part) for part in version.split(".")[:2])
+
+
+def _expm_kernel():
+    """scipy's compiled expm module, loaded by file path.
+
+    The process maps the module and its libscipy_openblas but not
+    scipy's Python package (~25 MB of RSS and ~0.3 s).
+    """
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the tagged one, as scipy's build names it
+    return _scipy_file("scipy.linalg._matfuncs_expm", "linalg", "_matfuncs_expm" + suffix)
+
+
+def _load_expm():
+    """A matrix exponential with the bits of scipy.linalg.expm.
+
+    From scipy EXPM_KERNEL_SCIPY on, this runs scipy's Al-Mohy–Higham
+    scaling and squaring (SIAM J. Matrix Anal. Appl. 31, 970, 2009) as
+    scipy.linalg.expm does for one 2-D matrix: the diagonal shortcut,
+    then the compiled Padé kernel on a (5, n, n) work array, then s
+    squarings with `@`.  Only square matrices that are diagonal or not
+    triangular are supported: scipy squares triangular ones another way.
+    On an earlier scipy this returns scipy.linalg.expm itself.  Call it
+    before a
+    _single_blas_thread scope opens, so that the scope finds the
+    kernel's OpenBLAS.
+    """
+    if _scipy_version() < EXPM_KERNEL_SCIPY:
+        from scipy.linalg import expm as scipy_expm
+
+        return scipy_expm
+    kernel = _expm_kernel()
+    pick_pade_structure, pade_uv_calc = kernel.pick_pade_structure, kernel.pade_UV_calc
+
+    def expm(a: np.ndarray) -> np.ndarray:
+        if not (np.tril(a, -1).any() or np.triu(a, 1).any()):
+            return np.diag(np.exp(np.diag(a)))
+        n = a.shape[0]
+        work = np.empty((5, n, n), dtype=a.dtype)
+        work[0] = a
+        m, s = pick_pade_structure(work)
+        if m < 0:
+            raise MemoryError(f"expm could not allocate its Padé workspace (code {m})")
+        info = pade_uv_calc(work, m)
+        if info != 0:
+            raise RuntimeError(f"expm's Padé solve failed (LAPACK code {info})")
+        out = work[0]
+        for _ in range(s):
+            out = out @ out
+        return out
+
+    return expm
 
 
 def _loaded_openblas() -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 from .channels import ChannelKind, ChannelSpec
 from .cmoe import CmoeReport, check_cmoe
 from .errors import DomainError
-from .linalg import _single_blas_thread, hermitian_eigh
+from .linalg import _load_expm, _single_blas_thread, hermitian_eigh
 from .states import DensityMatrix, DiagonalState
 
 _MASK64 = (1 << 64) - 1
@@ -226,15 +226,16 @@ def adversarial_search(
     perturbations re-pinned to the target entropy; a proposal is kept
     only when it lowers the output entropy.  The step angle shrinks
     after runs of rejections so the search settles into local minima.
-    scipy loads with the first search, not with the package.  The search
-    runs with every loaded OpenBLAS, scipy's included, on one thread: the
-    thread pools of numpy's and scipy's builds would spin against each
-    other.  The caller's thread counts are restored on return.
+    The unitary moves exponentiate with scipy's compiled expm kernel,
+    which the search loads by file path without importing the scipy
+    package (linalg._load_expm).  The search runs with every loaded
+    OpenBLAS, the kernel's included, on one thread: the thread pools of
+    numpy's and scipy's builds would spin against each other.  The
+    caller's thread counts are restored on return.
     """
-    from scipy.linalg import expm
-
     if start is not None and start.dim != cutoff:
         raise DomainError(f"start state has {start.dim} levels, the search cutoff is {cutoff}")
+    expm = _load_expm()
     with _single_blas_thread():
         rng = substream(seed, 0)
         state = start if start is not None else entropy_pinned_state(target_entropy, cutoff, rng)

@@ -670,17 +670,22 @@ print(json.dumps({"loaded": loaded, "error": float(error)}))
 """
 
 
-def test_scipy_loads_only_for_the_search_and_the_reference(tmp_path):
+def test_no_command_imports_the_scipy_package(tmp_path):
     commands = [
         (name, [name, "--config", write_config(tmp_path, payload, f"{name}.json"),
                 "--out", str(tmp_path / name)])
-        for name, payload in [("verify-thermal-laws", SMALL_THERMAL), ("verify-lemma", SMALL_LEMMA)]
+        for name, payload in [
+            ("verify-thermal-laws", SMALL_THERMAL),
+            ("verify-lemma", SMALL_LEMMA),
+            ("verify-cmoe", SMALL_CMOE),
+        ]
     ]
     got = _run_script(SCIPY_GUARD, json.dumps(commands))
     assert got["loaded"] == {
         "import": False,
         "verify-thermal-laws": False,
         "verify-lemma": False,
+        "verify-cmoe": False,
         "dense": False,
     }
     assert got["error"] < 1e-12
@@ -696,6 +701,10 @@ for op, *args in steps:
         importlib.import_module(args[0])
     elif op == "main":
         assert sys.modules["focklab.cli"].main(args) == 0, args
+    elif op == "search":
+        from focklab.channels import amplifier
+
+        sys.modules["focklab.sampling"].adversarial_search(amplifier(1.5, 0.1), 0.8, 10, 8, 5)
     else:
         sys.modules["focklab.sampling"].substream(1, 0)
     loaded.append({name: name in sys.modules for name in watched})
@@ -703,9 +712,10 @@ print(json.dumps(loaded))
 """
 
 # modules a command should load only when it draws a state (numpy.random,
-# and hashlib through its secrets import), forks a pool or searches (scipy)
-RNG, POOL, SCIPY = "numpy.random", "concurrent.futures", "scipy"
-NONE_LOADED = {RNG: False, "hashlib": False, POOL: False, SCIPY: False}
+# and hashlib through its secrets import) or forks a pool; no command
+# imports the scipy package, the search loads only scipy's expm kernel
+RNG, POOL, SCIPY, SCIPY_LINALG = "numpy.random", "concurrent.futures", "scipy", "scipy.linalg"
+NONE_LOADED = {RNG: False, "hashlib": False, POOL: False, SCIPY: False, SCIPY_LINALG: False}
 
 
 @pytest.mark.parametrize(
@@ -734,6 +744,28 @@ NONE_LOADED = {RNG: False, "hashlib": False, POOL: False, SCIPY: False}
             id="verify-lemma",
         ),
         pytest.param(
+            [
+                ("import", "focklab.cli"),
+                ("main", "verify-cmoe", "--jobs", "1", "--config", "{cmoe}", "--out", "{out}"),
+            ],
+            [NONE_LOADED, {RNG: True, POOL: False, SCIPY: False, SCIPY_LINALG: False}],
+            id="verify-cmoe-jobs1",
+        ),
+        pytest.param(
+            [
+                ("import", "focklab.cli"),
+                ("main", "verify-cmoe", "--jobs", "2", "--config", "{cmoe}", "--out", "{out}"),
+            ],
+            # the workers draw and search; the parent only forks them
+            [NONE_LOADED, {RNG: False, POOL: True, SCIPY: False, SCIPY_LINALG: False}],
+            id="verify-cmoe-jobs2",
+        ),
+        pytest.param(
+            [("import", "focklab.sampling"), ("search",)],
+            [{SCIPY: False, SCIPY_LINALG: False}, {SCIPY: False, SCIPY_LINALG: False}],
+            id="adversarial-search",
+        ),
+        pytest.param(
             [("import", "focklab.sampling"), ("substream",)],
             [{RNG: False}, {RNG: True}],
             id="sampling-substream",
@@ -744,6 +776,7 @@ def test_import_footprint_per_command(tmp_path, steps, expected):
     paths = {
         "thermal": write_config(tmp_path, SMALL_THERMAL, "thermal.json"),
         "lemma": write_config(tmp_path, SMALL_LEMMA, "lemma.json"),
+        "cmoe": write_config(tmp_path, SMALL_CMOE, "cmoe.json"),
         "out": str(tmp_path / "run"),
     }
     if ("main", "report", "--out", "{out}") in steps:  # give report suites to read
@@ -795,3 +828,55 @@ def test_search_workers_run_every_blas_on_one_thread(tmp_path, blas_controls):
         pytest.skip("scipy brings no OpenBLAS of its own")
     for r in seen:
         assert r["threads"] == [1] * len(r["paths"])
+
+
+LIBRARY_SEARCH_BLAS = r"""
+import importlib.util, json, sys
+from focklab import linalg, sampling
+from focklab.channels import amplifier
+
+def counts():
+    return {path: get() for path, (get, _) in linalg._loaded_openblas().items()}
+
+def all_to_two():
+    for _, put in linalg._loaded_openblas().values():
+        put(2)
+    return counts()
+
+kernel, check, seen = linalg._expm_kernel, sampling.check_cmoe, []
+
+def loading():
+    # the kernel's OpenBLAS maps here; give it a count the search must undo
+    module = kernel()
+    before.update(all_to_two())
+    return module
+
+def recording(spec, state):
+    seen.append(counts())
+    return check(spec, state)
+
+before = all_to_two()
+linalg._expm_kernel, sampling.check_cmoe = loading, recording
+sampling.adversarial_search(amplifier(1.5, 0.1), 0.8, 10, 8, seed=5)
+print(json.dumps({
+    "before": before,
+    "seen": seen,
+    "after": counts(),
+    "scipy_linalg": "scipy.linalg" in sys.modules,
+    "scipy_dir": importlib.util.find_spec("scipy").submodule_search_locations[0],
+}))
+"""
+
+
+def test_first_library_search_pins_the_blas_it_loads():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts with one thread on one core")
+    got = _run_script(LIBRARY_SEARCH_BLAS)
+    if not got["before"]:
+        pytest.skip("no OpenBLAS loaded")
+    if not any(p.startswith(got["scipy_dir"]) for p in got["before"]):
+        pytest.skip("scipy brings no OpenBLAS of its own")
+    assert not got["scipy_linalg"]
+    assert len(got["seen"]) > 1
+    assert all(c == {p: 1 for p in got["before"]} for c in got["seen"])
+    assert got["after"] == got["before"] == {p: 2 for p in got["before"]}

@@ -1,3 +1,4 @@
+import importlib.metadata
 import sys
 import threading
 
@@ -220,3 +221,44 @@ def test_blas_scopes_under_thread_contention(threaded_blas):
     assert not any(w.is_alive() for w in workers)
     assert wrong == [] and counts() == original
     assert linalg._blas_depth == 0 and linalg._blas_saved == {}
+
+
+def _skew_hermitian(rng, n, norm1):
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = h - h.conj().T
+    return h * (norm1 / max(np.abs(h).sum(axis=0).max(), 1e-300))
+
+
+def test_expm_has_the_bits_of_scipy():
+    from scipy.linalg import expm as scipy_expm
+
+    assert linalg._scipy_version() >= linalg.EXPM_KERNEL_SCIPY
+    expm, kernel = linalg._load_expm(), linalg._expm_kernel()
+    assert expm is not scipy_expm  # the compiled path runs here
+    rng = np.random.default_rng(23)
+    structures, count = set(), 0
+    for n in (1, 2, 16, 24):
+        # 1-norms from 1e-4 to 60 reach every Padé order (3, 5, 7, 9, 13)
+        # and up to 4 squarings
+        for norm1 in np.geomspace(1e-4, 60.0, 520):
+            a = _skew_hermitian(rng, n, norm1)
+            if n > 1:
+                work = np.zeros((5, n, n), dtype=complex)
+                work[0] = a
+                structures.add(kernel.pick_pade_structure(work))
+            assert np.array_equal(expm(a), scipy_expm(a)), (n, norm1)
+            count += 1
+    diagonal = np.diag(1j * rng.normal(size=16))
+    assert np.array_equal(expm(diagonal), scipy_expm(diagonal))
+    assert count >= 2000
+    assert {m for m, _ in structures} == {3, 5, 7, 9, 13}
+    assert max(s for _, s in structures) >= 2
+
+
+def test_expm_before_the_kernel_release_is_scipys(monkeypatch):
+    from scipy.linalg import expm as scipy_expm
+
+    installed = importlib.metadata.version("scipy").split(".")[:2]
+    assert linalg._scipy_version() == tuple(int(part) for part in installed)
+    monkeypatch.setattr(linalg, "_scipy_version", lambda: (1, 16))
+    assert linalg._load_expm() is scipy_expm

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from focklab import sampling
+from focklab import linalg, sampling
 from focklab.channels import amplifier, attenuator
 from focklab.cmoe import VERDICT_EQUALITY, check_cmoe
 from focklab.entropy import state_spectrum, von_neumann_entropy
@@ -265,3 +265,12 @@ def test_thermal_start_search_stays_at_equality_gap():
     result = adversarial_search(spec, g(e_ref), 20, 16, seed=8, start=start)
     rep = result.best_report
     assert rep.gap >= -(rep.truncation_margin + 1e-9)
+
+
+def test_search_on_an_older_scipy_is_identical(monkeypatch):
+    spec = amplifier(1.5, 0.1)
+    fast = adversarial_search(spec, 0.8, 60, 8, seed=5)
+    monkeypatch.setattr(linalg, "_scipy_version", lambda: (1, 16))
+    slow = adversarial_search(spec, 0.8, 60, 8, seed=5)
+    assert np.array_equal(fast.best_state.matrix, slow.best_state.matrix)
+    assert (fast.accepted, fast.best_report) == (slow.accepted, slow.best_report)
