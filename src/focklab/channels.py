@@ -53,11 +53,12 @@ ENV_TAIL_TARGET = 1e-14
 
 # Largest output dim a map completes its bands for, so that apply_matrix
 # allocates at most a 2048 x 2048 complex output (64 MiB); the band-0
-# path (apply_probs) has no limit.
+# path (apply_probs) has no dim limit.
 MAX_DENSE_D_OUT = 2048
 
-# Largest dense_bytes a map completes its bands for: at gain 2 it admits
-# 300 input levels (277 MiB) and refuses 400 (626 MiB).
+# Largest dense_bytes a map completes its bands for, and largest
+# band_zero_bytes a map is built with: at gain 2 the first admits 300
+# input levels (277 MiB) and refuses 400 (626 MiB).
 MAX_DENSE_BYTES = 512 * 2**20
 
 
@@ -389,17 +390,25 @@ class ChannelMap:
         self._slabs = slabs
 
     def _fit(self, x: np.ndarray) -> np.ndarray:
-        """x zero-padded along every axis to the map's input dim."""
-        n = x.shape[0]
+        """x zero-padded to the map's input dim: a vector, a matrix or a stack of matrices."""
+        n = x.shape[-1]
         if n > self.d_in:
             raise DomainError(f"input dim {n} exceeds map input dim {self.d_in}")
-        return np.pad(x, [(0, self.d_in - n)] * x.ndim) if n < self.d_in else x
+        if n == self.d_in:
+            return x
+        axes = min(x.ndim, 2)
+        return np.pad(x, [(0, 0)] * (x.ndim - axes) + [(0, self.d_in - n)] * axes)
 
-    def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
+    def band_outputs(self, rho: np.ndarray) -> np.ndarray:
+        """Output diagonals of every band, (..., slabs, d_out, 2), for rho or a stack of them."""
         self.complete()
         rho = self._fit(np.asarray(rho, dtype=complex))
-        vin = np.append(rho.ravel(), 0.0)[self._gather]
-        vout = np.matmul(self._slabs, vin.view(float)).view(complex)
+        flat = rho.reshape(rho.shape[:-2] + (-1,))
+        vin = np.take(np.concatenate((flat, np.zeros(flat.shape[:-1] + (1,))), -1), self._gather, -1)
+        return np.matmul(self._slabs, vin.view(float)).view(complex)
+
+    def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
+        vout = self.band_outputs(rho)
         out = np.zeros(self.d_out * self.d_out + 1, dtype=complex)
         out[self._to_vals] = vout
         out[self._to_conj] = vout.conj()
@@ -416,6 +425,20 @@ def dense_bytes(d_in: int, d_out: int) -> int:
     slabs, width = (count + 1) // 2, 2 * d_in - count + 1
     # slabs (d_out x width floats), gather (width x 2), lower and upper (d_out x 2 each)
     return 8 * slabs * (d_out * width + 2 * width + 4 * d_out) + 16 * d_out * d_out
+
+
+def band_zero_bytes(d_in: int, sizes) -> int:
+    """Peak bytes of building band 0 through stages of (size, size_out) levels.
+
+    A stage holds its lgamma table (40 B a level) and its band with about
+    five temporaries of that shape (tracemalloc: 5.0-5.2); a later stage
+    also holds the size x d_in product before it and makes its own.
+    """
+    peak = 0
+    for n, (size, size_out) in enumerate(sizes):
+        products = 8 * (size + size_out) * d_in if n else 0
+        peak = max(peak, 40 * (size + size_out) + 6 * 8 * size * size_out + products)
+    return peak
 
 
 def _xlog(power, base: float):
@@ -589,16 +612,23 @@ def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = 
     if got is not None:
         return got
     stages = _stages(spec)
-    bands = None
-    size = d_in
-    for n, (kind, parameter) in enumerate(stages):
+    sizes, size = [], d_in  # (size, size_out) of each stage
+    for n, (kind, _) in enumerate(stages):
         keeps_size = kind == ChannelKind.ATTENUATOR and n < len(stages) - 1
-        size_out = size if keeps_size else d_out
+        sizes.append((size, size if keeps_size else d_out))
+        size = sizes[-1][1]
+    need = band_zero_bytes(d_in, sizes)
+    if need > MAX_DENSE_BYTES:
+        raise ResourceLimitError(
+            f"band 0 of the {d_in} -> {d_out} level map needs {need / 2**20:.0f} MiB,"
+            f" exceeds limit {MAX_DENSE_BYTES // 2**20} MiB"
+        )
+    bands = None
+    for (kind, parameter), (size, size_out) in zip(stages, sizes):
         stage = _kraus_bands(kind, parameter, size, size_out)
         # a later stage builds only the bands the earlier ones produced;
         # map() keeps neither factor of a product once it is made
         bands = stage if bands is None else map(lambda b, s: s @ b, bands, stage)
-        size = size_out
     built = ChannelMap(d_in, d_out, bands, spec.kind == ChannelKind.CONTRAVARIANT)
     with _cache_lock:
         _map_cache.setdefault(key, built)
@@ -638,6 +668,29 @@ def apply_channel(
     cmap = get_channel_map(spec, max(rho.dim, 1), dims)
     out = cmap.apply_matrix(rho.matrix)
     return DensityMatrix(out, _checked_deficit(float(np.trace(out).real)))
+
+
+def output_trace_frobenius(
+    spec: ChannelSpec,
+    rhos: np.ndarray,
+    dims: Optional[ChannelDims] = None,
+) -> tuple:
+    """Traces and Frobenius norms of the outputs of a stack of matrices, none built densely.
+
+    Band 0 fills the diagonal and each band k >= 1 two conjugate
+    off-diagonals.  Lossy outputs raise TruncationError, as in apply_channel.
+    """
+    cmap = get_channel_map(spec, max(rhos.shape[-1], 1), dims)
+    vout = cmap.band_outputs(rhos)
+    diagonal = vout[..., 0, :, 0].real
+    traces = diagonal.sum(-1)
+    for trace in traces.flat:
+        _checked_deficit(float(trace))
+    # sums of squares as matmul dot products: einsum, or a squared copy of
+    # vout, each added 0.2-0.5 MB to verify-lemma's peak RSS
+    parts = vout.view(float).reshape(vout.shape[:-3] + (1, -1))
+    squares = np.matmul(parts, parts.swapaxes(-1, -2))[..., 0, 0]
+    return traces, np.sqrt(2.0 * squares - (diagonal**2).sum(-1))
 
 
 def apply_diagonal(

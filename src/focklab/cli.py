@@ -15,6 +15,9 @@ import json
 import math
 import os
 import sys
+from itertools import product
+
+import numpy as np
 
 from . import channels as channel_maps
 from .channels import (
@@ -652,39 +655,30 @@ def cmd_verify_cmoe(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solver_row(seed_zbar: float, gain: float, q: float, exploratory: bool) -> dict:
-    z_out = float(amplifier_z_map(seed_zbar, gain))
-    try:
-        p = solve_p_of_q(seed_zbar, gain, q)
-        residual = abs(float(phi(seed_zbar, p)) - float(phi(z_out, q)))
-        prefactor = (q / (q - 1.0)) * ((p - 1.0) / p)
-        z_star, _ = scan_ratio_maximizer(gain, p, q)
-        offset = abs(z_star - seed_zbar)
-        passed = (
-            residual <= P_SOLVER_RESIDUAL
-            and 1.0 < p < q
-            and 0.0 <= prefactor <= 1.0
-            and offset <= 1.0 / (SCAN_POINTS + 1.0)  # one cell of the maximizer's scan
-        )
-    except FockLabError:
-        p = float("nan")
-        residual = float("nan")
-        prefactor = float("nan")
-        z_star = float("nan")
-        offset = float("nan")
-        passed = False
-    return {
-        "z_bar": seed_zbar,
-        "gain": gain,
-        "q": q,
-        "p": p,
-        "residual": residual,
-        "prefactor": prefactor,
-        "maximizer_z": z_star,
-        "maximizer_offset": offset,
-        "exploratory": exploratory,
-        "passed": passed,
-    }
+def _solver_rows(cells) -> list:
+    """LEMMA_COLUMNS rows of (z_bar, gain, q, exploratory) cells, solved in one call.
+
+    A cell the order solver or the maximizer scan cannot handle gets a
+    row of NaNs that does not pass.
+    """
+    z_bar, gain, q = (np.array([cell[i] for cell in cells], dtype=float) for i in range(3))
+    p = solve_p_of_q(z_bar, gain, q)
+    z_star = np.full_like(p, np.nan)
+    residual = np.full_like(p, np.nan)
+    ok = ~np.isnan(p)
+    z_star[ok], _ = scan_ratio_maximizer(gain[ok], p[ok], q[ok])
+    p[np.isnan(z_star)] = np.nan
+    ok = ~np.isnan(p)
+    residual[ok] = np.abs(phi(z_bar[ok], p[ok]) - phi(amplifier_z_map(z_bar[ok], gain[ok]), q[ok]))
+    prefactor = (q / (q - 1.0)) * ((p - 1.0) / p)
+    offset = np.abs(z_star - z_bar)
+    passed = (residual <= P_SOLVER_RESIDUAL) & (1.0 < p) & (p < q) & (0.0 <= prefactor)
+    passed &= (prefactor <= 1.0) & (offset <= 1.0 / (SCAN_POINTS + 1.0))  # one scan cell
+    numbers = zip(*(a.tolist() for a in (p, residual, prefactor, z_star, offset)))
+    return [
+        dict(zip(LEMMA_COLUMNS, (*cell[:3], *row, cell[3], ok)))
+        for cell, row, ok in zip(cells, numbers, passed.tolist())
+    ]
 
 
 def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
@@ -703,22 +697,18 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
     )
     grid_report = verify_lemma_inequalities(grid)
 
-    solver_rows = []
-    for zb in section["solver_z"]:
-        for gain in section["solver_gains"]:
-            for q in section["solver_q"]:
-                solver_rows.append(_solver_row(zb, gain, q, q >= ORDER_GUARANTEE_LIMIT))
+    points = (section["solver_z"], section["solver_gains"])
+    cells = [(*c, c[2] >= ORDER_GUARANTEE_LIMIT) for c in product(*points, section["solver_q"])]
     if exploratory:
-        for zb in section["solver_z"]:
-            for gain in section["solver_gains"]:
-                for q in section["exploratory_q"]:
-                    solver_rows.append(_solver_row(zb, gain, q, True))
+        cells += [(*c, True) for c in product(*points, section["exploratory_q"])]
+    solver_rows = _solver_rows(cells)
     write_csv(os.path.join(out_dir, LEMMA_CSV), LEMMA_COLUMNS, solver_rows)
 
-    trend = []
-    for q in section["trend_q"]:
-        p = solve_p_of_q(0.5, 2.0, q)
-        trend.append({"q": q, "p_minus_one": p - 1.0})
+    trend_p = solve_p_of_q(0.5, 2.0, np.array(section["trend_q"], dtype=float))
+    for q, p in zip(section["trend_q"], trend_p):
+        if math.isnan(p):
+            solve_p_of_q(0.5, 2.0, q)  # raises this order's error, as a scalar call does
+    trend = [{"q": q, "p_minus_one": float(p) - 1.0} for q, p in zip(section["trend_q"], trend_p)]
     trend_ok = all(
         trend[i]["p_minus_one"] > trend[i + 1]["p_minus_one"] for i in range(len(trend) - 1)
     )

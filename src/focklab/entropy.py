@@ -36,18 +36,27 @@ def von_neumann_entropy(state) -> float:
     return float(-np.sum(vals * np.log(vals)))
 
 
-def schatten_norm(state, alpha: float) -> float:
-    """(sum of spectrum**alpha)**(1/alpha) for a positive operator, alpha > 1."""
+def _spectrum_norm(vals: np.ndarray, alpha: float) -> float:
+    """(sum of vals**alpha)**(1/alpha) of a clamped spectrum sorted descending, alpha > 1."""
     a = float(alpha)
     if a <= 1.0:
         raise DomainError(f"schatten_norm needs alpha > 1, got {a!r}")
-    vals = state_spectrum(state)
     vals = vals[vals > 0.0]
     if vals.size == 0:
         return 0.0
     # factor out the largest value to avoid overflow/underflow in the powers
     top = vals[0]
     return float(top * np.sum((vals / top) ** a) ** (1.0 / a))
+
+
+def schatten_norm(state, alpha: float) -> float:
+    """(sum of spectrum**alpha)**(1/alpha) for a positive operator, alpha > 1."""
+    return _spectrum_norm(state_spectrum(state), alpha)
+
+
+def schatten_norms(matrices: np.ndarray, alpha: float) -> list:
+    """schatten_norm of each positive matrix in a stack, from one stacked eigensolve."""
+    return [_spectrum_norm(v, alpha) for v in clamp_spectrum(hermitian_spectrum(matrices))]
 
 
 def renyi_entropy(state, alpha: float) -> float:

@@ -12,10 +12,16 @@ from typing import Dict
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, apply_channel, apply_diagonal, default_dims
-from .entropy import schatten_norm
+from .channels import (
+    ChannelKind,
+    ChannelSpec,
+    apply_channel,
+    apply_diagonal,
+    default_dims,
+    output_trace_frobenius,
+)
+from .entropy import schatten_norm, schatten_norms
 from .errors import DomainError, LemmaViolationError
-from .linalg import _require_hermitian
 from .thermal import _log_norm, _norm_args
 
 P_SOLVER_WIDTH = 1e-14
@@ -30,6 +36,14 @@ SCAN_POINTS = 2000  # coarse-scan points of scan_ratio_maximizer
 # by which a skipped output's bound must fall below the best ratio
 PROBE_TOLERANCE = 1e-6
 PROBE_KINDS = ("mixed", "pure", "diagonal")
+# trials the probe draws at a time, for one stacked input eigensolve and
+# one stacked slab product of their dense outputs
+PROBE_CHUNK = 8
+
+
+def _rows(*args):
+    """The arguments as float arrays broadcast to one shape of rows."""
+    return np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
 
 
 def _check_z(z) -> np.ndarray:
@@ -95,9 +109,9 @@ def f_partial_p(z, p):
 def amplifier_z_map(z, gain):
     """Thermal-ratio pushforward of the quantum-limited amplifier."""
     z = _check_z(z)
-    kap = float(gain)
-    if kap < 1.0:
-        raise DomainError(f"gain must be >= 1, got {kap!r}")
+    kap = np.asarray(gain, dtype=float)
+    if np.any(kap < 1.0):
+        raise DomainError(f"gain must be >= 1, got {gain!r}")
     return (z + kap - 1.0) / kap
 
 
@@ -126,50 +140,60 @@ def norm_ratio_log_derivative(z, gain, p, q):
     return (phi(z, p) - phi(zp, q)) / (1.0 - z)
 
 
-def solve_p_of_q(z_bar, gain, q) -> float:
+def solve_p_of_q(z_bar, gain, q):
     """Input order p making z_bar a stationary point of the norm ratio.
 
     Bisects phi(z_bar, p) = phi(z_bar', q) for p in (1, q), then takes a
-    secant step to polish.  Raises LemmaViolationError when no sign
-    change brackets a root.
+    secant step to polish.  Rows of (z_bar, gain, q) arrays step in
+    lockstep, each as a scalar call would, and get NaN where no sign
+    change brackets a root or phi refuses the image or the bracket; a
+    scalar call raises LemmaViolationError or DomainError instead.
     """
-    z_bar = float(z_bar)
-    if not 0.0 < z_bar < 1.0:
+    z_bar, kap, q = _rows(z_bar, gain, q)
+    if not np.all((0.0 < z_bar) & (z_bar < 1.0)):
         raise DomainError("z_bar must lie in (0, 1)")
-    q = float(q)
-    if q <= 1.0:
+    if np.any(q <= 1.0):
         raise DomainError("order q must exceed 1")
-    z_out = float(amplifier_z_map(z_bar, gain))
-    target = float(phi(z_out, q))
+    z_out = amplifier_z_map(z_bar, kap)
+    lo, hi = np.full(q.shape, 1.0 + 1e-9), q - 1e-9
+    refused = (z_out >= 1.0) | (hi < 1.0)
+    if refused.ndim == 0 and refused:
+        raise DomainError("ratio z must lie in [0, 1)" if z_out >= 1.0 else "order p must be >= 1")
+    target = phi(np.where(refused, 0.0, z_out), q)
+    hi = np.where(refused, lo, hi)
 
-    def h(p: float) -> float:
-        return float(phi(z_bar, p)) - target
+    def h(p):
+        return phi(z_bar, p) - target
 
-    lo, hi = 1.0 + 1e-9, q - 1e-9
     h_lo, h_hi = h(lo), h(hi)
-    if h_lo == 0.0:
-        return lo
-    if h_hi == 0.0:
-        return hi
-    if h_lo * h_hi > 0.0:
-        raise LemmaViolationError(
-            f"no stationary order in (1, q) at z_bar={z_bar}, gain={gain}, q={q}"
-        )
-    while hi - lo > P_SOLVER_WIDTH:
+    done = refused | (h_lo == 0.0) | (h_hi == 0.0) | (h_lo * h_hi > 0.0)
+    p = np.select([refused, h_lo == 0.0, h_hi == 0.0], [np.nan, lo, hi], np.nan)
+    active = ~done & (hi - lo > P_SOLVER_WIDTH)
+    while active.any():
         mid = 0.5 * (lo + hi)
         h_mid = h(mid)
-        if h_mid == 0.0:
-            return mid
-        if h_lo * h_mid < 0.0:
-            hi, h_hi = mid, h_mid
-        else:
-            lo, h_lo = mid, h_mid
-    p = 0.5 * (lo + hi)
+        hit = active & (h_mid == 0.0)
+        p = np.where(hit, mid, p)
+        done |= hit
+        down = active & ~hit & (h_lo * h_mid < 0.0)
+        up = active & ~hit & ~down
+        hi, h_hi = np.where(down, mid, hi), np.where(down, h_mid, h_hi)
+        lo, h_lo = np.where(up, mid, lo), np.where(up, h_mid, h_lo)
+        active = (down | up) & (hi - lo > P_SOLVER_WIDTH)
     # one secant polish using the surviving bracket endpoints
-    if h_hi != h_lo:
+    mid = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
         cand = lo - h_lo * (hi - lo) / (h_hi - h_lo)
-        if lo <= cand <= hi and abs(h(cand)) <= abs(h(p)):
-            p = cand
+    inside = (h_hi != h_lo) & (lo <= cand) & (cand <= hi)
+    cand = np.where(inside, cand, mid)
+    polished = np.where(inside & (np.abs(h(cand)) <= np.abs(h(mid))), cand, mid)
+    p = np.where(done, p, polished)
+    if p.ndim:
+        return p
+    if np.isnan(p):
+        raise LemmaViolationError(
+            f"no stationary order in (1, q) at z_bar={float(z_bar)}, gain={gain}, q={float(q)}"
+        )
     return float(p)
 
 
@@ -316,35 +340,52 @@ def verify_lemma_inequalities(grid: LemmaGridSpec) -> LemmaGridReport:
     return report
 
 
-def scan_ratio_maximizer(gain: float, p: float, q: float):
-    """Locate the interior maximizer of the thermal norm ratio in z.
+def scan_ratio_maximizer(gain, p, q):
+    """Locate the maximizer of the thermal norm ratio in z on [0, 1).
 
-    Coarse scan over an interior grid, then golden-section refinement on
-    the bracketing cell.  Returns (z_star, log_ratio_at_star).
+    Coarse scan over z = 0 and an interior grid, then golden-section
+    refinement between the neighbours of the best point.  Rows of (gain,
+    p, q) arrays refine in lockstep, and one whose grid maps onto z' = 1
+    gets NaN, where a scalar call raises DomainError.  Returns (z_star,
+    log_ratio_at_star).
     """
-    zg = np.arange(1, SCAN_POINTS + 1) / (SCAN_POINTS + 1.0)
-    vals = log_thermal_norm_ratio(zg, gain, p, q)  # checks gain, p and q
-    kap = float(gain)
-    j = int(np.argmax(vals))
-    lo = zg[j - 1] if j > 0 else zg[j] / 2.0
-    hi = zg[j + 1] if j < SCAN_POINTS - 1 else 0.5 * (zg[j] + 1.0)
+    kap, p, q = _rows(gain, p, q)
+    n = SCAN_POINTS
+    zg = np.arange(n + 1) / (n + 1.0)
+    refused = amplifier_z_map(zg[-1], kap) >= 1.0  # the image rises with z
+    if refused.ndim == 0 and refused:
+        raise DomainError("log_thermal_schatten_norm needs 0 <= z < 1")
+    if np.any(p <= 1.0) or np.any(q <= 1.0):
+        raise DomainError("log_thermal_schatten_norm needs p > 1")
+    kap = np.where(refused, 1.0, kap)
+
+    def f(z):
+        return _log_norm_ratio(z, kap, p, q)
+
+    # row by row: an (18, 2001) broadcast adds 2 MB to verify-lemma's peak
+    # RSS; the argmax j as a float keeps to the float loops the command
+    # already runs (the first int64 ufunc call maps 0.13 MB more of numpy)
+    rows = zip(kap.flat, p.flat, q.flat)
+    j = np.reshape([float(np.argmax(_log_norm_ratio(zg, *row))) for row in rows], kap.shape)
+    a = np.maximum(j - 1.0, 0.0) / (n + 1.0)  # zg[j - 1], or z = 0
+    b = np.where(j < n, (j + 1.0) / (n + 1.0), 0.5 * (zg[n] + 1.0))
     inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - inv_gold * (b - a)
     d = a + inv_gold * (b - a)
-    fc = float(_log_norm_ratio(c, kap, p, q))
-    fd = float(_log_norm_ratio(d, kap, p, q))
+    fc, fd = f(c), f(d)
     for _ in range(80):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_gold * (b - a)
-            fc = float(_log_norm_ratio(c, kap, p, q))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_gold * (b - a)
-            fd = float(_log_norm_ratio(d, kap, p, q))
-    z_star = 0.5 * (a + b)
-    return float(z_star), float(_log_norm_ratio(z_star, kap, p, q))
+        # keep [a, d] where f(c) > f(d), else [c, b]; one new point a row
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - inv_gold * (b - a), a + inv_gold * (b - a))
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    z_star = np.where(refused, np.nan, 0.5 * (a + b))
+    value = np.where(refused, np.nan, f(z_star))
+    if z_star.ndim:
+        return z_star, value
+    return float(z_star), float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +406,19 @@ class SaturationProbeReport:
     exceeded: bool
 
 
-def log_schatten_bound(m: np.ndarray, q: float) -> float:
-    """Upper bound on ln ||m||_q of a positive matrix m for 1 < q <= 2, in O(d^2).
+def log_schatten_bound(trace, frobenius, q):
+    """Upper bound on ln ||m||_q of a positive matrix m for 1 < q <= 2.
 
     The l_q norm of a spectrum interpolates between its l_1 and l_2
     norms (Lyapunov): with theta = 2/q - 1, ||x||_q <= ||x||_1**theta *
     ||x||_2**(1 - theta), and for a positive matrix ||x||_1 = tr m and
-    ||x||_2 = ||m||_F.  Rank one attains it.
+    ||x||_2 = ||m||_F (arrays of them broadcast).  Rank one attains it.
     """
     q = float(q)
     if not 1.0 < q <= 2.0:
         raise DomainError(f"the trace-Frobenius bound needs 1 < q <= 2, got {q!r}")
     theta = 2.0 / q - 1.0
-    return theta * math.log(np.trace(m).real) + (1.0 - theta) * math.log(np.linalg.norm(m))
+    return theta * np.log(trace) + (1.0 - theta) * np.log(frobenius)
 
 
 def pq_norm_saturation_probe(
@@ -392,36 +433,47 @@ def pq_norm_saturation_probe(
 
     Draws states of the PROBE_KINDS in rotation, pushes each through
     the quantum-limited amplifier, and compares the realized q-to-p norm
-    ratio against the thermal ceiling.  For 1 < q <= 2 a dense output
-    is first bounded by log_schatten_bound, and one that cannot raise the
-    best ratio skips its eigensolve; every field of the report is still
-    exact.
+    ratio against the thermal ceiling.  Per PROBE_CHUNK trials the dense
+    inputs' p-norms come from one stacked eigensolve and, for 1 < q <= 2,
+    their outputs' log_schatten_bound from one stacked slab product; in
+    trial order, an output that cannot raise the best ratio is never
+    built.  Every field of the report is still exact.
     """
     from .sampling import SamplerConfig, draw_state
 
     spec = ChannelSpec(kind=ChannelKind.AMPLIFIER, gain=float(gain))
     dims = default_dims(spec, cutoff)
     _, ceiling = scan_ratio_maximizer(gain, p, q)
+    prune = q <= 2.0
     best = -math.inf
-    for t in range(trials):
-        kind = PROBE_KINDS[t % len(PROBE_KINDS)]
-        state = draw_state(SamplerConfig(seed, cutoff, kind), t)
-        apply = apply_diagonal if kind == "diagonal" else apply_channel
-        out = apply(spec, state, dims)
-        log_in = math.log(schatten_norm(state, p))
-        if kind != "diagonal" and q <= 2.0 and best > -math.inf:
-            # The computed ratio exceeds this bound by rounding only: the
-            # eigensolver's, ~d_out * eps, and the clamp window, where
-            # clamp_spectrum zeroes eigenvalues in [NEG_EIG_CLAMP, 0) and
-            # so adds at most d_out * |NEG_EIG_CLAMP| (~1e-8 here) to the
-            # spectrum's l_1 norm over tr out >= 1 - MAX_APPLY_DEFICIT.
-            # An output below best - PROBE_TOLERANCE cannot be the best.
-            bound = log_schatten_bound(_require_hermitian(out.matrix), q) - log_in
-            if bound < best - PROBE_TOLERANCE:
-                continue
-        ratio = math.log(schatten_norm(out, q)) - log_in
-        if ratio > best:
-            best = ratio
+    for start in range(0, trials, PROBE_CHUNK):
+        chunk = range(start, min(start + PROBE_CHUNK, trials))
+        kinds = [PROBE_KINDS[t % len(PROBE_KINDS)] for t in chunk]
+        states = [draw_state(SamplerConfig(seed, cutoff, kind), t) for kind, t in zip(kinds, chunk)]
+        dense = np.array([s.matrix for s, kind in zip(states, kinds) if kind != "diagonal"])
+        if dense.size:
+            if prune:
+                bounds = iter(log_schatten_bound(*output_trace_frobenius(spec, dense, dims), q))
+            norms = iter(schatten_norms(dense, p))
+        for kind, state in zip(kinds, states):
+            if kind == "diagonal":
+                out = apply_diagonal(spec, state, dims)
+                log_in = math.log(schatten_norm(state, p))
+            else:
+                log_in = math.log(next(norms))
+                # The computed ratio exceeds this bound by rounding only: the
+                # eigensolver's and the slab product's, ~d_out * eps, and the
+                # clamp window, where
+                # clamp_spectrum zeroes eigenvalues in [NEG_EIG_CLAMP, 0) and
+                # so adds at most d_out * |NEG_EIG_CLAMP| (~1e-8 here) to the
+                # spectrum's l_1 norm over tr out >= 1 - MAX_APPLY_DEFICIT.
+                # An output below best - PROBE_TOLERANCE cannot be the best.
+                if prune and next(bounds) - log_in < best - PROBE_TOLERANCE:
+                    continue
+                out = apply_channel(spec, state, dims)
+            ratio = math.log(schatten_norm(out, q)) - log_in
+            if ratio > best:
+                best = ratio
     margin = ceiling + PROBE_TOLERANCE - best
     exceeded = best > ceiling + PROBE_TOLERANCE
     return SaturationProbeReport(

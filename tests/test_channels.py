@@ -13,6 +13,7 @@ from focklab.channels import (
     MAX_DENSE_BYTES,
     MAX_DENSE_D_OUT,
     ChannelDims,
+    ChannelMap,
     ChannelKind,
     _checked_deficit,
     _kraus_bands,
@@ -24,6 +25,7 @@ from focklab.channels import (
     apply_channel_dense,
     apply_diagonal,
     attenuator,
+    band_zero_bytes,
     beamsplitter_unitary,
     clear_caches,
     contravariant_amplifier,
@@ -31,12 +33,13 @@ from focklab.channels import (
     default_dims,
     dense_bytes,
     get_channel_map,
+    output_trace_frobenius,
     squeezer_unitary,
 )
 from focklab.entropy import trace_distance
 from focklab.errors import DomainError, ResourceLimitError, TruncationError
 from focklab.linalg import ladder, partial_trace
-from focklab.sampling import random_mixed, substream
+from focklab.sampling import random_mixed, random_pure, substream
 from focklab.states import DensityMatrix, DiagonalState
 from focklab.thermal import thermal_state, z_of_energy
 
@@ -669,3 +672,70 @@ def test_kind_enum_values():
     assert ChannelKind.AMPLIFIER.value == "amplifier"
     assert ChannelKind.ADDITIVE.value == "additive"
     assert ChannelKind.CONTRAVARIANT.value == "contravariant"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [amplifier(2.0), attenuator(0.6, 0.4), additive_noise(0.7), contravariant_amplifier(1.6, 0.3)],
+)
+@pytest.mark.parametrize("d_in", [1, 2, 7])
+def test_stacked_trace_and_frobenius_match_the_dense_outputs(spec, d_in):
+    states = [random_mixed(d_in, d_in, substream(4, i)) for i in range(3)]
+    states += [random_pure(d_in, substream(5, i)) for i in range(2)]
+    traces, norms = output_trace_frobenius(spec, np.array([s.matrix for s in states]))
+    outs = [apply_channel(spec, s).matrix for s in states]
+    assert_allclose(traces, [np.trace(o).real for o in outs], rtol=1e-14)
+    assert_allclose(norms, [np.linalg.norm(o) for o in outs], rtol=1e-14)
+
+
+def test_stacked_trace_refuses_a_lossy_output():
+    # at 3 output levels the amplifier loses most of an input's mass
+    rho = np.array([random_mixed(3, 3, substream(1, 0)).matrix])
+    with pytest.raises(TruncationError):
+        output_trace_frobenius(amplifier(3.0), rho, ChannelDims(3, 3, 3))
+
+
+def test_band_outputs_of_a_stack_are_the_per_matrix_products():
+    cmap = get_channel_map(amplifier(2.0), 6)
+    rhos = np.array([random_mixed(6, 6, substream(2, i)).matrix for i in range(4)])
+    stacked = cmap.band_outputs(rhos)
+    for rho, vout in zip(rhos, stacked):
+        assert_allclose(vout, cmap.band_outputs(rho), rtol=1e-15, atol=1e-17)
+    # a smaller input is zero-padded on its two matrix axes only
+    assert_allclose(cmap.band_outputs(rhos[:, :4, :4]), cmap.band_outputs(
+        np.pad(rhos[:, :4, :4], [(0, 0), (0, 2), (0, 2)])), atol=0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [attenuator(0.7), amplifier(2.0, 0.5), additive_noise(1.0), contravariant_amplifier(2.0, 0.5)],
+)
+@pytest.mark.parametrize("d_in, d_out", [(60, 240), (200, 300), (10, 600)])
+def test_band_zero_bytes_bounds_what_a_map_build_allocates(spec, d_in, d_out):
+    clear_caches()
+    tracemalloc.start()
+    try:
+        get_channel_map(spec, d_in, ChannelDims(d_out, d_out, d_out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    stages = {"attenuator": [(d_in, d_out)], "amplifier": [(d_in, d_in), (d_in, d_out)],
+              "additive": [(d_in, d_in), (d_in, d_out)],
+              "contravariant": [(d_in, d_out), (d_out, d_out), (d_out, d_out)]}[spec.kind.value]
+    need = band_zero_bytes(d_in, stages)
+    assert peak <= need <= 1.5 * peak
+
+
+def test_oversized_band_zero_is_refused_before_it_allocates():
+    # 20,000 input levels at transmissivity 0.5: band 0 alone is 3 GiB
+    clear_caches()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="band 0 of the 20000 -> 20000 level map"):
+            get_channel_map(attenuator(0.5), 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert peak < 2**20

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -449,6 +450,75 @@ def test_oversized_dense_channel_exits_two(tmp_path, capsys, command, payload):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("input error: ResourceLimitError:") and "exceeds limit" in err[0]
+
+
+# address-space cap of a child that runs an oversized config: it admits
+# numpy with its OpenBLAS buffers and the largest map under
+# MAX_DENSE_BYTES, and fails any band 0 of tens of GiB at once
+CHILD_ADDRESS_SPACE = 2**30
+
+TINY_CMOE = {
+    "trials_per_channel": 1,
+    "adversarial_searches": 0,
+    "cutoffs": [4],
+    "channels": [{"kind": "attenuator", "transmissivity": 0.6}],
+}
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        # an attenuator band 0 of 322,379 x 322,379 levels (774 GiB of int64)
+        ("verify-thermal-laws", {"thermal": {"input_energies": [1e4]}}),
+        # 2 -> 32,236,176 levels, after a lgamma table of as many floats
+        ("verify-thermal-laws", {"thermal": {"gains": [1e6]}}),
+        # 30 -> 3,223,665 levels (738 MiB of int64)
+        ("verify-thermal-laws", {"thermal": {"env_energies": [1e5]}}),
+        # the equality rows walk the same grid at cmoe.equality_input_energies
+        ("verify-cmoe", {"cmoe": dict(TINY_CMOE, equality_input_energies=[1e4])}),
+        ("verify-cmoe", {"thermal": {"gains": [1e6]}, "cmoe": TINY_CMOE}),
+        ("verify-cmoe", {"thermal": {"env_energies": [1e5]}, "cmoe": TINY_CMOE}),
+    ],
+    ids=["input-energy", "gain", "env-energy", "cmoe-input-energy", "cmoe-gain", "cmoe-env-energy"],
+)
+def test_oversized_band_zero_exits_two_before_it_allocates(tmp_path, command, payload):
+    # each config runs in a child under an address-space cap and a
+    # timeout, so a build that does allocate fails there and not here
+    cfg = write_config(tmp_path, payload)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "focklab.cli", command, "--config", cfg, "--out", str(tmp_path / "r")],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    err = proc.stderr.strip().splitlines()
+    assert proc.returncode == EXIT_CONFIG, proc.stderr[-2000:]
+    assert len(err) == 1
+    assert err[0].startswith("input error: ResourceLimitError: band 0 of the ")
+    assert err[0].endswith(" exceeds limit 512 MiB")
+
+
+def test_probe_ceiling_reaches_the_vacuum_near_gain_one(tmp_path, capsys):
+    # at gain 1 + 1e-7 the thermal ratio is largest at z = 0 (-9.97e-8);
+    # a ceiling scanned from z = 1/2001 on read -2.96e-5, below the best
+    # random trial (-8.04e-7), and the probe failed a claim that holds
+    payload = {"lemma": dict(SMALL_LEMMA["lemma"], probe_gain=1.0000001)}
+    for key in ("probe_cutoff", "probe_trials"):
+        del payload["lemma"][key]
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "r"
+    assert main(["verify-lemma", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    probe = json.loads((out / LEMMA_SUMMARY).read_text())["probe"]
+    assert probe["thermal_log_ceiling"] >= focklab.lemma.log_thermal_norm_ratio(0.0, 1.0000001, 1.2, 1.35)
+    assert probe["best_trial_log_ratio"] < probe["thermal_log_ceiling"]
 
 
 def test_dense_probe_over_the_byte_limit_exits_two(tmp_path, capsys):

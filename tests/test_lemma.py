@@ -13,11 +13,14 @@ from focklab.cli import DEFAULT_CONFIG
 from focklab.lemma import (
     FD_STEP,
     FD_TOL,
+    P_SOLVER_WIDTH,
+    PROBE_CHUNK,
     PROBE_KINDS,
     PROBE_TOLERANCE,
     LemmaGridReport,
     LemmaGridSpec,
     SaturationProbeReport,
+    _log_norm_ratio,
     _one_minus_pow,
     amplifier_z_map,
     f_func,
@@ -294,7 +297,7 @@ def test_norm_ratio_and_scan_reject_bad_arguments():
             scan_ratio_maximizer(gain, p, q)
     for q in (1.0, 2.5):  # the trace-Frobenius bound fails above q = 2
         with pytest.raises(DomainError):
-            log_schatten_bound(np.eye(2) / 2.0, q)
+            log_schatten_bound(1.0, math.sqrt(0.5), q)  # tr and ||.||_F of eye(2)/2
 
 
 def test_scan_value_is_the_checked_ratio_at_its_maximizer():
@@ -471,8 +474,26 @@ def _probe_unpruned(gain, p, q, cutoff, trials, seed):
         (2.0, 1.2, 1.35, 1, 30, 5),
         (2.0, 1.2, 1.35, 2, 30, 5),
         (2.0, 1.2, 1.35, 24, 1, 3),
+        (2.0, 1.2, 1.35, 12, PROBE_CHUNK - 1, 8),
+        (2.0, 1.2, 1.35, 12, PROBE_CHUNK, 8),
+        (2.0, 1.2, 1.35, 12, PROBE_CHUNK + 1, 8),
+        (2.0, 1.2, 1.35, 12, 2 * PROBE_CHUNK + 1, 8),
+        (2.0, 1.2, 3.0, 12, 2 * PROBE_CHUNK + 1, 8),
     ],
-    ids=["default", "pure-best", "q-two", "q-three", "cutoff-1", "cutoff-2", "one-trial"],
+    ids=[
+        "default",
+        "pure-best",
+        "q-two",
+        "q-three",
+        "cutoff-1",
+        "cutoff-2",
+        "one-trial",
+        "chunk-minus-one",
+        "one-chunk",
+        "chunk-plus-one",
+        "two-chunks-plus-one",
+        "q-three-two-chunks-plus-one",
+    ],
 )
 def test_pruned_probe_equals_the_unpruned_loop(args):
     assert pq_norm_saturation_probe(*args) == _probe_unpruned(*args)
@@ -492,3 +513,179 @@ def test_probe_skips_almost_every_output_eigensolve(monkeypatch):
     monkeypatch.setattr(focklab.entropy, "hermitian_spectrum", counted)
     pq_norm_saturation_probe(2.0, 1.2, 1.35, 24, 500, seed=DEFAULT_CONFIG["seed"])
     assert 1 <= dims.count(d_out) <= 5
+
+
+# ---------------------------------------------------------------------------
+# the scalar order solver and maximizer scan, kept as the oracle for the
+# lockstep array forms
+# ---------------------------------------------------------------------------
+
+
+def _solve_scalar(z_bar, gain, q):
+    z_bar = float(z_bar)
+    if not 0.0 < z_bar < 1.0:
+        raise DomainError("z_bar must lie in (0, 1)")
+    q = float(q)
+    if q <= 1.0:
+        raise DomainError("order q must exceed 1")
+    z_out = float(amplifier_z_map(z_bar, gain))
+    target = float(phi(z_out, q))
+
+    def h(p):
+        return float(phi(z_bar, p)) - target
+
+    lo, hi = 1.0 + 1e-9, q - 1e-9
+    h_lo, h_hi = h(lo), h(hi)
+    if h_lo == 0.0:
+        return lo
+    if h_hi == 0.0:
+        return hi
+    if h_lo * h_hi > 0.0:
+        raise LemmaViolationError("no bracket")
+    while hi - lo > P_SOLVER_WIDTH:
+        mid = 0.5 * (lo + hi)
+        h_mid = h(mid)
+        if h_mid == 0.0:
+            return mid
+        if h_lo * h_mid < 0.0:
+            hi, h_hi = mid, h_mid
+        else:
+            lo, h_lo = mid, h_mid
+    p = 0.5 * (lo + hi)
+    if h_hi != h_lo:
+        cand = lo - h_lo * (hi - lo) / (h_hi - h_lo)
+        if lo <= cand <= hi and abs(h(cand)) <= abs(h(p)):
+            p = cand
+    return float(p)
+
+
+def _scan_scalar(gain, p, q):
+    """(z_star, value, coarse argmax index) of the interior-only scan."""
+    n = 2000
+    zg = np.arange(1, n + 1) / (n + 1.0)
+    vals = log_thermal_norm_ratio(zg, gain, p, q)
+    kap = float(gain)
+    j = int(np.argmax(vals))
+    lo = zg[j - 1] if j > 0 else zg[j] / 2.0
+    hi = zg[j + 1] if j < n - 1 else 0.5 * (zg[j] + 1.0)
+    inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_gold * (b - a)
+    d = a + inv_gold * (b - a)
+    fc = float(_log_norm_ratio(c, kap, p, q))
+    fd = float(_log_norm_ratio(d, kap, p, q))
+    for _ in range(80):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_gold * (b - a)
+            fc = float(_log_norm_ratio(c, kap, p, q))
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_gold * (b - a)
+            fd = float(_log_norm_ratio(d, kap, p, q))
+    z_star = 0.5 * (a + b)
+    return float(z_star), float(_log_norm_ratio(z_star, kap, p, q)), j
+
+
+def _solved_by_scalar(rows):
+    out = []
+    for z_bar, gain, q in rows:
+        try:
+            out.append(_solve_scalar(z_bar, gain, q))
+        except LemmaViolationError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+def _default_rows(*qs):
+    lemma = DEFAULT_CONFIG["lemma"]
+    qs = qs or (lemma["solver_q"],)
+    return [
+        (z, g, q)
+        for q_list in qs
+        for z in lemma["solver_z"]
+        for g in lemma["solver_gains"]
+        for q in q_list
+    ]
+
+
+def _random_rows(count, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0.01, 0.99, count)
+    gain = 1.0 + rng.uniform(1e-3, 4.0, count)
+    q = 1.0 + rng.uniform(1e-3, 1.5, count)
+    return list(zip(z, gain, q))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        _default_rows(),
+        [(0.5, 2.0, q) for q in DEFAULT_CONFIG["lemma"]["trend_q"]],
+        _default_rows(DEFAULT_CONFIG["lemma"]["exploratory_q"], [3.0, 10.0]),
+        _random_rows(300, 1),
+        [(0.5, 1.0, 1.3), (0.999, 1.0000001, 1.3), (0.5, 2.0, 1.3)],  # rows without a bracket
+    ],
+    ids=["default-rows", "trend", "exploratory", "random", "no-bracket"],
+)
+def test_lockstep_solver_equals_the_scalar_loop(rows):
+    z_bar, gain, q = (np.array(col) for col in zip(*rows))
+    expected = _solved_by_scalar(rows)
+    assert_equal(solve_p_of_q(z_bar, gain, q), expected)
+    # the scalar form is the array code on one row
+    for row, p in zip(rows, expected):
+        if math.isnan(p):
+            with pytest.raises(LemmaViolationError):
+                solve_p_of_q(*row)
+        else:
+            assert solve_p_of_q(*row) == p
+
+
+def test_no_bracket_rows_stay_nan_in_a_batch():
+    p = solve_p_of_q(np.array([0.5, 0.5, 0.5]), np.array([2.0, 1.0, 2.0]), np.array([1.3, 1.3, 1.1]))
+    assert math.isnan(p[1]) and 1.0 < p[0] < 1.3 and 1.0 < p[2] < 1.1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        _default_rows(),
+        _default_rows(DEFAULT_CONFIG["lemma"]["exploratory_q"]),
+        _random_rows(300, 2),
+    ],
+    ids=["default-rows", "exploratory", "random"],
+)
+def test_lockstep_scan_equals_the_scalar_scan_at_interior_maxima(rows):
+    # the scalar scan refined on [z_1/2, z_2] when its argmax was the first
+    # interior point; the array scan also scans z = 0, so it agrees wherever
+    # the scalar argmax is past that point
+    p = solve_p_of_q(*(np.array(col) for col in zip(*rows)))
+    solved = [(g, pp, q) for (_, g, q), pp in zip(rows, p) if not math.isnan(pp)]
+    oracle = [_scan_scalar(*row) for row in solved]
+    keep = [i for i, (_, _, j) in enumerate(oracle) if j > 0]
+    assert len(keep) >= 0.9 * len(rows)
+    gain, pp, q = (np.array([solved[i][k] for i in keep]) for k in range(3))
+    z_star, value = scan_ratio_maximizer(gain, pp, q)
+    assert_equal(z_star, [oracle[i][0] for i in keep])
+    assert_equal(value, [oracle[i][1] for i in keep])
+    assert scan_ratio_maximizer(gain[0], pp[0], q[0]) == (oracle[keep[0]][0], oracle[keep[0]][1])
+
+
+@pytest.mark.parametrize("gain", [1.0, 1.0000001, 1.001])
+def test_scan_finds_a_supremum_at_z_zero(gain):
+    # near gain 1 the ratio is largest at the vacuum, z = 0; the scan must
+    # not report less than the ratio there
+    p, q = 1.2, 1.35
+    at_zero = log_thermal_norm_ratio(0.0, gain, p, q)
+    z_star, ceiling = scan_ratio_maximizer(gain, p, q)
+    assert 0.0 <= z_star < 1.0 / 2001.0
+    assert ceiling >= at_zero - 1e-15
+    # the interior-only scan stopped short of it
+    assert _scan_scalar(gain, p, q)[1] < at_zero - 1e-10 or gain == 1.0
+
+
+def test_scan_row_whose_grid_maps_onto_one_is_nan():
+    z_star, value = scan_ratio_maximizer(np.array([2.0, 1e17]), 1.2, 1.35)
+    assert not math.isnan(z_star[0]) and math.isnan(z_star[1]) and math.isnan(value[1])
+    with pytest.raises(DomainError):
+        scan_ratio_maximizer(1e17, 1.2, 1.35)

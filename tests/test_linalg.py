@@ -94,6 +94,25 @@ def test_hermiticity_tolerance_edges(scale):
         hermitian_spectrum(m)
 
 
+def test_stacked_spectrum_equals_per_matrix_calls():
+    from focklab.sampling import random_mixed, random_pure, substream
+
+    mats = [random_mixed(12, 12, substream(5, i)).matrix for i in range(6)]
+    mats += [random_pure(12, substream(6, i)).matrix for i in range(5)]
+    stack = np.array(mats)
+    np.testing.assert_equal(hermitian_spectrum(stack), [hermitian_spectrum(m) for m in mats])
+    np.testing.assert_equal(hermitian_spectrum(stack[:1]), hermitian_spectrum(stack[0])[None])
+
+
+def test_stack_with_one_non_hermitian_matrix_is_refused():
+    stack = np.array([np.eye(3, dtype=complex)] * 4)
+    stack[2, 0, 1] = 1e-6
+    with pytest.raises(NonHermitianError, match="1.000e-06"):
+        hermitian_spectrum(stack)
+    with pytest.raises(InvalidDimensionError):
+        hermitian_spectrum(np.zeros((2, 3, 4), dtype=complex))
+
+
 def test_eigh_reconstructs_matrix():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

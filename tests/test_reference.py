@@ -55,3 +55,10 @@ def test_workload_matches_benchmark_reference(tmp_path, workload, argv, config, 
     table = gate.read_csv(str(out / csv_name))
     reference = gate.read_csv(gate.reference_path(workload, SEED, seeded))
     assert gate.compare_to_reference(table, reference) == []
+
+
+def test_gate_self_test_passes(capsys):
+    # the gate must still fail a flipped verdict, a gap moved by 1e-9 and
+    # a dropped row; a loosened gate fails here
+    assert gate.self_test()
+    assert capsys.readouterr().out.splitlines()[-1] == "gate self-test OK"
