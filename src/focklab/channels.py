@@ -17,10 +17,10 @@ the stage bands:
 - noisy contravariant (kappa, e): contravariant(kappa, 0) then additive kappa*e.
 
 The two-mode dilations (beamsplitter for the attenuator, two-mode
-squeezer for both amplifiers, with a thermal environment) are kept as
-the independent reference: apply_channel_dense evaluates
-Tr_other[U (rho (x) env) U+] from the conserved-quantity blocks of U and
-is never used to build a map.
+squeezer for both amplifiers, with a thermal environment) are the tests'
+independent oracle, in tests/dilation.py; no map is built from them.
+ChannelDims keeps the d_sys and d_env that oracle reads, and that
+perfbench/spans.py reads on every map build.
 """
 
 import functools
@@ -29,16 +29,15 @@ import math
 import numbers
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, TruncationError
-from .linalg import check_joint_dim
 from .states import DensityMatrix, DiagonalState
-from .thermal import thermal_state, thermal_tail_cutoff
+from .thermal import thermal_tail_cutoff
 
 # Tail mass allowed past the default amplifier output cutoff for the
 # worst-case input level; the realized leakage is recorded in the output
@@ -183,139 +182,6 @@ def decompose(spec: ChannelSpec) -> tuple:
         scale = (1.0 - 1.0 / kap) * e + 1.0
         return 1.0 / scale, kap * scale
     raise DomainError(f"no quantum-limited decomposition for kind {spec.kind.value!r}")
-
-
-# ---------------------------------------------------------------------------
-# dilation unitaries, block-factored over the conserved quantity
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DilationBlock:
-    """One conserved-quantity block in environment coordinates.
-
-    Member with local index t has environment level env_lo + t; the
-    system level is (cls - env) for the beamsplitter and (cls + env)
-    for the squeezer.
-    """
-
-    cls: int
-    env_lo: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class DilationUnitary:
-    """Two-mode coupling unitary, stored block-factored.
-
-    classes maps each conserved quantity to (env_lo, superdiagonal) of
-    its generator block; block(cls) exponentiates one on first request.
-    """
-
-    generator: str  # "beamsplitter" | "squeezer"
-    parameter: float  # transmissivity or gain
-    d_sys: int
-    d_env: int
-    classes: dict
-    _built: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def _sys_level(self, cls: int, env: int) -> int:
-        if self.generator == "beamsplitter":
-            return cls - env
-        return cls + env
-
-    def block(self, cls: int) -> DilationBlock:
-        got = self._built.get(cls)
-        if got is None:
-            lo, sup = self.classes[cls]
-            got = self._built.setdefault(cls, DilationBlock(cls, lo, _expm_block(sup)))
-        return got
-
-    @property
-    def blocks(self) -> tuple:
-        return tuple(self.block(cls) for cls in self.classes)
-
-    def dense(self) -> np.ndarray:
-        """Materialize the joint matrix (system-major); guarded by size limit."""
-        joint = check_joint_dim(self.d_sys, self.d_env)
-        u = np.zeros((joint, joint), dtype=complex)
-        for blk in self.blocks:
-            n = blk.matrix.shape[0]
-            env = blk.env_lo + np.arange(n)
-            sys = np.array([self._sys_level(blk.cls, j) for j in env])
-            idx = sys * self.d_env + env
-            u[np.ix_(idx, idx)] = blk.matrix
-        return u
-
-    def block_unitarity_defect(self) -> float:
-        worst = 0.0
-        for blk in self.blocks:
-            m = blk.matrix
-            defect = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-            worst = max(worst, defect)
-        return worst
-
-
-_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
-
-
-def _expm_block(sup) -> np.ndarray:
-    """exp(G), G real tridiagonal with superdiagonal sup, subdiagonal -sup.
-
-    iG is Hermitian, and with D = diag(i^k) the matrix T = D+ (iG) D is
-    real symmetric tridiagonal with off-diagonal -sup, so
-    exp(G) = D exp(-iT) D+ from one symmetric eigensolve.
-    """
-    n = len(sup) + 1
-    if n == 1:
-        return np.ones((1, 1))
-    off = -np.asarray(sup)
-    lam, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    phase = _I_POWERS[np.arange(n) % 4]
-    rotated = (vecs * np.exp(-1j * lam)) @ vecs.T
-    return np.ascontiguousarray((phase[:, None] * rotated * phase.conj()[None, :]).real)
-
-
-def beamsplitter_unitary(transmissivity: float, d_sys: int, d_env: int) -> DilationUnitary:
-    """exp(theta (a+ b - a b+)) with theta = arccos(sqrt(transmissivity)).
-
-    Conserves total photon number; block `cls` couples |cls - j, j>.
-    """
-    lam = float(transmissivity)
-    if not 0.0 < lam <= 1.0:
-        raise DomainError(f"transmissivity must be in (0, 1], got {lam!r}")
-    if d_sys < 1 or d_env < 1:
-        raise DomainError(f"need d_sys, d_env >= 1, got {d_sys}, {d_env}")
-    theta = math.acos(math.sqrt(lam))
-    classes = {}
-    for s in range(d_sys + d_env - 1):
-        lo = max(0, s - d_sys + 1)
-        j = np.arange(lo + 1, min(d_env - 1, s) + 1)
-        # raising the env index j -> j from j-1 couples via a+ b with
-        # weight sqrt((s - j + 1) * j); sign fixed by the generator order
-        classes[s] = (lo, theta * np.sqrt((s - j + 1.0) * j))
-    return DilationUnitary("beamsplitter", lam, d_sys, d_env, classes)
-
-
-def squeezer_unitary(gain: float, d_sys: int, d_env: int) -> DilationUnitary:
-    """exp(r (a+ b+ - a b)) with r = arccosh(sqrt(gain)).
-
-    Conserves the photon-number difference; block `cls` couples |cls + j, j>.
-    """
-    kap = float(gain)
-    if kap < 1.0:
-        raise DomainError(f"gain must be >= 1, got {kap!r}")
-    if d_sys < 1 or d_env < 1:
-        raise DomainError(f"need d_sys, d_env >= 1, got {d_sys}, {d_env}")
-    r = math.acosh(math.sqrt(kap))
-    classes = {}
-    for delta in range(-(d_env - 1), d_sys):
-        lo = max(0, -delta)
-        j = np.arange(lo, min(d_env - 1, d_sys - 1 - delta))
-        # a b lowers both modes; entry above the diagonal in env order is
-        # -r sqrt((j + delta + 1)(j + 1)) from <j| a b |j+1>
-        classes[delta] = (lo, -r * np.sqrt((j + delta + 1.0) * (j + 1.0)))
-    return DilationUnitary("squeezer", kap, d_sys, d_env, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +389,10 @@ def _stages(spec: ChannelSpec) -> list:
 
 @dataclass(frozen=True)
 class ChannelDims:
-    """Output cutoff d_out of a map; d_sys, d_env size the dilation reference."""
+    """Output cutoff d_out of a map; no map reads d_sys or d_env.
+
+    They size the dilation oracle in tests/dilation.py, and perfbench/spans.py reads d_sys.
+    """
 
     d_sys: int
     d_env: int
@@ -562,10 +431,10 @@ def _negative_binomial_span(successes: int, inv_gain: float, tail: float) -> int
 def default_dims(spec: ChannelSpec, d_in: int) -> ChannelDims:
     """Output cutoff for an arbitrary input supported on d_in levels.
 
-    d_sys and d_env equal d_out and size only the dilation reference;
-    the beamsplitter conserves total photon number, so the attenuator's
-    reference is then exact up to its environment tail.  Memoized per
-    (spec, d_in); clear_caches() empties the memo.
+    d_sys and d_env equal d_out, for the readers ChannelDims names; the
+    beamsplitter conserves total photon number, so the attenuator's
+    dilation oracle is then exact up to its environment tail.  Memoized
+    per (spec, d_in); clear_caches() empties the memo.
     """
     if d_in < 1:
         raise DomainError(f"d_in must be >= 1, got {d_in}")
@@ -593,7 +462,6 @@ def clear_caches() -> None:
     with _cache_lock:
         _map_cache.clear()
     default_dims.cache_clear()
-    _reference_dilation.cache_clear()
 
 
 def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = None) -> ChannelMap:
@@ -702,78 +570,3 @@ def apply_diagonal(
     cmap = get_channel_map(spec, max(state.dim, 1), dims)
     probs = cmap.apply_probs(state.probs)
     return DiagonalState(probs, _checked_deficit(float(probs.sum())))
-
-
-# ---------------------------------------------------------------------------
-# dilation reference
-# ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=2)
-def _reference_dilation(generator: str, parameter: float, d_sys: int, d_env: int):
-    build = beamsplitter_unitary if generator == "beamsplitter" else squeezer_unitary
-    return build(parameter, d_sys, d_env)
-
-
-def _columns_reduced(unitary: DilationUnitary, rho: np.ndarray, j: int, keep: str) -> np.ndarray:
-    """Tr_other[U (rho (x) |j><j|) U+] from the block columns U|a, j>.
-
-    Column U|a, j> lies in the single block of its conserved quantity.
-    Entries of two columns that share a level of the traced mode meet in
-    the kept mode at their own levels, so the partial trace is a
-    scatter-add over (a, b, traced level).
-    """
-    n = rho.shape[0]
-    d_keep = unitary.d_sys if keep == "sys" else unitary.d_env
-    d_traced = unitary.d_env if keep == "sys" else unitary.d_sys
-    kept = np.zeros((n, d_traced), dtype=np.intp)
-    amps = np.zeros((n, d_traced))
-    for a in range(n):
-        blk = unitary.block(a + j if unitary.generator == "beamsplitter" else a - j)
-        env = blk.env_lo + np.arange(blk.matrix.shape[0])
-        sys_lv = unitary._sys_level(blk.cls, env)
-        col = blk.matrix[:, j - blk.env_lo]
-        if keep == "sys":
-            kept[a, env], amps[a, env] = sys_lv, col
-        else:
-            kept[a, sys_lv], amps[a, sys_lv] = env, col
-    idx = (kept[:, None, :] * d_keep + kept[None, :, :]).ravel()
-    weights = (rho[:, :, None] * (amps[:, None, :] * amps[None, :, :])).ravel()
-    size = d_keep * d_keep
-    flat = np.bincount(idx, weights.real, size) + 1j * np.bincount(idx, weights.imag, size)
-    return flat.reshape(d_keep, d_keep)
-
-
-def apply_channel_dense(
-    spec: ChannelSpec,
-    rho: DensityMatrix,
-    dims: Optional[ChannelDims] = None,
-) -> DensityMatrix:
-    """Reference path: the channel's own dilation with a thermal environment.
-
-    Evaluates sum_j p_j Tr_other[U (rho (x) |j><j|) U+] column by column,
-    never forming the d_sys*d_env joint matrix.  Its cost is one block
-    expm per dilation, so it serves as the independent cross-check of
-    the closed-form maps, not as a production path.  Additive noise has
-    no single-mode-environment dilation: it runs the attenuator
-    reference at default dims, then the amplifier reference at `dims`.
-    """
-    if spec.kind == ChannelKind.ADDITIVE:
-        e = spec.env_energy
-        mid = apply_channel_dense(attenuator(1.0 / (e + 1.0)), rho)
-        return apply_channel_dense(amplifier(e + 1.0), mid, dims)
-    if dims is None:
-        dims = default_dims(spec, rho.dim)
-    if rho.dim > dims.d_sys:
-        raise DomainError(f"input dim {rho.dim} exceeds dilation system dim {dims.d_sys}")
-    generator = "beamsplitter" if spec.kind == ChannelKind.ATTENUATOR else "squeezer"
-    unitary = _reference_dilation(generator, spec.parameter, dims.d_sys, dims.d_env)
-    keep = "env" if spec.kind == ChannelKind.CONTRAVARIANT else "sys"
-    env = thermal_state(spec.env_energy, dims.d_env)
-    reduced = sum(
-        p * _columns_reduced(unitary, rho.matrix, j, keep)
-        for j, p in enumerate(env.probs)
-        if p > 0.0
-    )
-    out = reduced[: dims.d_out, : dims.d_out]
-    return DensityMatrix(out, _checked_deficit(float(np.trace(out).real)))

@@ -705,9 +705,6 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
     write_csv(os.path.join(out_dir, LEMMA_CSV), LEMMA_COLUMNS, solver_rows)
 
     trend_p = solve_p_of_q(0.5, 2.0, np.array(section["trend_q"], dtype=float))
-    for q, p in zip(section["trend_q"], trend_p):
-        if math.isnan(p):
-            solve_p_of_q(0.5, 2.0, q)  # raises this order's error, as a scalar call does
     trend = [{"q": q, "p_minus_one": float(p) - 1.0} for q, p in zip(section["trend_q"], trend_p)]
     trend_ok = all(
         trend[i]["p_minus_one"] > trend[i + 1]["p_minus_one"] for i in range(len(trend) - 1)

@@ -14,7 +14,7 @@ class DimensionMismatchError(FockLabError, ValueError):
 
 
 class ResourceLimitError(FockLabError):
-    """A dense joint object would exceed the configured size limit."""
+    """A channel map would exceed MAX_DENSE_BYTES or MAX_DENSE_D_OUT of focklab.channels."""
 
 
 class NonHermitianError(FockLabError, ValueError):

@@ -17,7 +17,6 @@ from .channels import (
     ChannelSpec,
     apply_channel,
     apply_diagonal,
-    default_dims,
     output_trace_frobenius,
 )
 from .entropy import schatten_norm, schatten_norms
@@ -442,7 +441,6 @@ def pq_norm_saturation_probe(
     from .sampling import SamplerConfig, draw_state
 
     spec = ChannelSpec(kind=ChannelKind.AMPLIFIER, gain=float(gain))
-    dims = default_dims(spec, cutoff)
     _, ceiling = scan_ratio_maximizer(gain, p, q)
     prune = q <= 2.0
     best = -math.inf
@@ -453,11 +451,11 @@ def pq_norm_saturation_probe(
         dense = np.array([s.matrix for s, kind in zip(states, kinds) if kind != "diagonal"])
         if dense.size:
             if prune:
-                bounds = iter(log_schatten_bound(*output_trace_frobenius(spec, dense, dims), q))
+                bounds = iter(log_schatten_bound(*output_trace_frobenius(spec, dense), q))
             norms = iter(schatten_norms(dense, p))
         for kind, state in zip(kinds, states):
             if kind == "diagonal":
-                out = apply_diagonal(spec, state, dims)
+                out = apply_diagonal(spec, state)
                 log_in = math.log(schatten_norm(state, p))
             else:
                 log_in = math.log(next(norms))
@@ -470,7 +468,7 @@ def pq_norm_saturation_probe(
                 # An output below best - PROBE_TOLERANCE cannot be the best.
                 if prune and next(bounds) - log_in < best - PROBE_TOLERANCE:
                     continue
-                out = apply_channel(spec, state, dims)
+                out = apply_channel(spec, state)
             ratio = math.log(schatten_norm(out, q)) - log_in
             if ratio > best:
                 best = ratio

@@ -1,8 +1,7 @@
 """Dense linear algebra for truncated Fock space.
 
-Conventions: the annihilation operator has <n-1|a|n> = sqrt(n); composite
-indices are system-major, (m, j) -> m * d_env + j for system level m and
-environment level j.  Dense joint objects are refused above MAX_JOINT_DIM.
+Hermitian eigensolves, scipy's compiled expm kernel loaded without the
+scipy package, and a scope that runs every loaded OpenBLAS on one thread.
 """
 
 import contextlib
@@ -14,17 +13,8 @@ import threading
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EigensolverError,
-    InvalidDimensionError,
-    NonHermitianError,
-    ResourceLimitError,
-)
+from .errors import EigensolverError, InvalidDimensionError, NonHermitianError
 from .states import HERMITICITY_TOL
-
-# Largest dense joint dimension we will materialize (e.g. 128 x 128 modes).
-MAX_JOINT_DIM = 16384
 
 # thread-count getter and setter of each OpenBLAS build: scipy-openblas
 # wheels prefix the symbols, and 64-bit-integer builds add a suffix
@@ -39,40 +29,6 @@ OPENBLAS_THREAD_SYMBOLS = tuple(
 _blas_lock = threading.Lock()
 _blas_depth = 0
 _blas_saved = {}
-
-
-def ladder(cutoff: int) -> np.ndarray:
-    """Annihilation operator truncated to `cutoff` Fock levels."""
-    if cutoff < 2:
-        raise InvalidDimensionError(f"ladder needs cutoff >= 2, got {cutoff}")
-    a = np.zeros((cutoff, cutoff), dtype=complex)
-    n = np.arange(1, cutoff)
-    a[n - 1, n] = np.sqrt(n)
-    return a
-
-
-def check_joint_dim(d_sys: int, d_env: int) -> int:
-    joint = d_sys * d_env
-    if joint > MAX_JOINT_DIM:
-        raise ResourceLimitError(
-            f"dense joint dimension {d_sys}*{d_env}={joint} exceeds limit {MAX_JOINT_DIM}"
-        )
-    return joint
-
-
-def partial_trace(joint: np.ndarray, d_sys: int, d_env: int, keep: str = "sys") -> np.ndarray:
-    """Trace out one factor of a (d_sys*d_env)-dimensional joint matrix."""
-    joint = np.asarray(joint, dtype=complex)
-    if joint.shape != (d_sys * d_env, d_sys * d_env):
-        raise DimensionMismatchError(
-            f"joint shape {joint.shape} incompatible with {d_sys}x{d_env} factors"
-        )
-    t = joint.reshape(d_sys, d_env, d_sys, d_env)
-    if keep == "sys":
-        return np.einsum("ijkj->ik", t)
-    if keep == "env":
-        return np.einsum("ijil->jl", t)
-    raise DimensionMismatchError(f"keep must be 'sys' or 'env', got {keep!r}")
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import pytest
 from focklab.channels import (
     amplifier,
     apply_channel,
-    apply_channel_dense,
     attenuator,
     decompose,
 )
@@ -40,6 +39,8 @@ from focklab.lemma import (
 )
 from focklab.sampling import random_mixed, substream
 from focklab.thermal import log_thermal_schatten_norm, thermal_state, thermal_tail_cutoff
+
+from dilation import apply_channel_dense
 
 SEED = DEFAULT_CONFIG["seed"]
 API_STREAM_BASE = 1_000_000  # disjoint from the command-line trial streams

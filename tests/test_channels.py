@@ -18,15 +18,12 @@ from focklab.channels import (
     _checked_deficit,
     _kraus_bands,
     _negative_binomial_span,
-    _reference_dilation,
     additive_noise,
     amplifier,
     apply_channel,
-    apply_channel_dense,
     apply_diagonal,
     attenuator,
     band_zero_bytes,
-    beamsplitter_unitary,
     clear_caches,
     contravariant_amplifier,
     decompose,
@@ -34,14 +31,21 @@ from focklab.channels import (
     dense_bytes,
     get_channel_map,
     output_trace_frobenius,
-    squeezer_unitary,
 )
 from focklab.entropy import trace_distance
 from focklab.errors import DomainError, ResourceLimitError, TruncationError
-from focklab.linalg import ladder, partial_trace
 from focklab.sampling import random_mixed, random_pure, substream
 from focklab.states import DensityMatrix, DiagonalState
 from focklab.thermal import thermal_state, z_of_energy
+
+from dilation import (
+    _reference_dilation,
+    apply_channel_dense,
+    beamsplitter_unitary,
+    ladder,
+    partial_trace,
+    squeezer_unitary,
+)
 
 
 def _expm_taylor(m):
@@ -645,6 +649,7 @@ def test_dilation_builds_only_the_blocks_it_reads():
     rho = random_mixed(4, 4, substream(114, 0))
     d_out = default_dims(spec, 4).d_out
     d = d_out + 10
+    _reference_dilation.cache_clear()
     apply_channel_dense(spec, rho, ChannelDims(d, d, d_out))
     read = _reference_dilation("squeezer", spec.gain, d, d)._built
     full = {blk.cls: blk for blk in squeezer_unitary(spec.gain, d, d).blocks}

@@ -417,16 +417,14 @@ def test_cmoe_small_cutoff_warms_caches_without_probe(tmp_path):
     assert {r[4] for r in rows[1:] if r[0] == "random"} == {"4"}
 
 
-def test_library_error_from_bad_input_exits_two(tmp_path, capsys):
+def test_trend_order_next_to_one_fails_the_claim(tmp_path, capsys):
     # q passes the config's q > 1 rule, but the solver's bracket
-    # (1 + 1e-9, q - 1e-9) is empty there
+    # (1 + 1e-9, q - 1e-9) is empty there: p - 1 is NaN, not an input error
     payload = {"lemma": dict(SMALL_LEMMA["lemma"], trend_q=[1.1, 1.000000000001])}
-    cfg = write_config(tmp_path, payload)
-    code = main(["verify-lemma", "--config", cfg, "--out", str(tmp_path / "r")])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "DomainError" in err
-    assert len(err.strip().splitlines()) == 1
+    code, summary, err = _lemma_failure(tmp_path, capsys, payload)
+    assert code == EXIT_CLAIM_FAILED
+    assert summary["trend_ok"] is False
+    assert err == ["FAIL p-1 does not decrease along trend_q=[1.1, 1.000000000001]"]
 
 
 @pytest.mark.parametrize(
@@ -712,9 +710,10 @@ def test_pool_workers_inherit_one_blas_thread(blas_controls):
 
 
 def _run_script(script, *args):
-    """Run a Python script in a fresh interpreter on this focklab; its stdout as JSON."""
+    """Run a Python script in a fresh interpreter on this focklab and tests/; its stdout as JSON."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    paths = [src, os.path.dirname(os.path.abspath(__file__)), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
         [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300
     )
@@ -726,8 +725,9 @@ SCIPY_GUARD = r"""
 import json, sys
 import numpy as np
 import focklab, focklab.cli
-from focklab.channels import apply_channel, apply_channel_dense, attenuator
+from focklab.channels import apply_channel, attenuator
 from focklab.sampling import random_mixed, substream
+from dilation import apply_channel_dense
 
 loaded = {"import": "scipy" in sys.modules}
 for name, argv in json.loads(sys.argv[1]):

@@ -13,14 +13,9 @@ from focklab.errors import (
     NonHermitianError,
     ResourceLimitError,
 )
-from focklab.linalg import (
-    _single_blas_thread,
-    check_joint_dim,
-    hermitian_eigh,
-    hermitian_spectrum,
-    ladder,
-    partial_trace,
-)
+from focklab.linalg import _single_blas_thread, hermitian_eigh, hermitian_spectrum
+
+from dilation import check_joint_dim, ladder, partial_trace
 
 
 def test_ladder_action_on_basis():

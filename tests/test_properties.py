@@ -20,7 +20,6 @@ from focklab.channels import (
     additive_noise,
     amplifier,
     apply_channel,
-    apply_channel_dense,
     apply_diagonal,
     attenuator,
     clear_caches,
@@ -30,6 +29,8 @@ from focklab.entropy import schatten_norm
 from focklab.lemma import log_schatten_bound
 from focklab.sampling import random_diagonal, random_mixed, random_pure, substream
 from focklab.states import DensityMatrix, DiagonalState
+
+from dilation import apply_channel_dense
 
 MAX_LEVELS = 8
 
