@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from itertools import product
 
 import numpy as np
@@ -33,7 +34,6 @@ from .cmoe import VERDICT_EQUALITY, VERDICT_SUPPRESSED, VERDICT_VIOLATION, check
 from .entropy import spectral_distance
 from .errors import ConfigError, FockLabError, TruncationError
 from .lemma import (
-    FD_TOL,
     P_SOLVER_RESIDUAL,
     SCAN_POINTS,
     LemmaGridSpec,
@@ -112,6 +112,27 @@ LEMMA_COLUMNS = [
     "exploratory",
     "passed",
 ]
+
+
+# a verify command's output files and the claim they record, by config
+# section in report order; the commands and report read this table
+Suite = namedtuple("Suite", ["command", "csv", "columns", "summary", "claim"])
+SUITES = {
+    "thermal": Suite(
+        "verify-thermal-laws", THERMAL_CSV, THERMAL_COLUMNS, THERMAL_SUMMARY,
+        "thermal inputs map to thermal outputs with the predicted mean energy",
+    ),
+    "cmoe": Suite(
+        "verify-cmoe", CMOE_CSV, CMOE_COLUMNS, CMOE_SUMMARY,
+        "thermal inputs minimize output entropy at fixed input entropy; "
+        "equality holds on the thermal family",
+    ),
+    "lemma": Suite(
+        "verify-lemma", LEMMA_CSV, LEMMA_COLUMNS, LEMMA_SUMMARY,
+        "scalar inequality family, stationary-order solver, and "
+        "norm-ratio saturation ceiling",
+    ),
+}
 
 
 def fmt(value) -> str:
@@ -319,6 +340,29 @@ def write_summary(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _conclude(cfg: dict, name: str, summary: dict, failures: list, ok_line: str) -> int:
+    """Write suite `name`'s summary and report its verdict; the exit code.
+
+    The summary passes when no claim failed.  Each failed claim prints one
+    FAIL line on stderr, in check order; with none, `ok_line` goes to stdout.
+    """
+    suite = SUITES[name]
+    summary.update(
+        schema_version=SCHEMA_VERSION,
+        command=suite.command,
+        seed=cfg["seed"],
+        config=cfg[name],
+        passed=not failures,
+    )
+    write_summary(os.path.join(cfg["out"], suite.summary), summary)
+    for line in failures:
+        print(f"FAIL {line}", file=sys.stderr)
+    if failures:
+        return EXIT_CLAIM_FAILED
+    print(ok_line)
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # verify-thermal-laws
 # ---------------------------------------------------------------------------
@@ -410,27 +454,17 @@ def cmd_verify_thermal_laws(cfg: dict) -> int:
     write_csv(os.path.join(out_dir, THERMAL_CSV), THERMAL_COLUMNS, rows)
     finite = [r["spectral_distance"] for r in rows if not math.isnan(r["spectral_distance"])]
     summary = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-thermal-laws",
-        "seed": cfg["seed"],
-        "config": section,
         "rows": len(rows),
         "max_spectral_distance": max(finite) if finite else float("nan"),
         "max_output_deficit": max(r["output_deficit"] for r in rows),
         "failures": failures,
-        "passed": not failures,
     }
-    write_summary(os.path.join(out_dir, THERMAL_SUMMARY), summary)
-    if failures:
-        for line in failures:
-            print(f"FAIL {line}", file=sys.stderr)
-        return EXIT_CLAIM_FAILED
-    print(
+    return _conclude(
+        cfg, "thermal", summary, failures,
         f"verify-thermal-laws: {len(rows)} grid points, "
         f"max spectral distance {summary['max_spectral_distance']:.3e}, "
-        f"max deficit {summary['max_output_deficit']:.3e}"
+        f"max deficit {summary['max_output_deficit']:.3e}",
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +581,8 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     seed = cfg["seed"]
     jobs = cfg["jobs"]
     items = _equality_rows(cfg)
-    equality_bad = [item for item in items if item["row"]["verdict"] != VERDICT_EQUALITY]
+    equality_bad = sum(item["row"]["verdict"] != VERDICT_EQUALITY for item in items)
+    failures = [f"{equality_bad} thermal equality rows off bound"] if equality_bad else []
 
     specs = [parse_channel(entry) for entry in section["channels"]]
     cutoffs = section["cutoffs"]
@@ -608,46 +643,32 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     for rec in per_channel.values():
         if math.isinf(rec["min_gap"]):
             rec["min_gap"] = float("nan")
+    suppressed = sum(rec["suppressed"] for rec in per_channel.values())
+    if suppressed:
+        failures.append(f"{suppressed} rows suppressed by truncation")
 
     counterexample_paths = []
     for i, payload in enumerate(counterexamples):
         path = os.path.join(out_dir, f"counterexample_{i}.json")
         write_summary(path, payload)
         counterexample_paths.append(path)
+        failures.append(f"violation candidate recorded at {path}")
 
-    violations = sum(rec["violations"] for rec in per_channel.values())
-    suppressed = sum(rec["suppressed"] for rec in per_channel.values())
-    passed = violations == 0 and suppressed == 0 and not equality_bad
     summary = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-cmoe",
-        "seed": seed,
-        "config": section,
         "rows": len(rows),
         "per_channel": per_channel,
-        "equality_failures": len(equality_bad),
-        "violations": violations,
+        "equality_failures": equality_bad,
+        "violations": sum(rec["violations"] for rec in per_channel.values()),
         "counterexamples": counterexample_paths,
-        "passed": passed,
     }
-    write_summary(os.path.join(out_dir, CMOE_SUMMARY), summary)
-    if not passed:
-        if equality_bad:
-            print(f"FAIL {len(equality_bad)} thermal equality rows off bound", file=sys.stderr)
-        if suppressed:
-            print(f"FAIL {suppressed} rows suppressed by truncation", file=sys.stderr)
-        for path in counterexample_paths:
-            print(f"FAIL violation candidate recorded at {path}", file=sys.stderr)
-        return EXIT_CLAIM_FAILED
     worst = min(
         (rec["min_gap"] for rec in per_channel.values() if not math.isnan(rec["min_gap"])),
         default=float("nan"),
     )
-    print(
-        f"verify-cmoe: {len(rows)} rows, min gap {worst:.3e}, "
-        f"0 violation candidates"
+    return _conclude(
+        cfg, "cmoe", summary, failures,
+        f"verify-cmoe: {len(rows)} rows, min gap {worst:.3e}, 0 violation candidates",
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +717,7 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
         gains=tuple(float(g) for g in section["grid_gains"]),
     )
     grid_report = verify_lemma_inequalities(grid)
+    failures = grid_report.failures()
 
     points = (section["solver_z"], section["solver_gains"])
     cells = [(*c, c[2] >= ORDER_GUARANTEE_LIMIT) for c in product(*points, section["solver_q"])]
@@ -703,18 +725,31 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
         cells += [(*c, True) for c in product(*points, section["exploratory_q"])]
     solver_rows = _solver_rows(cells)
     write_csv(os.path.join(out_dir, LEMMA_CSV), LEMMA_COLUMNS, solver_rows)
+    solver_bad = [
+        f"solver at z_bar={r['z_bar']} gain={r['gain']} q={r['q']}"
+        for r in solver_rows
+        if not (r["passed"] or r["exploratory"])
+    ]
+    failures += solver_bad
 
     trend_p = solve_p_of_q(0.5, 2.0, np.array(section["trend_q"], dtype=float))
     trend = [{"q": q, "p_minus_one": float(p) - 1.0} for q, p in zip(section["trend_q"], trend_p)]
     trend_ok = all(
         trend[i]["p_minus_one"] > trend[i + 1]["p_minus_one"] for i in range(len(trend) - 1)
     )
+    if not trend_ok:
+        failures.append(f"p-1 does not decrease along trend_q={section['trend_q']}")
 
     # boundary behavior of the ratio derivative: climbing at z=0, falling
     # off a cliff toward z=1
     d0 = float(norm_ratio_log_derivative(1e-9, 2.0, 1.2, 1.35))
     d1 = float(norm_ratio_log_derivative(1.0 - 1e-3, 2.0, 1.2, 1.35))
     boundary_ok = d0 > 0.0 and d1 < -1.0
+    if not boundary_ok:
+        failures.append(
+            f"ratio derivative at the boundary: {d0!r} at z=0 (want > 0), "
+            f"{d1!r} near z=1 (want < -1)"
+        )
 
     probe = pq_norm_saturation_probe(
         gain=float(section["probe_gain"]),
@@ -724,76 +759,32 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
         trials=section["probe_trials"],
         seed=cfg["seed"],
     )
+    if probe.exceeded:
+        failures.append("saturation probe exceeded the thermal ceiling")
 
-    strict_solver_rows = [r for r in solver_rows if not r["exploratory"]]
-    solver_ok = all(r["passed"] for r in strict_solver_rows)
-    passed = (
-        grid_report.all_hold and solver_ok and trend_ok and boundary_ok and not probe.exceeded
-    )
     summary = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-lemma",
-        "seed": cfg["seed"],
-        "config": section,
         "exploratory": exploratory,
         "grid": dataclasses.asdict(grid_report),
         "solver_rows": len(solver_rows),
-        "solver_ok": solver_ok,
+        "solver_ok": not solver_bad,
         "trend": trend,
         "trend_ok": trend_ok,
         "boundary_derivative_at_zero": d0,
         "boundary_derivative_near_one": d1,
         "boundary_ok": boundary_ok,
         "probe": dataclasses.asdict(probe),
-        "passed": passed,
     }
-    write_summary(os.path.join(out_dir, LEMMA_SUMMARY), summary)
-    if not passed:
-        bad = {k: v for k, v in grid_report.margins.items() if not v["min_margin"] > 0.0}
-        if bad:
-            print(f"FAIL lemma grid margins: {bad}", file=sys.stderr)
-        fd = grid_report.fd_max_residual
-        if not fd <= FD_TOL:
-            print(f"FAIL lemma fd residual {fd:.3e} not within FD_TOL {FD_TOL:g}", file=sys.stderr)
-        for r in strict_solver_rows:
-            if not r["passed"]:
-                print(
-                    f"FAIL solver at z_bar={r['z_bar']} gain={r['gain']} q={r['q']}",
-                    file=sys.stderr,
-                )
-        if not trend_ok:
-            print(
-                f"FAIL p-1 does not decrease along trend_q={section['trend_q']}", file=sys.stderr
-            )
-        if not boundary_ok:
-            print(
-                f"FAIL ratio derivative at the boundary: {d0!r} at z=0 (want > 0), "
-                f"{d1!r} near z=1 (want < -1)",
-                file=sys.stderr,
-            )
-        if probe.exceeded:
-            print("FAIL saturation probe exceeded the thermal ceiling", file=sys.stderr)
-        return EXIT_CLAIM_FAILED
-    print(
+    return _conclude(
+        cfg, "lemma", summary, failures,
         f"verify-lemma: {grid_report.points_checked} grid points, "
         f"fd residual {grid_report.fd_max_residual:.3e}, "
-        f"probe margin {probe.worst_margin:.3e}"
+        f"probe margin {probe.worst_margin:.3e}",
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
-
-CLAIM_DESCRIPTIONS = {
-    "thermal": "thermal inputs map to thermal outputs with the predicted mean energy",
-    "cmoe": "thermal inputs minimize output entropy at fixed input entropy; "
-    "equality holds on the thermal family",
-    "lemma": "scalar inequality family, stationary-order solver, and "
-    "norm-ratio saturation ceiling",
-}
-
 
 def _read_csv_checked(path: str, expected_columns) -> None:
     """Raise ConfigError unless the CSV has the expected header and row widths."""
@@ -815,14 +806,11 @@ def cmd_report(cfg: dict) -> int:
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory {out_dir} does not exist")
     suites = []
-    found = 0
-
-    def load_suite(name: str, summary_file: str, csv_file, columns):
-        nonlocal found
-        spath = os.path.join(out_dir, summary_file)
+    for name, suite in SUITES.items():
+        spath = os.path.join(out_dir, suite.summary)
         if not os.path.exists(spath):
-            suites.append({"suite": name, "claim": CLAIM_DESCRIPTIONS[name], "status": "SKIPPED"})
-            return
+            suites.append({"suite": name, "claim": suite.claim, "status": "SKIPPED"})
+            continue
         with open(spath) as fh:
             try:
                 summary = json.load(fh)
@@ -830,30 +818,15 @@ def cmd_report(cfg: dict) -> int:
                 raise ConfigError(f"corrupted summary {spath}: {exc}")
         if not isinstance(summary, dict):
             raise ConfigError(f"corrupted summary {spath}: root must be a JSON object")
-        if csv_file is not None:
-            cpath = os.path.join(out_dir, csv_file)
-            if os.path.exists(cpath):
-                _read_csv_checked(cpath, columns)
-        found += 1
-        suites.append(
-            {
-                "suite": name,
-                "claim": CLAIM_DESCRIPTIONS[name],
-                "status": "PASS" if summary.get("passed") is True else "FAIL",
-                "summary": summary,
-            }
-        )
+        cpath = os.path.join(out_dir, suite.csv)
+        if os.path.exists(cpath):
+            _read_csv_checked(cpath, suite.columns)
+        status = "PASS" if summary.get("passed") is True else "FAIL"
+        suites.append({"suite": name, "claim": suite.claim, "status": status, "summary": summary})
 
-    load_suite("thermal", THERMAL_SUMMARY, THERMAL_CSV, THERMAL_COLUMNS)
-    load_suite("cmoe", CMOE_SUMMARY, CMOE_CSV, CMOE_COLUMNS)
-    load_suite("lemma", LEMMA_SUMMARY, LEMMA_CSV, LEMMA_COLUMNS)
-
-    if found == 0:
+    if all(s["status"] == "SKIPPED" for s in suites):
         raise ConfigError(f"no suite outputs found under {out_dir}")
-
-    overall = "PASS"
-    if any(s["status"] == "FAIL" for s in suites):
-        overall = "FAIL"
+    overall = "FAIL" if any(s["status"] == "FAIL" for s in suites) else "PASS"
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "report",

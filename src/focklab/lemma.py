@@ -13,6 +13,7 @@ from typing import Dict
 import numpy as np
 
 from .channels import (
+    MAX_DENSE_BYTES,
     ChannelKind,
     ChannelSpec,
     apply_channel,
@@ -20,7 +21,7 @@ from .channels import (
     output_trace_frobenius,
 )
 from .entropy import schatten_norm, schatten_norms
-from .errors import DomainError, LemmaViolationError
+from .errors import DomainError, LemmaViolationError, ResourceLimitError
 from .thermal import _log_norm, _norm_args
 
 P_SOLVER_WIDTH = 1e-14
@@ -214,6 +215,16 @@ class LemmaGridSpec:
     def order_grid(self) -> np.ndarray:
         return np.linspace(GRID_P_LO, GRID_P_HI, self.order_points)
 
+    def peak_bytes(self) -> int:
+        """Peak bytes of verify_lemma_inequalities on this grid.
+
+        One (z, order) image per gain, about fourteen (z, order) temporaries
+        (tracemalloc: 12.9-15.6), and the o(o-1)/2 int64 indices of the
+        orders above each order, an array object each.
+        """
+        n, o = self.z_points, self.order_points
+        return 8 * n * o * (len(self.gains) + 16) + 4 * o * o + 512 * o
+
 
 @dataclass
 class LemmaGridReport:
@@ -221,6 +232,15 @@ class LemmaGridReport:
     fd_max_residual: float = 0.0
     points_checked: int = 0
     all_hold: bool = True
+
+    def failures(self) -> list:
+        """One line per failed grid claim, in check order; all_hold means there is none."""
+        bad = {k: v for k, v in self.margins.items() if not v["min_margin"] > 0.0}
+        lines = [f"lemma grid margins: {bad}"] if bad else []
+        fd = self.fd_max_residual
+        if not fd <= FD_TOL:
+            lines.append(f"lemma fd residual {fd:.3e} not within FD_TOL {FD_TOL:g}")
+        return lines
 
 
 def _record(report: LemmaGridReport, name: str, chunks) -> None:
@@ -254,8 +274,15 @@ def verify_lemma_inequalities(grid: LemmaGridSpec) -> LemmaGridReport:
     """Sweep every scalar inequality over the lattice and record margins.
 
     The report holds when every margin is strictly positive and the
-    finite-difference residual stays within FD_TOL.
+    finite-difference residual stays within FD_TOL.  A grid over
+    MAX_DENSE_BYTES raises ResourceLimitError before it allocates.
     """
+    need = grid.peak_bytes()
+    if need > MAX_DENSE_BYTES:
+        raise ResourceLimitError(
+            f"the {grid.z_points} x {grid.order_points} point lemma grid at {len(grid.gains)}"
+            f" gains needs {need / 2**20:.0f} MiB, exceeds limit {MAX_DENSE_BYTES // 2**20} MiB"
+        )
     report = LemmaGridReport()
     z = grid.z_grid()
     orders = grid.order_grid()
@@ -333,9 +360,7 @@ def verify_lemma_inequalities(grid: LemmaGridSpec) -> LemmaGridReport:
             diff = up - log_thermal_norm_ratio(z - h, kap, p, q)
             fd_max = float(np.max(np.abs(ana - diff / (2.0 * h)), initial=fd_max))
     report.fd_max_residual = fd_max
-    report.all_hold = fd_max <= FD_TOL and all(
-        m["min_margin"] > 0.0 for m in report.margins.values()
-    )
+    report.all_hold = not report.failures()
     return report
 
 

@@ -115,10 +115,11 @@ def thermal_tail_cutoff(energy: float, tail: float) -> int:
 
 def _log_norm(z, p):
     """log_thermal_schatten_norm without argument checks: 0 <= z < 1, p > 1."""
-    with np.errstate(divide="ignore"):
+    # a z that rounds to 1, as at a huge amplifier gain, gives -inf or NaN quietly
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_z = np.where(z > 0.0, np.log(z), -np.inf)
-    one_minus_zp = -np.expm1(p * log_z)  # 1 - z^p, accurate for z near 1
-    return np.log1p(-z) - np.log(one_minus_zp) / p
+        one_minus_zp = -np.expm1(p * log_z)  # 1 - z^p, accurate for z near 1
+        return np.log1p(-z) - np.log(one_minus_zp) / p
 
 
 def _norm_args(z, p):

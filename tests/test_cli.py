@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import resource
@@ -155,7 +156,7 @@ def test_thermal_small_grid_passes(tmp_path):
     assert summary["max_spectral_distance"] <= 1e-7
 
 
-def test_thermal_forced_failure_exits_one(tmp_path):
+def test_thermal_forced_failure_exits_one(tmp_path, capsys):
     # a 1% tail cuts the grid's inputs and outputs short: some outputs lose
     # more than 1% of their trace and are refused, others miss the
     # predicted spectrum at a finite distance
@@ -170,6 +171,16 @@ def test_thermal_forced_failure_exits_one(tmp_path):
     failed = [r for r in failed if r["passed"] == "false"]
     assert any(r["output_cutoff"] == "0" and r["spectral_distance"] == "nan" for r in failed)
     assert any(r["spectral_distance"] != "nan" for r in failed)
+    # one FAIL line per failed row, in row order, with the row's cells
+    lines = [
+        f"{r['channel']} parameter={r['parameter']} env={r['env_energy']}"
+        f" input_energy={r['input_energy']}: distance={r['spectral_distance']}"
+        f" deficit={r['output_deficit']}"
+        for r in failed
+    ]
+    assert summary["failures"] == lines
+    assert capsys.readouterr().err.splitlines() == [f"FAIL {line}" for line in lines]
+    assert "additive parameter=0 env=0 input_energy=1: distance=0 deficit=0.0078125" in lines
 
 
 def test_thermal_empty_grid_exits_two(tmp_path):
@@ -336,6 +347,73 @@ def test_lemma_fd_residual_failure_is_named(tmp_path, capsys, monkeypatch, shift
     assert err == [f"FAIL lemma fd residual {residual:.3e} not within FD_TOL 1e-06"]
 
 
+def test_lemma_grid_margin_failure_is_named(tmp_path, capsys, monkeypatch):
+    verify = cli.verify_lemma_inequalities
+    reports = []
+
+    def negative(grid):
+        reports.append(verify(grid))
+        reports[-1].margins["f_decreasing_in_p"]["min_margin"] = -1e-3
+        reports[-1].all_hold = False
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "verify_lemma_inequalities", negative)
+    code, summary, err = _lemma_failure(tmp_path, capsys, SMALL_LEMMA)
+    assert code == EXIT_CLAIM_FAILED and summary["passed"] is False
+    bad = {"f_decreasing_in_p": reports[0].margins["f_decreasing_in_p"]}
+    assert err == [f"FAIL lemma grid margins: {bad}"]
+
+
+def test_lemma_solver_failure_is_named(tmp_path, capsys, monkeypatch):
+    # a maximizer scan that finds nothing fails every guaranteed row, and
+    # only those: the exploratory row at q = 1.6 fails without a line
+    monkeypatch.setattr(
+        cli, "scan_ratio_maximizer", lambda gain, p, q: (np.full(p.shape, np.nan),) * 2
+    )
+    payload = {"lemma": dict(SMALL_LEMMA["lemma"], solver_q=[1.3, 1.6], solver_gains=[2.0, 4])}
+    code = main(["verify-lemma", "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "run"), "--exploratory"])
+    assert code == EXIT_CLAIM_FAILED
+    assert capsys.readouterr().err.splitlines() == [
+        "FAIL solver at z_bar=0.5 gain=2.0 q=1.3",
+        "FAIL solver at z_bar=0.5 gain=4 q=1.3",
+    ]
+    summary = json.loads((tmp_path / "run" / LEMMA_SUMMARY).read_text())
+    assert summary["solver_ok"] is False and summary["passed"] is False
+
+
+def _exceeded_probe(monkeypatch):
+    probe = cli.pq_norm_saturation_probe
+    monkeypatch.setattr(
+        cli,
+        "pq_norm_saturation_probe",
+        lambda **kw: dataclasses.replace(probe(**kw), exceeded=True),
+    )
+
+
+def test_lemma_probe_failure_is_named(tmp_path, capsys, monkeypatch):
+    _exceeded_probe(monkeypatch)
+    code, summary, err = _lemma_failure(tmp_path, capsys, SMALL_LEMMA)
+    assert code == EXIT_CLAIM_FAILED and summary["passed"] is False
+    assert summary["probe"]["exceeded"] is True
+    assert err == ["FAIL saturation probe exceeded the thermal ceiling"]
+
+
+def test_lemma_failures_print_in_check_order(tmp_path, capsys, monkeypatch):
+    _exceeded_probe(monkeypatch)
+    monkeypatch.setattr(cli, "norm_ratio_log_derivative", lambda z, gain, p, q: 0.0)
+    payload = {"lemma": dict(SMALL_LEMMA["lemma"], trend_q=[1.01, 1.1])}
+    code, summary, err = _lemma_failure(tmp_path, capsys, payload)
+    assert code == EXIT_CLAIM_FAILED
+    assert summary["passed"] is False and summary["grid"]["all_hold"] is True
+    assert summary["solver_ok"] is True
+    assert err == [
+        "FAIL p-1 does not decrease along trend_q=[1.01, 1.1]",
+        "FAIL ratio derivative at the boundary: 0.0 at z=0 (want > 0), 0.0 near z=1 (want < -1)",
+        "FAIL saturation probe exceeded the thermal ceiling",
+    ]
+
+
 def test_report_aggregates_suites(tmp_path, capsys):
     out = str(tmp_path / "run")
     main(["verify-thermal-laws", "--config", write_config(tmp_path, SMALL_THERMAL), "--out", out])
@@ -467,6 +545,25 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
+def _capped_cli(tmp_path, command, payload):
+    """Exit code and stderr lines of a command run on `payload` in a capped child.
+
+    The child has an address-space cap and a timeout, so a run that does
+    allocate fails there and not here.
+    """
+    cfg = write_config(tmp_path, payload)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "focklab.cli", command, "--config", cfg, "--out", str(tmp_path / "r")],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stderr.strip().splitlines()
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -484,23 +581,44 @@ def _cap_address_space():
     ids=["input-energy", "gain", "env-energy", "cmoe-input-energy", "cmoe-gain", "cmoe-env-energy"],
 )
 def test_oversized_band_zero_exits_two_before_it_allocates(tmp_path, command, payload):
-    # each config runs in a child under an address-space cap and a
-    # timeout, so a build that does allocate fails there and not here
-    cfg = write_config(tmp_path, payload)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "focklab.cli", command, "--config", cfg, "--out", str(tmp_path / "r")],
-        env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=_cap_address_space,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    err = proc.stderr.strip().splitlines()
-    assert proc.returncode == EXIT_CONFIG, proc.stderr[-2000:]
+    code, err = _capped_cli(tmp_path, command, payload)
+    assert code == EXIT_CONFIG, err[-20:]
     assert len(err) == 1
     assert err[0].startswith("input error: ResourceLimitError: band 0 of the ")
     assert err[0].endswith(" exceeds limit 512 MiB")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"grid_z_points": 10**15},
+        {"grid_order_points": 10**15},
+        # one (z, order) array of 3e6 x 25 points alone takes 572 MiB
+        {"grid_z_points": 3_000_000},
+    ],
+    ids=["z-points", "order-points", "three-million-z"],
+)
+def test_oversized_lemma_grid_exits_two_before_it_allocates(tmp_path, payload):
+    code, err = _capped_cli(tmp_path, "verify-lemma", {"lemma": payload})
+    assert code == EXIT_CONFIG, err[-20:]
+    assert len(err) == 1
+    assert err[0].startswith("input error: ResourceLimitError: the ")
+    assert " point lemma grid at 4 gains needs " in err[0]
+    assert err[0].endswith(" exceeds limit 512 MiB")
+
+
+def test_huge_solver_gains_print_only_fail_lines(tmp_path):
+    # from z_bar 0.75, the solver's image at gain 1e17 and the maximizer's
+    # last golden-section cell at 5e12 round to z = 1, where the thermal
+    # norms are -inf or NaN: the rows fail, and nothing warns
+    gains = [2.0, 1e17, 5e12]
+    payload = {"lemma": dict(SMALL_LEMMA["lemma"], solver_z=[0.75], solver_gains=gains)}
+    code, err = _capped_cli(tmp_path, "verify-lemma", payload)
+    assert code == EXIT_CLAIM_FAILED
+    assert err == [
+        "FAIL solver at z_bar=0.75 gain=1e+17 q=1.3",
+        "FAIL solver at z_bar=0.75 gain=5000000000000.0 q=1.3",
+    ]
 
 
 def test_probe_ceiling_reaches_the_vacuum_near_gain_one(tmp_path, capsys):
@@ -574,6 +692,24 @@ def test_suppressed_rows_fail_verify_cmoe(tmp_path, monkeypatch, capsys):
     suppressed = sum(rec["suppressed"] for rec in summary["per_channel"].values())
     assert suppressed > 0
     assert f"FAIL {suppressed} rows suppressed" in capsys.readouterr().err
+
+
+def test_thermal_equality_rows_off_bound_fail_verify_cmoe(tmp_path, monkeypatch, capsys):
+    # one nat taken off the bound leaves every row Satisfied, so the
+    # thermal inputs no longer reach it and no row is a violation
+    bound = focklab.cmoe.bound_for
+    monkeypatch.setattr("focklab.cmoe.bound_for", lambda spec, s: bound(spec, s) - 1.0)
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, SMALL_CMOE)
+    assert main(["verify-cmoe", "--config", cfg, "--out", str(out)]) == EXIT_CLAIM_FAILED
+    rows = read_rows(out / CMOE_CSV)[1:]
+    assert {r[-1] for r in rows} == {"Satisfied"}
+    summary = json.loads((out / CMOE_SUMMARY).read_text())
+    equality = sum(r[0] == "equality" for r in rows)
+    assert summary["equality_failures"] == equality == 4
+    assert summary["violations"] == 0 and summary["passed"] is False
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"FAIL {equality} thermal equality rows off bound"]
 
 
 def test_violation_candidates_are_dumped(tmp_path, monkeypatch, capsys):

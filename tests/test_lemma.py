@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,22 @@ def test_inequality_checked_at_no_points_fails(grid):
     assert not report.all_hold
     empty = [name for name, entry in report.margins.items() if entry["argmin"] == {}]
     assert empty and all(math.isnan(report.margins[name]["min_margin"]) for name in empty)
+
+
+@pytest.mark.parametrize(
+    "z_points, order_points, gains",
+    [(199, 25, 4), (4000, 25, 1), (2000, 5, 4), (100, 100, 2), (4, 400, 1)],
+)
+def test_grid_peak_bytes_bound_what_the_grid_allocates(z_points, order_points, gains):
+    grid = LemmaGridSpec(z_points, order_points, tuple(np.linspace(1.25, 4.0, gains)))
+    verify_lemma_inequalities(LemmaGridSpec(4, 3, (2.0,)))  # numpy's first-call buffers
+    tracemalloc.start()
+    try:
+        verify_lemma_inequalities(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid.peak_bytes() <= 1.3 * peak
 
 
 def test_probe_thermal_input_cannot_beat_ceiling():
