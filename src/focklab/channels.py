@@ -201,6 +201,7 @@ class ChannelMap:
     k, after which bands holds views into the slabs.  apply_matrix
     gathers the input diagonals, applies every band in one stacked real
     matmul and scatters the output diagonals through flat indices.
+    An input on any number of levels but d_in raises DomainError.
     """
 
     def __init__(self, d_in, d_out, stream, contravariant):
@@ -255,20 +256,16 @@ class ChannelMap:
         self.bands = bands
         self._slabs = slabs
 
-    def _fit(self, x: np.ndarray) -> np.ndarray:
-        """x zero-padded to the map's input dim: a vector, a matrix or a stack of matrices."""
-        n = x.shape[-1]
-        if n > self.d_in:
-            raise DomainError(f"input dim {n} exceeds map input dim {self.d_in}")
-        if n == self.d_in:
-            return x
-        axes = min(x.ndim, 2)
-        return np.pad(x, [(0, 0)] * (x.ndim - axes) + [(0, self.d_in - n)] * axes)
+    def _checked(self, x: np.ndarray) -> np.ndarray:
+        """x, a vector, a matrix or a stack of matrices on exactly the map's d_in levels."""
+        if x.shape[-1] != self.d_in:
+            raise DomainError(f"input dim {x.shape[-1]} is not the map's input dim {self.d_in}")
+        return x
 
     def band_outputs(self, rho: np.ndarray) -> np.ndarray:
         """Output diagonals of every band, (..., slabs, d_out, 2), for rho or a stack of them."""
         self.complete()
-        rho = self._fit(np.asarray(rho, dtype=complex))
+        rho = self._checked(np.asarray(rho, dtype=complex))
         flat = rho.reshape(rho.shape[:-2] + (-1,))
         vin = np.take(np.concatenate((flat, np.zeros(flat.shape[:-1] + (1,))), -1), self._gather, -1)
         return np.matmul(self._slabs, vin.view(float)).view(complex)
@@ -282,7 +279,7 @@ class ChannelMap:
         return out[:-1].reshape(self.d_out, self.d_out)
 
     def apply_probs(self, probs: np.ndarray) -> np.ndarray:
-        return self.bands[0] @ self._fit(np.asarray(probs, dtype=float))
+        return self.bands[0] @ self._checked(np.asarray(probs, dtype=float))
 
 
 def dense_bytes(d_in: int, d_out: int) -> int:
@@ -533,7 +530,7 @@ def apply_channel(
     is measured from the actual output trace.  Losing more than
     MAX_APPLY_DEFICIT raises TruncationError.
     """
-    cmap = get_channel_map(spec, max(rho.dim, 1), dims)
+    cmap = get_channel_map(spec, rho.dim, dims)
     out = cmap.apply_matrix(rho.matrix)
     return DensityMatrix(out, _checked_deficit(float(np.trace(out).real)))
 
@@ -548,7 +545,7 @@ def output_trace_frobenius(
     Band 0 fills the diagonal and each band k >= 1 two conjugate
     off-diagonals.  Lossy outputs raise TruncationError, as in apply_channel.
     """
-    cmap = get_channel_map(spec, max(rhos.shape[-1], 1), dims)
+    cmap = get_channel_map(spec, rhos.shape[-1], dims)
     vout = cmap.band_outputs(rhos)
     diagonal = vout[..., 0, :, 0].real
     traces = diagonal.sum(-1)
@@ -567,6 +564,6 @@ def apply_diagonal(
     dims: Optional[ChannelDims] = None,
 ) -> DiagonalState:
     """Fast path for Fock-diagonal inputs via the cached transition matrix."""
-    cmap = get_channel_map(spec, max(state.dim, 1), dims)
+    cmap = get_channel_map(spec, state.dim, dims)
     probs = cmap.apply_probs(state.probs)
     return DiagonalState(probs, _checked_deficit(float(probs.sum())))

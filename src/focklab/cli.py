@@ -32,7 +32,7 @@ from .channels import (
 )
 from .cmoe import VERDICT_EQUALITY, VERDICT_SUPPRESSED, VERDICT_VIOLATION, check_cmoe
 from .entropy import spectral_distance
-from .errors import ConfigError, FockLabError, TruncationError
+from .errors import ConfigError, FockLabError, ResourceLimitError, TruncationError
 from .lemma import (
     P_SOLVER_RESIDUAL,
     SCAN_POINTS,
@@ -476,9 +476,13 @@ STATE_KINDS = ("mixed", "pure", "diagonal", "pinned")
 # offsets separating the substream families used by the suites
 ADVERSARIAL_STREAM_BASE = 1 << 40
 
+# bound on the bytes a verify-cmoe row holds until the summary is written
+# (tracemalloc: ~640 B, ~680 B for a row unpickled from a --jobs worker)
+CMOE_ROW_BYTES = 1024
+
 
 def _report_row(seed, suite, spec, cutoff, trial, state_kind, rep, state) -> dict:
-    """One CMOE_COLUMNS row, with the dumped state when it is a violation candidate."""
+    """One CMOE_COLUMNS row; a violation candidate's row also carries its dumped state."""
     row = {
         "suite": suite,
         "channel": spec.kind.value,
@@ -494,11 +498,10 @@ def _report_row(seed, suite, spec, cutoff, trial, state_kind, rep, state) -> dic
         "truncation_margin": rep.truncation_margin,
         "verdict": rep.verdict_label,
     }
-    payload = None
     if rep.verdict == VERDICT_VIOLATION:
         dense = state if hasattr(state, "matrix") else state.to_density()
-        payload = state_to_json(dense, seed, spec)
-    return {"row": row, "counterexample": payload}
+        row["counterexample"] = state_to_json(dense, seed, spec)
+    return row
 
 
 def _cmoe_trial(seed: int, spec: ChannelSpec, cutoffs, trials_base: int, index: int) -> dict:
@@ -535,25 +538,25 @@ def _adversarial_job(args) -> dict:
 
 
 def _equality_rows(cfg: dict) -> list:
-    """_report_row items of the thermal inputs on the thermal grid."""
-    items = []
+    """_report_row rows of the thermal inputs on the thermal grid."""
+    rows = []
     grid = thermal_grid(cfg["thermal"], cfg["cmoe"]["equality_input_energies"])
     for spec, e_in, c_in, dims in grid:
         if spec.kind == ChannelKind.ADDITIVE:
             dims = None  # additive rows keep the default output size
         state = thermal_state(e_in, c_in)
         rep = check_cmoe(spec, state, dims)
-        items.append(
-            _report_row(cfg["seed"], "equality", spec, c_in, len(items), "thermal", rep, state)
-        )
-    return items
+        row = _report_row(cfg["seed"], "equality", spec, c_in, len(rows), "thermal", rep, state)
+        rows.append(row)
+    return rows
 
 
 def _warm_caches(specs, cutoffs) -> None:
-    """Build every band of each channel map the trial suites will need, pre-fork.
+    """Build every band of each channel map the trials and searches will need, pre-fork.
 
-    Maps are built directly at the trials' input sizes, so no probe
-    state can fail on a small cutoff.
+    Maps are built directly at the inputs' sizes, so no probe state can
+    fail on a small cutoff, and a map too large to build is refused
+    before any state of its size is drawn.
     """
     for spec in specs:
         for cutoff in cutoffs:
@@ -580,23 +583,26 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     section = cfg["cmoe"]
     seed = cfg["seed"]
     jobs = cfg["jobs"]
-    items = _equality_rows(cfg)
-    equality_bad = sum(item["row"]["verdict"] != VERDICT_EQUALITY for item in items)
-    failures = [f"{equality_bad} thermal equality rows off bound"] if equality_bad else []
-
     specs = [parse_channel(entry) for entry in section["channels"]]
     cutoffs = section["cutoffs"]
     trials = section["trials_per_channel"]
     searches = section["adversarial_searches"]
     search_cutoff = section["adversarial_cutoff"]
     iterations = section["adversarial_iterations"]
-    _warm_caches(specs, cutoffs)
-    chunk = max(1, trials // max(1, jobs * 8))
-    trial_tasks = [
-        (
-            _cmoe_trial_batch,
-            (seed, spec, cutoffs, ch_idx * trials, list(range(lo, min(lo + chunk, trials)))),
+    count = len(specs) * (trials + searches)
+    if count * CMOE_ROW_BYTES > channel_maps.MAX_DENSE_BYTES:
+        raise ResourceLimitError(
+            f"{count} trial and search rows need {count * CMOE_ROW_BYTES / 2**20:.0f} MiB,"
+            f" exceeds limit {channel_maps.MAX_DENSE_BYTES // 2**20} MiB"
         )
+    rows = _equality_rows(cfg)
+    equality_bad = sum(r["verdict"] != VERDICT_EQUALITY for r in rows)
+    failures = [f"{equality_bad} thermal equality rows off bound"] if equality_bad else []
+
+    _warm_caches(specs, set(cutoffs) | ({search_cutoff} if searches else set()))
+    chunk = max(1, trials // (jobs * 8))
+    trial_tasks = [
+        (_cmoe_trial_batch, (seed, spec, cutoffs, ch_idx * trials, range(trials)[lo : lo + chunk]))
         for ch_idx, spec in enumerate(specs)
         for lo in range(0, trials, chunk)
     ]
@@ -609,49 +615,37 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     # still list every trial before the searches
     done = _run_tasks(jobs, search_tasks + trial_tasks)
     searched, batches = done[: len(search_tasks)], done[len(search_tasks) :]
-    items += [item for batch in batches for item in batch] + searched
-    rows = [item["row"] for item in items]
-    counterexamples = [item["counterexample"] for item in items if item["counterexample"]]
-
+    rows += [row for batch in batches for row in batch] + searched
     write_csv(os.path.join(out_dir, CMOE_CSV), CMOE_COLUMNS, rows)
 
-    per_channel = {}
+    groups = {}
     for r in rows:
         key = f"{r['channel']}|{fmt(r['parameter'])}|{fmt(r['env_energy'])}"
-        rec = per_channel.setdefault(
-            key,
-            {
-                "channel": r["channel"],
-                "parameter": r["parameter"],
-                "env_energy": r["env_energy"],
-                "trials": 0,
-                "suppressed": 0,
-                "violations": 0,
-                "min_gap": math.inf,
-                "min_gap_margin": 0.0,
-            },
-        )
-        rec["trials"] += 1
-        if r["verdict"] == VERDICT_SUPPRESSED:
-            rec["suppressed"] += 1
-            continue
-        if r["verdict"] == VERDICT_VIOLATION:
-            rec["violations"] += 1
-        if r["gap"] < rec["min_gap"]:
-            rec["min_gap"] = r["gap"]
-            rec["min_gap_margin"] = r["truncation_margin"]
-    for rec in per_channel.values():
-        if math.isinf(rec["min_gap"]):
-            rec["min_gap"] = float("nan")
+        groups.setdefault(key, []).append(r)
+    per_channel = {}
+    for key, group in groups.items():
+        checked = [r for r in group if r["verdict"] != VERDICT_SUPPRESSED]
+        # the first unsuppressed row with the least gap, or NaN and 0.0 with none
+        no_row = {"gap": math.nan, "truncation_margin": 0.0}
+        worst = min(checked, key=lambda r: r["gap"], default=no_row)
+        per_channel[key] = {
+            "channel": group[0]["channel"],
+            "parameter": group[0]["parameter"],
+            "env_energy": group[0]["env_energy"],
+            "trials": len(group),
+            "suppressed": len(group) - len(checked),
+            "violations": sum(r["verdict"] == VERDICT_VIOLATION for r in group),
+            "min_gap": worst["gap"],
+            "min_gap_margin": worst["truncation_margin"],
+        }
     suppressed = sum(rec["suppressed"] for rec in per_channel.values())
     if suppressed:
         failures.append(f"{suppressed} rows suppressed by truncation")
 
-    counterexample_paths = []
-    for i, payload in enumerate(counterexamples):
-        path = os.path.join(out_dir, f"counterexample_{i}.json")
+    dumps = [r["counterexample"] for r in rows if "counterexample" in r]
+    paths = [os.path.join(out_dir, f"counterexample_{i}.json") for i in range(len(dumps))]
+    for path, payload in zip(paths, dumps):
         write_summary(path, payload)
-        counterexample_paths.append(path)
         failures.append(f"violation candidate recorded at {path}")
 
     summary = {
@@ -659,15 +653,12 @@ def cmd_verify_cmoe(cfg: dict) -> int:
         "per_channel": per_channel,
         "equality_failures": equality_bad,
         "violations": sum(rec["violations"] for rec in per_channel.values()),
-        "counterexamples": counterexample_paths,
+        "counterexamples": paths,
     }
-    worst = min(
-        (rec["min_gap"] for rec in per_channel.values() if not math.isnan(rec["min_gap"])),
-        default=float("nan"),
-    )
+    min_gap = min((r["gap"] for r in rows if r["verdict"] != VERDICT_SUPPRESSED), default=math.nan)
     return _conclude(
         cfg, "cmoe", summary, failures,
-        f"verify-cmoe: {len(rows)} rows, min gap {worst:.3e}, 0 violation candidates",
+        f"verify-cmoe: {len(rows)} rows, min gap {min_gap:.3e}, 0 violation candidates",
     )
 
 

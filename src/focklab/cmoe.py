@@ -57,7 +57,6 @@ def entropy_truncation_margin(deficit: float, dim: int) -> float:
 
 @dataclass(frozen=True)
 class CmoeReport:
-    channel: ChannelSpec
     input_entropy: float
     output_entropy: float
     bound: float
@@ -94,7 +93,6 @@ def check_cmoe(spec: ChannelSpec, state, dims: Optional[ChannelDims] = None) -> 
             out = apply_channel(spec, state, dims)
     except TruncationError:
         return CmoeReport(
-            channel=spec,
             input_entropy=s_in,
             output_entropy=float("nan"),
             bound=bound,
@@ -106,7 +104,6 @@ def check_cmoe(spec: ChannelSpec, state, dims: Optional[ChannelDims] = None) -> 
     margin = margin_in + entropy_truncation_margin(out.trace_deficit, out.dim)
     gap = s_out - bound
     return CmoeReport(
-        channel=spec,
         input_entropy=s_in,
         output_entropy=s_out,
         bound=bound,
@@ -155,9 +152,7 @@ def _renyi_truncation_slack(state, alpha: float) -> float:
     return d**alpha / ((alpha - 1.0) * power_sum)
 
 
-def amplifier_entropy_chain(
-    rho: DensityMatrix, gain: float, q: float, dims: Optional[ChannelDims] = None
-) -> EntropyChainRecord:
+def amplifier_entropy_chain(rho: DensityMatrix, gain: float, q: float) -> EntropyChainRecord:
     """Evaluate the two-step chain bounding the amplifier output entropy.
 
     Step one: the von Neumann entropy of the output dominates its
@@ -167,8 +162,6 @@ def amplifier_entropy_chain(
     condition at the entropy-matched thermal input.
     """
     spec = amplifier(gain)
-    if dims is None:
-        dims = default_dims(spec, rho.dim)
     s_in = von_neumann_entropy(rho)
     if s_in <= 0.0:
         raise DomainError("chain needs an input with strictly positive entropy")
@@ -178,8 +171,8 @@ def amplifier_entropy_chain(
     prefactor = (q / (q - 1.0)) * ((p - 1.0) / p)
     # reference thermal input lives at the channel-output cutoff so both
     # sides of the comparison carry comparable truncation
-    omega = thermal_state(e_ref, dims.d_out)
-    out = apply_channel(spec, rho, dims)
+    omega = thermal_state(e_ref, default_dims(spec, rho.dim).d_out)
+    out = apply_channel(spec, rho)
     out_thermal = apply_diagonal(spec, omega)
     s_out = von_neumann_entropy(out)
     sq_out = renyi_entropy(out, q)

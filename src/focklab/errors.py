@@ -14,7 +14,7 @@ class DimensionMismatchError(FockLabError, ValueError):
 
 
 class ResourceLimitError(FockLabError):
-    """A channel map or the lemma grid would exceed MAX_DENSE_BYTES or MAX_DENSE_D_OUT."""
+    """A map, lemma grid or verify-cmoe row set would exceed MAX_DENSE_BYTES or MAX_DENSE_D_OUT."""
 
 
 class NonHermitianError(FockLabError, ValueError):

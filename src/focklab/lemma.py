@@ -18,6 +18,7 @@ from .channels import (
     ChannelSpec,
     apply_channel,
     apply_diagonal,
+    get_channel_map,
     output_trace_frobenius,
 )
 from .entropy import schatten_norm, schatten_norms
@@ -466,6 +467,9 @@ def pq_norm_saturation_probe(
     from .sampling import SamplerConfig, draw_state
 
     spec = ChannelSpec(kind=ChannelKind.AMPLIFIER, gain=float(gain))
+    # the first trial is dense and completes this map anyway; completing it
+    # first refuses a map too large to build before a state of its size is drawn
+    get_channel_map(spec, cutoff).complete()
     _, ceiling = scan_ratio_maximizer(gain, p, q)
     prune = q <= 2.0
     best = -math.inf

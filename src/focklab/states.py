@@ -20,15 +20,15 @@ DIAG_NEG_CLAMP = -1e-14
 TRACE_SLACK = 1e-12
 
 
-def clamp_spectrum(values, floor=NEG_EIG_CLAMP):
+def clamp_spectrum(values):
     """Clamp tiny negative eigenvalues to zero, reject larger ones and non-finite ones."""
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise DomainError("spectrum has a non-finite value")
     low = float(values.min(initial=0.0))
-    if low < floor:
+    if low < NEG_EIG_CLAMP:
         raise PositivityError(
-            f"negative eigenvalue {low:.3e} below clamp window {floor:.1e}"
+            f"negative eigenvalue {low:.3e} below clamp window {NEG_EIG_CLAMP:.1e}"
         )
     return np.where(values < 0.0, 0.0, values)
 

@@ -579,7 +579,6 @@ def test_threads_complete_one_map(spec):
 
 def _band_loop(cmap, rho):
     """The per-band loop apply_matrix ran before the slabs: the oracle."""
-    rho = cmap._fit(np.asarray(rho, dtype=complex))
     out = np.zeros((cmap.d_out, cmap.d_out), dtype=complex)
     idx = np.arange(cmap.d_out)
     for k, band in enumerate(cmap.complete()):
@@ -601,12 +600,18 @@ def _band_loop(cmap, rho):
 @pytest.mark.parametrize("d_in", [1, 2, 7, 8])
 def test_slab_apply_matches_the_band_loop(spec, d_in):
     # odd and even band counts, default and explicit dims (d_out below
-    # d_in too), and inputs smaller than the map's input dim
+    # d_in too); inputs smaller than the map's input dim are refused
     clear_caches()
     for dims in (None, ChannelDims(d_in + 3, d_in + 3, max(1, d_in - 3))):
         cmap = get_channel_map(spec, d_in, dims)
         for n in sorted({1, max(1, d_in - 2), d_in}):
             rho = random_mixed(n, n, substream(113, n)).matrix
+            if n < d_in:
+                with pytest.raises(DomainError, match=f"input dim {n} is not the map's"):
+                    cmap.apply_matrix(rho)
+                with pytest.raises(DomainError, match=f"input dim {n} is not the map's"):
+                    cmap.apply_probs(rho.diagonal().real)
+                continue
             out = cmap.apply_matrix(rho)
             assert out.shape == (cmap.d_out, cmap.d_out)
             assert np.array_equal(out, out.conj().T)
@@ -706,9 +711,9 @@ def test_band_outputs_of_a_stack_are_the_per_matrix_products():
     stacked = cmap.band_outputs(rhos)
     for rho, vout in zip(rhos, stacked):
         assert_allclose(vout, cmap.band_outputs(rho), rtol=1e-15, atol=1e-17)
-    # a smaller input is zero-padded on its two matrix axes only
-    assert_allclose(cmap.band_outputs(rhos[:, :4, :4]), cmap.band_outputs(
-        np.pad(rhos[:, :4, :4], [(0, 0), (0, 2), (0, 2)])), atol=0)
+    # a stack of smaller inputs is refused, not zero-padded
+    with pytest.raises(DomainError, match="input dim 4 is not the map's input dim 6"):
+        cmap.band_outputs(rhos[:, :4, :4])
 
 
 @pytest.mark.parametrize(

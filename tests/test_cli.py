@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,7 +268,7 @@ def test_equality_rows_walk_the_thermal_laws_grid(tmp_path):
     assert main(["verify-thermal-laws", "--config", cfg, "--out", out]) == EXIT_OK
     thermal = {tuple(r[:3]) for r in read_rows(os.path.join(out, THERMAL_CSV))[1:]}
     args = build_parser().parse_args(["verify-cmoe", "--config", cfg])
-    rows = [item["row"] for item in cli._equality_rows(cli.load_config(args))]
+    rows = cli._equality_rows(cli.load_config(args))
     assert {(r["channel"], fmt(r["parameter"]), fmt(r["env_energy"])) for r in rows} == thermal
 
 
@@ -577,8 +578,19 @@ def _capped_cli(tmp_path, command, payload):
         ("verify-cmoe", {"cmoe": dict(TINY_CMOE, equality_input_energies=[1e4])}),
         ("verify-cmoe", {"thermal": {"gains": [1e6]}, "cmoe": TINY_CMOE}),
         ("verify-cmoe", {"thermal": {"env_energies": [1e5]}, "cmoe": TINY_CMOE}),
+        # the trials draw states at each cutoff, the search at its own,
+        # and the probe at probe_cutoff; each map is built before any draw
+        ("verify-cmoe", {"cmoe": dict(TINY_CMOE, cutoffs=[10**6])}),
+        ("verify-cmoe", {"cmoe": dict(TINY_CMOE, adversarial_searches=1, adversarial_cutoff=10**6)}),
+        ("verify-cmoe", {"cmoe": dict(TINY_CMOE, adversarial_searches=1, adversarial_cutoff=10**15)}),
+        ("verify-lemma", {"lemma": {"probe_cutoff": 10**6}}),
+        ("verify-lemma", {"lemma": {"probe_cutoff": 10**15}}),
     ],
-    ids=["input-energy", "gain", "env-energy", "cmoe-input-energy", "cmoe-gain", "cmoe-env-energy"],
+    ids=[
+        "input-energy", "gain", "env-energy", "cmoe-input-energy", "cmoe-gain", "cmoe-env-energy",
+        "cutoff-1e6", "search-cutoff-1e6", "search-cutoff-1e15", "probe-cutoff-1e6",
+        "probe-cutoff-1e15",
+    ],
 )
 def test_oversized_band_zero_exits_two_before_it_allocates(tmp_path, command, payload):
     code, err = _capped_cli(tmp_path, command, payload)
@@ -586,6 +598,52 @@ def test_oversized_band_zero_exits_two_before_it_allocates(tmp_path, command, pa
     assert len(err) == 1
     assert err[0].startswith("input error: ResourceLimitError: band 0 of the ")
     assert err[0].endswith(" exceeds limit 512 MiB")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"trials_per_channel": 10**6},
+        {"trials_per_channel": 10**15},
+        {"trials_per_channel": 1, "adversarial_searches": 10**6},
+        {"trials_per_channel": 1, "adversarial_searches": 10**15},
+    ],
+    ids=["trials-1e6", "trials-1e15", "searches-1e6", "searches-1e15"],
+)
+def test_oversized_cmoe_row_count_exits_two_before_it_allocates(tmp_path, payload):
+    # every row stays in memory until the summary is written
+    code, err = _capped_cli(tmp_path, "verify-cmoe", {"cmoe": dict(TINY_CMOE, **payload)})
+    assert code == EXIT_CONFIG, err[-20:]
+    assert len(err) == 1
+    assert err[0].startswith("input error: ResourceLimitError: ")
+    assert " trial and search rows need " in err[0]
+    assert err[0].endswith(" exceeds limit 512 MiB")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cmoe_row_bytes_bound_what_the_rows_hold(jobs):
+    # with --jobs 2 the rows held are the ones unpickled from the workers
+    spec, cutoffs = cli.parse_channel(DEFAULT_CONFIG["cmoe"]["channels"][0]), [16, 24]
+
+    def tasks(trials):
+        chunk = trials // (jobs * 8)
+        return [
+            (cli._cmoe_trial_batch, (7, spec, cutoffs, 0, range(trials)[lo : lo + chunk]))
+            for lo in range(0, trials, chunk)
+        ]
+
+    channel_maps.clear_caches()
+    cli._warm_caches([spec], cutoffs)
+    cli._run_tasks(jobs, tasks(64))  # first-call costs
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = [row for batch in cli._run_tasks(jobs, tasks(800)) for row in batch]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        channel_maps.clear_caches()
+    assert held <= cli.CMOE_ROW_BYTES * len(rows) <= 2 * held
 
 
 @pytest.mark.parametrize(
