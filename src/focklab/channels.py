@@ -215,16 +215,7 @@ class ChannelMap:
 
     def complete(self) -> list:
         """All min(d_in, d_out) bands, building the ones still missing."""
-        if self.d_out > MAX_DENSE_D_OUT:
-            raise ResourceLimitError(
-                f"dense output dim {self.d_out} exceeds limit {MAX_DENSE_D_OUT}"
-            )
-        size = dense_bytes(self.d_in, self.d_out)
-        if size > MAX_DENSE_BYTES:
-            raise ResourceLimitError(
-                f"dense {self.d_in} -> {self.d_out} level map needs {size / 2**20:.0f} MiB,"
-                f" exceeds limit {MAX_DENSE_BYTES // 2**20} MiB"
-            )
+        checked_dense_bytes(self.d_in, self.d_out)
         with self._lock:  # two threads may not advance one iterator
             if self._slabs is None:
                 self._build_slabs()
@@ -288,6 +279,19 @@ def dense_bytes(d_in: int, d_out: int) -> int:
     slabs, width = (count + 1) // 2, 2 * d_in - count + 1
     # slabs (d_out x width floats), gather (width x 2), lower and upper (d_out x 2 each)
     return 8 * slabs * (d_out * width + 2 * width + 4 * d_out) + 16 * d_out * d_out
+
+
+def checked_dense_bytes(d_in: int, d_out: int) -> int:
+    """dense_bytes(d_in, d_out); ResourceLimitError past MAX_DENSE_D_OUT or MAX_DENSE_BYTES."""
+    if d_out > MAX_DENSE_D_OUT:
+        raise ResourceLimitError(f"dense output dim {d_out} exceeds limit {MAX_DENSE_D_OUT}")
+    size = dense_bytes(d_in, d_out)
+    if size > MAX_DENSE_BYTES:
+        raise ResourceLimitError(
+            f"dense {d_in} -> {d_out} level map needs {size / 2**20:.0f} MiB,"
+            f" exceeds limit {MAX_DENSE_BYTES // 2**20} MiB"
+        )
+    return size
 
 
 def band_zero_bytes(d_in: int, sizes) -> int:

@@ -393,7 +393,8 @@ def thermal_grid(section: dict, input_energies):
 
     The channels are drawn from the section's transmissivities, gains and
     env_energies; each input is sized by thermal_grid_dims at the
-    section's tail_target.
+    section's tail_target.  Each point's channel maps are dropped once
+    the caller asks for the next point.
     """
     envs = section["env_energies"]
     channels = (
@@ -410,6 +411,8 @@ def thermal_grid(section: dict, input_energies):
         for e_in in input_energies:
             c_in, dims = thermal_grid_dims(spec, e_in, section["tail_target"])
             yield spec, e_in, c_in, dims
+            # no two points share a map, so the grid holds one map at a time
+            channel_maps.clear_caches()
 
 
 def cmd_verify_thermal_laws(cfg: dict) -> int:
@@ -555,12 +558,19 @@ def _warm_caches(specs, cutoffs) -> None:
     """Build every band of each channel map the trials and searches will need, pre-fork.
 
     Maps are built directly at the inputs' sizes, so no probe state can
-    fail on a small cutoff, and a map too large to build is refused
-    before any state of its size is drawn.
+    fail on a small cutoff.  A map too large to complete, or a set of
+    maps whose completed bands together pass MAX_DENSE_BYTES, is refused
+    before any map is completed.
     """
-    for spec in specs:
-        for cutoff in cutoffs:
-            channel_maps.get_channel_map(spec, cutoff).complete()
+    maps = [channel_maps.get_channel_map(spec, cutoff) for spec in specs for cutoff in cutoffs]
+    need = sum(channel_maps.checked_dense_bytes(m.d_in, m.d_out) for m in maps)
+    if need > channel_maps.MAX_DENSE_BYTES:
+        raise ResourceLimitError(
+            f"{len(maps)} completed channel maps need {need / 2**20:.0f} MiB,"
+            f" exceeds limit {channel_maps.MAX_DENSE_BYTES // 2**20} MiB"
+        )
+    for cmap in maps:
+        cmap.complete()
 
 
 def _run_tasks(jobs: int, tasks: list) -> list:

@@ -28,12 +28,17 @@ def state_spectrum(state) -> np.ndarray:
 
 
 def von_neumann_entropy(state) -> float:
-    """-sum(x ln x) over the spectrum."""
+    """-sum(x ln x) over the spectrum, 0.0 where that sum rounds below zero.
+
+    A pure state's top eigenvalue can round just above 1, so its sum can
+    read a few ulps below zero; -0.0 and every sum >= 0 are kept as they are.
+    """
     vals = state_spectrum(state)
     vals = vals[vals > ENTROPY_FLOOR]
     if vals.size == 0:
         return 0.0
-    return float(-np.sum(vals * np.log(vals)))
+    total = float(-np.sum(vals * np.log(vals)))
+    return 0.0 if total < 0.0 else total
 
 
 def _spectrum_norm(vals: np.ndarray, alpha: float) -> float:

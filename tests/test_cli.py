@@ -620,6 +620,16 @@ def test_oversized_cmoe_row_count_exits_two_before_it_allocates(tmp_path, payloa
     assert err[0].endswith(" exceeds limit 512 MiB")
 
 
+def test_oversized_cmoe_warm_set_exits_two_before_it_completes_a_map(tmp_path):
+    # 12 maps of at most 176 MiB each, 907 MiB together
+    payload = {"cmoe": {"trials_per_channel": 1, "cutoffs": [200, 250]}}
+    code, err = _capped_cli(tmp_path, "verify-cmoe", payload)
+    assert code == EXIT_CONFIG, err[-20:]
+    assert len(err) == 1
+    assert err[0].startswith("input error: ResourceLimitError: 12 completed channel maps need ")
+    assert err[0].endswith(" exceeds limit 512 MiB")
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_cmoe_row_bytes_bound_what_the_rows_hold(jobs):
     # with --jobs 2 the rows held are the ones unpickled from the workers
@@ -830,22 +840,38 @@ def test_violation_candidates_are_dumped(tmp_path, monkeypatch, capsys):
 
 
 def test_maps_hold_only_the_bands_their_callers_read(tmp_path, monkeypatch):
-    # verify-thermal-laws reads only the transition matrix of each map
+    # verify-thermal-laws reads only the transition matrix of each map,
+    # and the cache holds that one map at each grid point
     channel_maps.clear_caches()
+    apply_diagonal, held = cli.apply_diagonal, []
+
+    def recording_apply(spec, state, dims):
+        out = apply_diagonal(spec, state, dims)
+        held.append([len(cmap.bands) for cmap in channel_maps._map_cache.values()])
+        return out
+
+    monkeypatch.setattr(cli, "apply_diagonal", recording_apply)
     assert main(["verify-thermal-laws", "--out", str(tmp_path / "thermal")]) == EXIT_OK
-    assert channel_maps._map_cache
-    assert all(len(cmap.bands) == 1 for cmap in channel_maps._map_cache.values())
-    # verify-cmoe completes every trial map before the pool forks
+    assert len(held) == 56
+    assert all(bands == [1] for bands in held)
+    assert not channel_maps._map_cache
+    # verify-cmoe completes every trial map before the pool forks, and
+    # holds no equality-row map by then
     channel_maps.clear_caches()
     section = TWO_CHANNEL_CMOE["cmoe"]
     specs = [cli.parse_channel(entry) for entry in section["channels"]]
+    cutoffs = set(section["cutoffs"]) | {section["adversarial_cutoff"]}
     run_tasks, seen = cli._run_tasks, []
 
     def checking_run_tasks(jobs, tasks):
+        at_fork = {id(cmap) for cmap in channel_maps._map_cache.values()}
+        trial_maps = set()
         for spec in specs:
-            for cutoff in section["cutoffs"]:
+            for cutoff in cutoffs:
                 cmap = channel_maps.get_channel_map(spec, cutoff)
+                trial_maps.add(id(cmap))
                 seen.append(len(cmap.bands) == min(cmap.d_in, cmap.d_out))
+        seen.append(at_fork == trial_maps)
         return run_tasks(jobs, tasks)
 
     monkeypatch.setattr(cli, "_run_tasks", checking_run_tasks)
@@ -854,6 +880,37 @@ def test_maps_hold_only_the_bands_their_callers_read(tmp_path, monkeypatch):
     assert main(["verify-cmoe", "--config", cfg, "--jobs", "2", "--out", out]) == EXIT_OK
     assert seen and all(seen)
     channel_maps.clear_caches()
+
+
+def test_thermal_grid_memory_is_bounded_by_its_largest_map(tmp_path, monkeypatch):
+    # band_zero_bytes bounds the build of one map; the grid frees each
+    # map before it builds the next, so the walk peaks at one build
+    band_zero_bytes, needs = channel_maps.band_zero_bytes, []
+
+    def recording_band_zero_bytes(d_in, sizes):
+        needs.append(band_zero_bytes(d_in, sizes))
+        return needs[-1]
+
+    monkeypatch.setattr(channel_maps, "band_zero_bytes", recording_band_zero_bytes)
+    cfg = write_config(tmp_path, {"thermal": {"input_energies": [5.0, 10.0]}})
+    channel_maps.clear_caches()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(["verify-thermal-laws", "--config", cfg, "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert len(needs) == 28
+    assert peak < max(needs)
+
+
+def test_pure_trial_entropy_below_zero_by_rounding_passes(tmp_path):
+    # trial 329 draws a pure state whose entropy sum rounds to -6.2e-17
+    payload = {"cmoe": dict(TINY_CMOE, trials_per_channel=330)}
+    cfg = write_config(tmp_path, payload)
+    assert main(["verify-cmoe", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_OK
 
 
 def _blas_threads(_=None):

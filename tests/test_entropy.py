@@ -38,6 +38,14 @@ def test_von_neumann_entropy_limits():
     assert_allclose(von_neumann_entropy(mixed), math.log(8.0), rtol=1e-13)
 
 
+def test_von_neumann_entropy_is_never_below_zero():
+    # a top eigenvalue one ulp above 1 makes the sum read -2.2e-16
+    above_one = DiagonalState(np.array([1.0 + 2**-52, 0.0]))
+    assert von_neumann_entropy(above_one) == 0.0
+    # -0.0 of an exact pure state is kept bit for bit
+    assert math.copysign(1.0, von_neumann_entropy(DiagonalState(np.array([1.0, 0.0])))) == -1.0
+
+
 def test_von_neumann_entropy_thermal_matches_g():
     for e in (0.3, 1.0, 2.5):
         state = thermal_state(e, 300)
