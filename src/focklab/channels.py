@@ -55,10 +55,26 @@ ENV_TAIL_TARGET = 1e-14
 # path (apply_probs) has no dim limit.
 MAX_DENSE_D_OUT = 2048
 
-# Largest dense_bytes a map completes its bands for, and largest
-# band_zero_bytes a map is built with: at gain 2 the first admits 300
-# input levels (277 MiB) and refuses 400 (626 MiB).
+# Memory limit of every allocation a config value sizes; only
+# checked_bytes compares bytes with it.  At gain 2 a completed map admits
+# 300 input levels (277 MiB) and refuses 400 (626 MiB).
 MAX_DENSE_BYTES = 512 * 2**20
+
+
+def checked_bytes(*terms) -> int:
+    """Total of the (what, bytes) terms; ResourceLimitError past MAX_DENSE_BYTES.
+
+    The refusal reads "<what> needs N MiB, exceeds limit 512 MiB"; several
+    terms join their whats with " and " and say "need".
+    """
+    total = sum(size for _, size in terms)
+    if total > MAX_DENSE_BYTES:
+        what = " and ".join(what for what, _ in terms)
+        verb = "needs" if len(terms) == 1 else "need"
+        raise ResourceLimitError(
+            f"{what} {verb} {total / 2**20:.0f} MiB, exceeds limit {MAX_DENSE_BYTES // 2**20} MiB"
+        )
+    return total
 
 
 def finite_float(value) -> Optional[float]:
@@ -285,13 +301,7 @@ def checked_dense_bytes(d_in: int, d_out: int) -> int:
     """dense_bytes(d_in, d_out); ResourceLimitError past MAX_DENSE_D_OUT or MAX_DENSE_BYTES."""
     if d_out > MAX_DENSE_D_OUT:
         raise ResourceLimitError(f"dense output dim {d_out} exceeds limit {MAX_DENSE_D_OUT}")
-    size = dense_bytes(d_in, d_out)
-    if size > MAX_DENSE_BYTES:
-        raise ResourceLimitError(
-            f"dense {d_in} -> {d_out} level map needs {size / 2**20:.0f} MiB,"
-            f" exceeds limit {MAX_DENSE_BYTES // 2**20} MiB"
-        )
-    return size
+    return checked_bytes((f"dense {d_in} -> {d_out} level map", dense_bytes(d_in, d_out)))
 
 
 def band_zero_bytes(d_in: int, sizes) -> int:
@@ -486,12 +496,7 @@ def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = 
         keeps_size = kind == ChannelKind.ATTENUATOR and n < len(stages) - 1
         sizes.append((size, size if keeps_size else d_out))
         size = sizes[-1][1]
-    need = band_zero_bytes(d_in, sizes)
-    if need > MAX_DENSE_BYTES:
-        raise ResourceLimitError(
-            f"band 0 of the {d_in} -> {d_out} level map needs {need / 2**20:.0f} MiB,"
-            f" exceeds limit {MAX_DENSE_BYTES // 2**20} MiB"
-        )
+    checked_bytes((f"band 0 of the {d_in} -> {d_out} level map", band_zero_bytes(d_in, sizes)))
     bands = None
     for (kind, parameter), (size, size_out) in zip(stages, sizes):
         stage = _kraus_bands(kind, parameter, size, size_out)

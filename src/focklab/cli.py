@@ -32,7 +32,7 @@ from .channels import (
 )
 from .cmoe import VERDICT_EQUALITY, VERDICT_SUPPRESSED, VERDICT_VIOLATION, check_cmoe
 from .entropy import spectral_distance
-from .errors import ConfigError, FockLabError, ResourceLimitError, TruncationError
+from .errors import ConfigError, FockLabError, TruncationError
 from .lemma import (
     P_SOLVER_RESIDUAL,
     SCAN_POINTS,
@@ -60,6 +60,9 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_CONFIG = 2
+
+# most --jobs workers; the pool starts them all with its first task
+MAX_JOBS = 256
 
 # q at or above this needs --exploratory; the scalar inequalities are
 # only guaranteed on 1 < p < q < 3/2
@@ -282,8 +285,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r}")
     if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    if not _is_int(cfg["jobs"]) or cfg["jobs"] < 1:
-        raise ConfigError("jobs must be a positive integer")
+    if not _is_int(cfg["jobs"]) or not 1 <= cfg["jobs"] <= MAX_JOBS:
+        raise ConfigError(f"jobs must be an integer in [1, {MAX_JOBS}], got {cfg['jobs']!r}")
     if not isinstance(cfg["out"], str):
         raise ConfigError("out must be a path string")
     for section, values in CONFIG_SECTIONS.items():
@@ -480,12 +483,17 @@ STATE_KINDS = ("mixed", "pure", "diagonal", "pinned")
 ADVERSARIAL_STREAM_BASE = 1 << 40
 
 # bound on the bytes a verify-cmoe row holds until the summary is written
-# (tracemalloc: ~640 B, ~680 B for a row unpickled from a --jobs worker)
+# (tracemalloc: ~640 B, ~680 B for a row unpickled from a --jobs worker,
+# ~800 B for a violation candidate's, whose dump is on disk)
 CMOE_ROW_BYTES = 1024
 
 
-def _report_row(seed, suite, spec, cutoff, trial, state_kind, rep, state) -> dict:
-    """One CMOE_COLUMNS row; a violation candidate's row also carries its dumped state."""
+def _report_row(seed, suite, spec, cutoff, trial, state_kind, rep, state, dump: str) -> dict:
+    """One CMOE_COLUMNS row.
+
+    A violation candidate's state is written to the path `dump` at once,
+    and its row keeps only that path, as "counterexample".
+    """
     row = {
         "suite": suite,
         "channel": spec.kind.value,
@@ -503,12 +511,23 @@ def _report_row(seed, suite, spec, cutoff, trial, state_kind, rep, state) -> dic
     }
     if rep.verdict == VERDICT_VIOLATION:
         dense = state if hasattr(state, "matrix") else state.to_density()
-        row["counterexample"] = state_to_json(dense, seed, spec)
+        write_summary(dump, state_to_json(dense, seed, spec))
+        row["counterexample"] = dump
     return row
 
 
-def _cmoe_trial(seed: int, spec: ChannelSpec, cutoffs, trials_base: int, index: int) -> dict:
-    """One random-suite trial; depends only on (seed, global index)."""
+def _dump_path(out_dir: str, row: int) -> str:
+    """Where the state of the violation candidate in CSV data row `row` (from 0) is written."""
+    return os.path.join(out_dir, f"counterexample_{row}.json")
+
+
+def _cmoe_trial(run, spec: ChannelSpec, cutoffs, trials_base: int, index: int) -> dict:
+    """One random-suite trial; depends only on (seed, global index).
+
+    `run` is (seed, out_dir, first_row): the trial's row is CSV data row
+    first_row + trials_base + index.
+    """
+    seed, out_dir, first_row = run
     cutoff = cutoffs[index % len(cutoffs)]
     kind = STATE_KINDS[(index // len(cutoffs)) % len(STATE_KINDS)]
     stream = trials_base + index
@@ -520,55 +539,58 @@ def _cmoe_trial(seed: int, spec: ChannelSpec, cutoffs, trials_base: int, index: 
         cfg = SamplerConfig(seed=seed, cutoff=cutoff, kind=kind)
     state = draw_state(cfg, stream)
     rep = check_cmoe(spec, state)
-    return _report_row(seed, "random", spec, cutoff, index, kind, rep, state)
+    dump = _dump_path(out_dir, first_row + stream)
+    return _report_row(seed, "random", spec, cutoff, index, kind, rep, state, dump)
 
 
 def _cmoe_trial_batch(args) -> list:
-    seed, spec, cutoffs, trials_base, indices = args
-    return [_cmoe_trial(seed, spec, cutoffs, trials_base, i) for i in indices]
+    run, spec, cutoffs, trials_base, indices = args
+    return [_cmoe_trial(run, spec, cutoffs, trials_base, i) for i in indices]
 
 
 def _adversarial_job(args) -> dict:
-    seed, spec, cutoff, iterations, stream_index = args
+    """One search's row; `run` is (seed, out_dir, first_row), as for _cmoe_trial."""
+    run, spec, cutoff, iterations, stream_index = args
+    seed, out_dir, first_row = run
     rng = substream(seed, ADVERSARIAL_STREAM_BASE + stream_index)
     target = 0.2 + rng.random() * (0.9 * math.log(cutoff) - 0.2)
     derived = _splitmix64(seed ^ _splitmix64(ADVERSARIAL_STREAM_BASE + stream_index))
     result = adversarial_search(spec, target, iterations, cutoff, derived)
     return _report_row(
         seed, "adversarial", spec, cutoff, stream_index, "search-best",
-        result.best_report, result.best_state,
+        result.best_report, result.best_state, _dump_path(out_dir, first_row + stream_index),
     )
 
 
 def _equality_rows(cfg: dict) -> list:
-    """_report_row rows of the thermal inputs on the thermal grid."""
-    rows = []
+    """_report_row rows of the thermal inputs on the thermal grid, the first CSV data rows."""
+    seed, out_dir, rows = cfg["seed"], cfg["out"], []
     grid = thermal_grid(cfg["thermal"], cfg["cmoe"]["equality_input_energies"])
     for spec, e_in, c_in, dims in grid:
         if spec.kind == ChannelKind.ADDITIVE:
             dims = None  # additive rows keep the default output size
         state = thermal_state(e_in, c_in)
-        rep = check_cmoe(spec, state, dims)
-        row = _report_row(cfg["seed"], "equality", spec, c_in, len(rows), "thermal", rep, state)
-        rows.append(row)
+        rep, row = check_cmoe(spec, state, dims), len(rows)
+        dump = _dump_path(out_dir, row)
+        rows.append(_report_row(seed, "equality", spec, c_in, row, "thermal", rep, state, dump))
     return rows
 
 
-def _warm_caches(specs, cutoffs) -> None:
+def _warm_caches(specs, cutoffs, rows: int) -> None:
     """Build every band of each channel map the trials and searches will need, pre-fork.
 
     Maps are built directly at the inputs' sizes, so no probe state can
-    fail on a small cutoff.  A map too large to complete, or a set of
-    maps whose completed bands together pass MAX_DENSE_BYTES, is refused
-    before any map is completed.
+    fail on a small cutoff.  The `rows` trial and search rows still to
+    come and the completed maps are refused together past
+    MAX_DENSE_BYTES, before any map is completed.  The caller's thermal
+    grid clears the cache, so this runs after the equality rows.
     """
     maps = [channel_maps.get_channel_map(spec, cutoff) for spec in specs for cutoff in cutoffs]
-    need = sum(channel_maps.checked_dense_bytes(m.d_in, m.d_out) for m in maps)
-    if need > channel_maps.MAX_DENSE_BYTES:
-        raise ResourceLimitError(
-            f"{len(maps)} completed channel maps need {need / 2**20:.0f} MiB,"
-            f" exceeds limit {channel_maps.MAX_DENSE_BYTES // 2**20} MiB"
-        )
+    channel_maps.checked_bytes(
+        (f"{rows} trial and search rows", rows * CMOE_ROW_BYTES),
+        (f"{len(maps)} completed channel maps",
+         sum(channel_maps.checked_dense_bytes(m.d_in, m.d_out) for m in maps)),
+    )
     for cmap in maps:
         cmap.complete()
 
@@ -599,25 +621,24 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     searches = section["adversarial_searches"]
     search_cutoff = section["adversarial_cutoff"]
     iterations = section["adversarial_iterations"]
-    count = len(specs) * (trials + searches)
-    if count * CMOE_ROW_BYTES > channel_maps.MAX_DENSE_BYTES:
-        raise ResourceLimitError(
-            f"{count} trial and search rows need {count * CMOE_ROW_BYTES / 2**20:.0f} MiB,"
-            f" exceeds limit {channel_maps.MAX_DENSE_BYTES // 2**20} MiB"
-        )
     rows = _equality_rows(cfg)
     equality_bad = sum(r["verdict"] != VERDICT_EQUALITY for r in rows)
     failures = [f"{equality_bad} thermal equality rows off bound"] if equality_bad else []
 
-    _warm_caches(specs, set(cutoffs) | ({search_cutoff} if searches else set()))
+    warm_cutoffs = set(cutoffs) | ({search_cutoff} if searches else set())
+    _warm_caches(specs, warm_cutoffs, len(specs) * (trials + searches))
+    # the trial rows follow the equality rows, and the search rows follow them
+    trials_run = (seed, out_dir, len(rows))
+    searches_run = (seed, out_dir, len(rows) + len(specs) * trials)
     chunk = max(1, trials // (jobs * 8))
     trial_tasks = [
-        (_cmoe_trial_batch, (seed, spec, cutoffs, ch_idx * trials, range(trials)[lo : lo + chunk]))
+        (_cmoe_trial_batch,
+         (trials_run, spec, cutoffs, ch_idx * trials, range(trials)[lo : lo + chunk]))
         for ch_idx, spec in enumerate(specs)
         for lo in range(0, trials, chunk)
     ]
     search_tasks = [
-        (_adversarial_job, (seed, spec, search_cutoff, iterations, ch_idx * searches + s))
+        (_adversarial_job, (searches_run, spec, search_cutoff, iterations, ch_idx * searches + s))
         for ch_idx, spec in enumerate(specs)
         for s in range(searches)
     ]
@@ -652,11 +673,8 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     if suppressed:
         failures.append(f"{suppressed} rows suppressed by truncation")
 
-    dumps = [r["counterexample"] for r in rows if "counterexample" in r]
-    paths = [os.path.join(out_dir, f"counterexample_{i}.json") for i in range(len(dumps))]
-    for path, payload in zip(paths, dumps):
-        write_summary(path, payload)
-        failures.append(f"violation candidate recorded at {path}")
+    paths = [r["counterexample"] for r in rows if "counterexample" in r]
+    failures += [f"violation candidate recorded at {path}" for path in paths]
 
     summary = {
         "rows": len(rows),
@@ -798,7 +816,7 @@ def _read_csv_checked(path: str, expected_columns) -> None:
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(expected_columns):
                     raise ConfigError(f"corrupted CSV {path}: wrong column count at line {lineno}")
-        except UnicodeDecodeError as exc:
+        except (UnicodeDecodeError, csv.Error) as exc:
             raise ConfigError(f"corrupted CSV {path}: {exc}")
 
 

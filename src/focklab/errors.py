@@ -9,12 +9,8 @@ class InvalidDimensionError(FockLabError, ValueError):
     """A cutoff or matrix dimension is out of the supported range."""
 
 
-class DimensionMismatchError(FockLabError, ValueError):
-    """Operands whose dimensions must agree do not."""
-
-
 class ResourceLimitError(FockLabError):
-    """A map, lemma grid or verify-cmoe row set would exceed MAX_DENSE_BYTES or MAX_DENSE_D_OUT."""
+    """An allocation would pass MAX_DENSE_BYTES (channels.checked_bytes) or MAX_DENSE_D_OUT."""
 
 
 class NonHermitianError(FockLabError, ValueError):

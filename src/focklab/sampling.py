@@ -9,7 +9,6 @@ module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -314,9 +313,3 @@ def state_from_json(payload: dict):
         env_energy=ch.get("env_energy", 0.0),
     )
     return rho, int(payload["seed"]), spec
-
-
-def write_counterexample(path, state: DensityMatrix, seed: int, spec: ChannelSpec) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_json(state, seed, spec), fh, sort_keys=True, indent=2)
-        fh.write("\n")

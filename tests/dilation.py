@@ -9,6 +9,8 @@ the stages that focklab.channels builds its maps from.
 Conventions: the annihilation operator has <n-1|a|n> = sqrt(n); composite
 indices are system-major, (m, j) -> m * d_env + j for system level m and
 environment level j.  Dense joint objects are refused above MAX_JOINT_DIM.
+
+validate_state is the tests' check that a matrix is a density matrix.
 """
 
 import functools
@@ -28,16 +30,35 @@ from focklab.channels import (
     default_dims,
 )
 from focklab.errors import (
-    DimensionMismatchError,
     DomainError,
     InvalidDimensionError,
+    NonHermitianError,
+    PositivityError,
     ResourceLimitError,
 )
-from focklab.states import DensityMatrix
+from focklab.states import HERMITICITY_TOL, DensityMatrix, clamp_spectrum
 from focklab.thermal import thermal_state
 
 # Largest dense joint dimension we will materialize (e.g. 128 x 128 modes).
 MAX_JOINT_DIM = 16384
+
+# how far a valid state's trace may pass 1, or fall below 1 - trace_deficit
+TRACE_SLACK = 1e-12
+
+
+def validate_state(rho: DensityMatrix) -> DensityMatrix:
+    """Check Hermiticity, positivity and trace bookkeeping; return rho."""
+    m = rho.matrix
+    herm = float(np.abs(m - m.conj().T).max())
+    if herm > HERMITICITY_TOL:
+        raise NonHermitianError(f"Hermiticity defect {herm:.3e} > {HERMITICITY_TOL:.1e}")
+    clamp_spectrum(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
+    tr = rho.trace
+    if tr > 1.0 + TRACE_SLACK:
+        raise PositivityError(f"trace {tr!r} exceeds 1 + {TRACE_SLACK:.1e}")
+    if tr < 1.0 - rho.trace_deficit - TRACE_SLACK:
+        raise PositivityError(f"trace {tr!r} below 1 - {rho.trace_deficit!r} - {TRACE_SLACK:.1e}")
+    return rho
 
 
 def ladder(cutoff: int) -> np.ndarray:
@@ -63,7 +84,7 @@ def partial_trace(joint: np.ndarray, d_sys: int, d_env: int, keep: str = "sys") 
     """Trace out one factor of a (d_sys*d_env)-dimensional joint matrix."""
     joint = np.asarray(joint, dtype=complex)
     if joint.shape != (d_sys * d_env, d_sys * d_env):
-        raise DimensionMismatchError(
+        raise InvalidDimensionError(
             f"joint shape {joint.shape} incompatible with {d_sys}x{d_env} factors"
         )
     t = joint.reshape(d_sys, d_env, d_sys, d_env)
@@ -71,7 +92,7 @@ def partial_trace(joint: np.ndarray, d_sys: int, d_env: int, keep: str = "sys") 
         return np.einsum("ijkj->ik", t)
     if keep == "env":
         return np.einsum("ijil->jl", t)
-    raise DimensionMismatchError(f"keep must be 'sys' or 'env', got {keep!r}")
+    raise DomainError(f"keep must be 'sys' or 'env', got {keep!r}")
 
 
 # ---------------------------------------------------------------------------

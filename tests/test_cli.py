@@ -35,7 +35,7 @@ from focklab.cli import (
 )
 from focklab.errors import ConfigError, TruncationError
 from focklab.lemma import FD_TOL
-from focklab.sampling import state_from_json, write_counterexample
+from focklab.sampling import state_from_json, state_to_json
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -286,6 +286,59 @@ def test_cmoe_jobs_do_not_change_bytes(tmp_path):
     assert [r[5] for r in rows if r[0] == "adversarial"] == ["0", "1", "2", "3"]
 
 
+def test_dumps_are_named_by_their_csv_row(tmp_path, monkeypatch):
+    # one nat added to the contravariant bound: that channel's equality,
+    # trial and search rows are violation candidates, and no other row
+    bound = focklab.cmoe.bound_for
+
+    def raised(spec, s):
+        return bound(spec, s) + (spec.kind == cli.ChannelKind.CONTRAVARIANT)
+
+    monkeypatch.setattr("focklab.cmoe.bound_for", raised)
+    cfg = write_config(tmp_path, TWO_CHANNEL_CMOE)
+    outs = [tmp_path / "j1", tmp_path / "j2"]
+    for jobs, out in zip(("1", "2"), outs):
+        argv = ["verify-cmoe", "--config", cfg, "--jobs", jobs, "--out", str(out)]
+        assert main(argv) == EXIT_CLAIM_FAILED
+    # the summaries differ only in the dump paths they list
+    files = [{k: v for k, v in dir_bytes(out).items() if k != CMOE_SUMMARY} for out in outs]
+    assert files[0] == files[1]
+    rows = read_rows(outs[1] / CMOE_CSV)[1:]
+    candidates = [i for i, r in enumerate(rows) if r[-1] == "ViolationCandidate"]
+    assert {rows[i][0] for i in candidates} == {"equality", "random", "adversarial"}
+    assert all((r[1] == "contravariant") == (i in candidates) for i, r in enumerate(rows))
+    paths = [str(outs[1] / f"counterexample_{i}.json") for i in candidates]
+    assert sorted(map(str, outs[1].glob("counterexample_*.json"))) == sorted(paths)
+    assert json.loads((outs[1] / CMOE_SUMMARY).read_text())["counterexamples"] == paths
+    for i, path in zip(candidates, paths):
+        with open(path) as fh:
+            _, _, spec = state_from_json(json.load(fh))
+        assert [spec.kind.value, fmt(spec.parameter), fmt(spec.env_energy)] == rows[i][1:4]
+
+
+@pytest.mark.parametrize("jobs", [0, cli.MAX_JOBS + 1, 100_000])
+def test_jobs_out_of_range_exit_two_before_a_worker_starts(tmp_path, monkeypatch, capsys, jobs):
+    # the pool would fork every worker with its first task; this stub
+    # records the call and raises, so no process starts
+    import concurrent.futures
+
+    pools = []
+
+    def no_pool(*args, **kwargs):
+        pools.append(kwargs)
+        raise RuntimeError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    cfg = write_config(tmp_path, SMALL_CMOE)
+    argv = ["verify-cmoe", "--config", cfg, "--jobs", str(jobs), "--out", str(tmp_path / "r")]
+    assert main(argv) == EXIT_CONFIG
+    assert pools == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: jobs must be an integer in [1, {cli.MAX_JOBS}], got {jobs}"]
+    args = build_parser().parse_args(["verify-cmoe", "--jobs", str(cli.MAX_JOBS)])
+    assert cli.load_config(args)["jobs"] == cli.MAX_JOBS
+
+
 def test_lemma_small_run_passes(tmp_path):
     cfg = write_config(tmp_path, SMALL_LEMMA)
     out = str(tmp_path / "run")
@@ -456,6 +509,10 @@ def test_report_rejects_corrupted_csv(tmp_path, capsys):
         pytest.param(THERMAL_SUMMARY, b"[]", EXIT_CONFIG, id="summary-not-object"),
         pytest.param(THERMAL_SUMMARY, b'{"passed": "\xff"}', EXIT_CONFIG, id="summary-not-utf8"),
         pytest.param(THERMAL_CSV, b"channel,\xff\n", EXIT_CONFIG, id="csv-not-utf8"),
+        # one field past the csv module's 131,072-character limit
+        pytest.param(
+            THERMAL_CSV, b"channel," + b"x" * 131073 + b"\n", EXIT_CONFIG, id="csv-field-too-large"
+        ),
         pytest.param(THERMAL_SUMMARY, b'{"passed": "false"}', EXIT_CLAIM_FAILED, id="passed-string"),
     ],
 )
@@ -616,7 +673,7 @@ def test_oversized_cmoe_row_count_exits_two_before_it_allocates(tmp_path, payloa
     assert code == EXIT_CONFIG, err[-20:]
     assert len(err) == 1
     assert err[0].startswith("input error: ResourceLimitError: ")
-    assert " trial and search rows need " in err[0]
+    assert " trial and search rows and " in err[0] and " completed channel maps need " in err[0]
     assert err[0].endswith(" exceeds limit 512 MiB")
 
 
@@ -626,24 +683,28 @@ def test_oversized_cmoe_warm_set_exits_two_before_it_completes_a_map(tmp_path):
     code, err = _capped_cli(tmp_path, "verify-cmoe", payload)
     assert code == EXIT_CONFIG, err[-20:]
     assert len(err) == 1
-    assert err[0].startswith("input error: ResourceLimitError: 12 completed channel maps need ")
+    assert err[0].startswith("input error: ResourceLimitError: 44 trial and search rows and ")
+    assert " 12 completed channel maps need " in err[0]
     assert err[0].endswith(" exceeds limit 512 MiB")
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cmoe_row_bytes_bound_what_the_rows_hold(jobs):
-    # with --jobs 2 the rows held are the ones unpickled from the workers
+def _held_trial_rows(jobs, out_dir):
+    """The rows of 800 trials run as verify-cmoe runs them, and the bytes they hold.
+
+    With --jobs 2 the rows held are the ones unpickled from the workers.
+    """
     spec, cutoffs = cli.parse_channel(DEFAULT_CONFIG["cmoe"]["channels"][0]), [16, 24]
 
     def tasks(trials):
         chunk = trials // (jobs * 8)
+        run = (7, out_dir, 0)
         return [
-            (cli._cmoe_trial_batch, (7, spec, cutoffs, 0, range(trials)[lo : lo + chunk]))
+            (cli._cmoe_trial_batch, (run, spec, cutoffs, 0, range(trials)[lo : lo + chunk]))
             for lo in range(0, trials, chunk)
         ]
 
     channel_maps.clear_caches()
-    cli._warm_caches([spec], cutoffs)
+    cli._warm_caches([spec], cutoffs, 0)
     cli._run_tasks(jobs, tasks(64))  # first-call costs
     tracemalloc.start()
     try:
@@ -653,7 +714,29 @@ def test_cmoe_row_bytes_bound_what_the_rows_hold(jobs):
     finally:
         tracemalloc.stop()
         channel_maps.clear_caches()
+    return rows, held
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cmoe_row_bytes_bound_what_the_rows_hold(tmp_path, jobs):
+    rows, held = _held_trial_rows(jobs, str(tmp_path))
     assert held <= cli.CMOE_ROW_BYTES * len(rows) <= 2 * held
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cmoe_row_bytes_bound_violation_candidate_rows(tmp_path, monkeypatch, jobs):
+    # ten nats added to the bound, past any gap at these cutoffs, turn
+    # every row into a violation candidate; its process writes the dump
+    # at once, and the row keeps only the path (a row that kept its dump
+    # held ~28 KB here)
+    bound = focklab.cmoe.bound_for
+    monkeypatch.setattr("focklab.cmoe.bound_for", lambda spec, s: bound(spec, s) + 10.0)
+    rows, held = _held_trial_rows(jobs, str(tmp_path))
+    assert {r["verdict"] for r in rows} == {"ViolationCandidate"}
+    assert held <= cli.CMOE_ROW_BYTES * len(rows)
+    paths = [str(tmp_path / f"counterexample_{i}.json") for i in range(len(rows))]
+    assert [r["counterexample"] for r in rows] == paths
+    assert sorted(map(str, tmp_path.glob("counterexample_*.json"))) == sorted(paths)
 
 
 @pytest.mark.parametrize(
@@ -822,15 +905,14 @@ def test_violation_candidates_are_dumped(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     seed = DEFAULT_CONFIG["seed"]
     channel = cli.parse_channel(SMALL_CMOE["cmoe"]["channels"][0])
-    expected = tmp_path / "expected.json"
     # equality rows, then trial rows in draw order, then the search's row
     dumped = equality + [(channel, state) for state in drawn + searched]
     assert len(dumped) == len(paths)
     for path, (channel, state), row in zip(paths, dumped, rows):
         dense = state if hasattr(state, "matrix") else state.to_density()
-        write_counterexample(expected, dense, seed, channel)
+        expected = json.dumps(state_to_json(dense, seed, channel), sort_keys=True, indent=2) + "\n"
         with open(path, "rb") as fh:
-            assert fh.read() == expected.read_bytes()
+            assert fh.read() == expected.encode()
         with open(path) as fh:
             rho, got_seed, spec = state_from_json(json.load(fh))
         assert np.array_equal(rho.matrix, dense.matrix) and got_seed == seed

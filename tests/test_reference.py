@@ -1,10 +1,13 @@
-"""The benchmark's command-line workloads replayed against their reference tables.
+"""The benchmark's tools run against the program.
 
 perfbench/reference/ holds the CSVs that the benchmark's gate compares
 every run with, cell by cell.  Replaying the same commands here makes a
-drifted cell fail the test suite before the benchmark refuses it.
+drifted cell fail the test suite before the benchmark refuses it.  The
+benchmark's tracer (perfbench/spans.py, behind run.py --trace 1) wraps
+program functions by name, so a renamed one fails here too.
 """
 
+import importlib
 import importlib.util
 import json
 import os
@@ -27,15 +30,24 @@ CMOE_CLI_CONFIG = {
 }
 
 
-def _load_gate():
-    path = os.path.join(PERFBENCH, "gate.py")
-    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
-    return gate
+# names the tracer wraps that the program no longer has; their layers read zero
+NOT_TRACED = {
+    "focklab.channels.beamsplitter_unitary",
+    "focklab.channels.squeezer_unitary",
+    "focklab.sampling.von_neumann_entropy",
+}
 
 
-gate = _load_gate()
+def _load_perfbench(name):
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gate = _load_perfbench("gate")
+spans = _load_perfbench("spans")
 
 
 @pytest.mark.parametrize(
@@ -62,3 +74,25 @@ def test_gate_self_test_passes(capsys):
     # a dropped row; a loosened gate fails here
     assert gate.self_test()
     assert capsys.readouterr().out.splitlines()[-1] == "gate self-test OK"
+
+
+def test_tracer_wraps_every_name_it_still_finds():
+    # the modules perfbench/run.py hands the tracer
+    names = ("channels", "cli", "cmoe", "entropy", "lemma", "sampling", "states", "thermal")
+    modules = {name: importlib.import_module(f"focklab.{name}") for name in names}
+    channels = modules["channels"]
+    spec, dims = channels.amplifier(2.0, 0.5), channels.ChannelDims(d_sys=30, d_env=30, d_out=30)
+    channels.clear_caches()
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    try:
+        built = [channels.get_channel_map(spec, 6), channels.get_channel_map(spec, 6, dims)]
+    finally:
+        tracer.uninstall()
+        channels.clear_caches()
+    assert set(tracer.missing) <= NOT_TRACED
+    assert [span[4] for span in tracer.spans if span[0] == "channels.map_build"] == [
+        {"miss": True, "map": id(cmap), "bytes": cmap.bands[0].nbytes, "d_out": d, "d_sys": d}
+        for cmap, d in zip(built, (channels.default_dims(spec, 6).d_out, 30))
+    ]
+    assert not hasattr(channels.get_channel_map, "__wrapped__")  # uninstalled

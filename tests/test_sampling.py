@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -23,10 +22,11 @@ from focklab.sampling import (
     state_from_json,
     state_to_json,
     substream,
-    write_counterexample,
 )
 from focklab.states import DensityMatrix, DiagonalState
 from focklab.thermal import g, thermal_state
+
+from dilation import validate_state
 
 
 def test_substream_deterministic_and_disjoint():
@@ -48,7 +48,7 @@ def test_random_pure_is_normalized_rank_one():
     assert_allclose(rho.trace, 1.0, atol=1e-12)
     purity = float(np.trace(rho.matrix @ rho.matrix).real)
     assert_allclose(purity, 1.0, atol=1e-12)
-    rho.validate()
+    validate_state(rho)
 
 
 def test_random_mixed_rank_control():
@@ -57,7 +57,7 @@ def test_random_mixed_rank_control():
     vals = state_spectrum(rho)
     assert vals[2] > 1e-6
     assert vals[3] < 1e-12
-    rho.validate()
+    validate_state(rho)
 
 
 def test_random_diagonal_normalized():
@@ -86,7 +86,7 @@ def test_entropy_pinned_state_hits_target():
     for target in (0.2, 1.0, 2.0):
         rho = entropy_pinned_state(target, 12, substream(10, 0))
         assert abs(von_neumann_entropy(rho) - target) <= 1e-9
-        rho.validate()
+        validate_state(rho)
 
 
 def test_entropy_pinned_state_zero_target_is_pure():
@@ -240,20 +240,6 @@ def test_state_json_round_trip():
     assert back_seed == 42
     assert back_spec == spec
     assert payload["schema_version"] == 1
-
-
-def test_write_counterexample_is_deterministic(tmp_path):
-    rho = random_pure(5, substream(14, 0))
-    spec = attenuator(0.4, 1.0)
-    p1 = tmp_path / "a.json"
-    p2 = tmp_path / "b.json"
-    write_counterexample(p1, rho, 7, spec)
-    write_counterexample(p2, rho, 7, spec)
-    b1 = p1.read_bytes()
-    assert b1 == p2.read_bytes()
-    assert b1.endswith(b"\n")
-    parsed = json.loads(b1)
-    assert parsed["dimension"] == 5
 
 
 def test_thermal_start_search_stays_at_equality_gap():

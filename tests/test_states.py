@@ -13,6 +13,8 @@ from focklab.errors import (
 )
 from focklab.states import DensityMatrix, DiagonalState, clamp_spectrum
 
+from dilation import validate_state
+
 
 def test_clamp_spectrum_zeroes_small_negatives():
     vals = np.array([0.5, -1e-12, 0.5])
@@ -55,31 +57,20 @@ def test_validate_accepts_valid_state():
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     m = m @ m.conj().T
     m /= np.trace(m).real
-    DensityMatrix.from_matrix(m).validate()
+    validate_state(DensityMatrix.from_matrix(m))
 
 
 def test_validate_rejects_non_hermitian():
     m = np.diag([0.5, 0.5]).astype(complex)
     m[0, 1] = 0.1
     with pytest.raises(NonHermitianError):
-        DensityMatrix(m).validate()
+        validate_state(DensityMatrix(m))
 
 
 def test_validate_rejects_negative_eigenvalue():
     m = np.diag([1.2, -0.2]).astype(complex)
     with pytest.raises(PositivityError):
-        DensityMatrix(m).validate()
-
-
-def test_diagonal_part_matches_diagonal():
-    rng = np.random.default_rng(9)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = m @ m.conj().T
-    m /= np.trace(m).real
-    rho = DensityMatrix.from_matrix(m)
-    diag = rho.diagonal_part()
-    assert isinstance(diag, DiagonalState)
-    assert_allclose(diag.probs, np.diag(m).real, atol=1e-15)
+        validate_state(DensityMatrix(m))
 
 
 def test_diagonal_state_clamps_tiny_negatives():
@@ -92,19 +83,13 @@ def test_diagonal_state_rejects_large_negatives():
         DiagonalState(np.array([0.7, -1e-6]))
 
 
-def test_diagonal_state_from_probs_deficit():
-    state = DiagonalState.from_probs([0.5, 0.3])
-    assert_allclose(state.trace_deficit, 0.2, atol=1e-15)
-    assert_allclose(state.trace, 0.8, atol=1e-15)
-
-
 def test_diagonal_state_rejects_bad_shape():
     with pytest.raises(InvalidDimensionError):
         DiagonalState(np.zeros((2, 2)))
 
 
 def test_to_density_round_trip():
-    state = DiagonalState.from_probs([0.2, 0.3, 0.4])
+    state = DiagonalState(np.array([0.2, 0.3, 0.4]), 0.1)
     rho = state.to_density()
     assert isinstance(rho, DensityMatrix)
     assert_allclose(rho.matrix, np.diag([0.2, 0.3, 0.4]).astype(complex), atol=0)
