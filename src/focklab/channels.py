@@ -50,29 +50,25 @@ MAX_APPLY_DEFICIT = 0.01
 # Tail-mass target used when sizing the attenuator environment.
 ENV_TAIL_TARGET = 1e-14
 
-# Largest output dim a map completes its bands for, so that apply_matrix
-# allocates at most a 2048 x 2048 complex output (64 MiB); the band-0
-# path (apply_probs) has no dim limit.
-MAX_DENSE_D_OUT = 2048
-
 # Memory limit of every allocation a config value sizes; only
 # checked_bytes compares bytes with it.  At gain 2 a completed map admits
-# 300 input levels (277 MiB) and refuses 400 (626 MiB).
+# 300 input levels (294 MiB) and refuses 400 (656 MiB).
 MAX_DENSE_BYTES = 512 * 2**20
 
 
 def checked_bytes(*terms) -> int:
     """Total of the (what, bytes) terms; ResourceLimitError past MAX_DENSE_BYTES.
 
-    The refusal reads "<what> needs N MiB, exceeds limit 512 MiB"; several
-    terms join their whats with " and " and say "need".
+    The refusal reads "<what> needs N MiB, exceeds limit 512 MiB", N rounded
+    in integers (a total can pass the float range); several terms join
+    their whats with " and " and say "need".
     """
     total = sum(size for _, size in terms)
     if total > MAX_DENSE_BYTES:
         what = " and ".join(what for what, _ in terms)
         verb = "needs" if len(terms) == 1 else "need"
         raise ResourceLimitError(
-            f"{what} {verb} {total / 2**20:.0f} MiB, exceeds limit {MAX_DENSE_BYTES // 2**20} MiB"
+            f"{what} {verb} {(total + 2**19) >> 20} MiB, exceeds limit {MAX_DENSE_BYTES >> 20} MiB"
         )
     return total
 
@@ -231,7 +227,7 @@ class ChannelMap:
 
     def complete(self) -> list:
         """All min(d_in, d_out) bands, building the ones still missing."""
-        checked_dense_bytes(self.d_in, self.d_out)
+        checked_bytes(dense_term(self.d_in, self.d_out))
         with self._lock:  # two threads may not advance one iterator
             if self._slabs is None:
                 self._build_slabs()
@@ -290,18 +286,20 @@ class ChannelMap:
 
 
 def dense_bytes(d_in: int, d_out: int) -> int:
-    """Bytes of a completed map's slabs and index arrays plus one output."""
+    """Bytes of a completed map's slabs and index arrays plus one output and two copies.
+
+    An output's eigensolve holds two more of its size: the conjugate the
+    Hermiticity check makes, then the eigensolver's own input copy.
+    """
     count = min(d_in, d_out)
     slabs, width = (count + 1) // 2, 2 * d_in - count + 1
     # slabs (d_out x width floats), gather (width x 2), lower and upper (d_out x 2 each)
-    return 8 * slabs * (d_out * width + 2 * width + 4 * d_out) + 16 * d_out * d_out
+    return 8 * slabs * (d_out * width + 2 * width + 4 * d_out) + 3 * 16 * d_out * d_out
 
 
-def checked_dense_bytes(d_in: int, d_out: int) -> int:
-    """dense_bytes(d_in, d_out); ResourceLimitError past MAX_DENSE_D_OUT or MAX_DENSE_BYTES."""
-    if d_out > MAX_DENSE_D_OUT:
-        raise ResourceLimitError(f"dense output dim {d_out} exceeds limit {MAX_DENSE_D_OUT}")
-    return checked_bytes((f"dense {d_in} -> {d_out} level map", dense_bytes(d_in, d_out)))
+def dense_term(d_in: int, d_out: int) -> tuple:
+    """The checked_bytes term of completing a d_in -> d_out map and applying it."""
+    return (f"dense {d_in} -> {d_out} level map", dense_bytes(d_in, d_out))
 
 
 def band_zero_bytes(d_in: int, sizes) -> int:
@@ -316,6 +314,12 @@ def band_zero_bytes(d_in: int, sizes) -> int:
         products = 8 * (size + size_out) * d_in if n else 0
         peak = max(peak, 40 * (size + size_out) + 6 * 8 * size * size_out + products)
     return peak
+
+
+def band_zero_term(spec: ChannelSpec, d_in: int, d_out: int) -> tuple:
+    """The checked_bytes term of building band 0 of spec's d_in -> d_out map."""
+    sizes = [stage[2:] for stage in _stages(spec, d_in, d_out)]
+    return (f"band 0 of the {d_in} -> {d_out} level map", band_zero_bytes(d_in, sizes))
 
 
 def _xlog(power, base: float):
@@ -378,19 +382,26 @@ def _kraus_bands(kind: ChannelKind, parameter: float, d_in: int, d_out: int):
     return map(band, range(min(d_in, d_out)))
 
 
-def _stages(spec: ChannelSpec) -> list:
-    """Quantum-limited (kind, parameter) stages composing `spec`, first applied first."""
-    e = spec.env_energy
+def _stages(spec: ChannelSpec, d_in: int, d_out: int) -> list:
+    """(kind, parameter, size, size_out) of each quantum-limited stage of a d_in -> d_out map.
+
+    First applied first; an attenuator stage before the last keeps its
+    input size, since it never adds quanta, and any other outputs d_out.
+    """
+    e, att, amp = spec.env_energy, ChannelKind.ATTENUATOR, ChannelKind.AMPLIFIER
     if spec.kind == ChannelKind.ADDITIVE:
-        return [(ChannelKind.ATTENUATOR, 1.0 / (e + 1.0)), (ChannelKind.AMPLIFIER, e + 1.0)]
-    if spec.kind == ChannelKind.CONTRAVARIANT:
-        kap = spec.gain
-        tail = _stages(additive_noise(kap * e)) if e > 0.0 else []
-        return [(ChannelKind.CONTRAVARIANT, kap)] + tail
-    if e == 0.0:
-        return [(spec.kind, spec.parameter)]
-    lam, kap = decompose(spec)
-    return [(ChannelKind.ATTENUATOR, lam), (ChannelKind.AMPLIFIER, kap)]
+        parts = [(att, 1.0 / (e + 1.0)), (amp, e + 1.0)]
+    elif spec.kind == ChannelKind.CONTRAVARIANT:
+        noise = _stages(additive_noise(spec.gain * e), d_in, d_out) if e > 0.0 else []
+        parts = [(ChannelKind.CONTRAVARIANT, spec.gain)] + [stage[:2] for stage in noise]
+    else:
+        parts = [(spec.kind, spec.parameter)] if e == 0.0 else list(zip((att, amp), decompose(spec)))
+    stages, size = [], d_in
+    for n, (kind, parameter) in enumerate(parts):
+        size_out = size if kind == att and n < len(parts) - 1 else d_out
+        stages.append((kind, parameter, size, size_out))
+        size = size_out
+    return stages
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +489,9 @@ def clear_caches() -> None:
 def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = None) -> ChannelMap:
     """Build (or fetch from cache) the band-resolved map of a channel.
 
-    Only dims.d_out matters here.  A quantum-limited attenuator stage
-    keeps its input size, since it never adds quanta; any other stage
-    outputs d_out levels, so mass a contravariant stage sends past d_out
-    is dropped before the noise stages and shows in the output deficit.
+    Only dims.d_out matters here; its stages are sized by _stages, so
+    mass a contravariant stage sends past d_out is dropped before the
+    noise stages and shows in the output deficit.
     """
     if dims is None:
         dims = default_dims(spec, d_in)
@@ -490,15 +500,9 @@ def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = 
     got = _map_cache.get(key)
     if got is not None:
         return got
-    stages = _stages(spec)
-    sizes, size = [], d_in  # (size, size_out) of each stage
-    for n, (kind, _) in enumerate(stages):
-        keeps_size = kind == ChannelKind.ATTENUATOR and n < len(stages) - 1
-        sizes.append((size, size if keeps_size else d_out))
-        size = sizes[-1][1]
-    checked_bytes((f"band 0 of the {d_in} -> {d_out} level map", band_zero_bytes(d_in, sizes)))
+    checked_bytes(band_zero_term(spec, d_in, d_out))
     bands = None
-    for (kind, parameter), (size, size_out) in zip(stages, sizes):
+    for kind, parameter, size, size_out in _stages(spec, d_in, d_out):
         stage = _kraus_bands(kind, parameter, size, size_out)
         # a later stage builds only the bands the earlier ones produced;
         # map() keeps neither factor of a product once it is made

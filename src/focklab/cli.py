@@ -375,47 +375,38 @@ def _cutoff(energy: float, tail: float) -> int:
     return max(2, thermal_tail_cutoff(energy, tail))
 
 
-def thermal_grid_dims(spec: ChannelSpec, input_energy: float, tail: float):
-    """Input cutoff and output size tuned to a thermal input's tails.
-
-    The attenuator's output is exact on c_in + k_env - 1 levels for an
-    environment truncated at k_env; every other output is cut where the
-    thermal output of the predicted energy has `tail` mass left.
-    """
-    c_in = _cutoff(input_energy, tail)
-    if spec.kind == ChannelKind.ATTENUATOR:
-        k_env = _cutoff(spec.env_energy, tail) if spec.env_energy > 0.0 else 1
-        d = c_in + k_env - 1
-    else:
-        d = _cutoff(spec.output_energy(input_energy), tail)
-    return c_in, ChannelDims(d_sys=d, d_env=d, d_out=d)
-
-
-def thermal_grid(section: dict, input_energies):
+def thermal_grid(section: dict, input_energies, default_additive: bool = False):
     """(spec, e_in, c_in, dims) at each point of the thermal channel grid.
 
-    The channels are drawn from the section's transmissivities, gains and
-    env_energies; each input is sized by thermal_grid_dims at the
-    section's tail_target.  Each point's channel maps are dropped once
-    the caller asks for the next point.
+    The channels come from the section's transmissivities, gains and
+    env_energies.  The input and every output but the attenuator's (exact
+    on c_in + k_env - 1 levels) are cut where their thermal tail falls to
+    tail_target; with default_additive, an additive output takes default_dims.
+    Every band 0 is refused past MAX_DENSE_BYTES before the first point,
+    and each point's maps are dropped when the caller asks for the next.
     """
-    envs = section["env_energies"]
+    envs, tail = section["env_energies"], section["tail_target"]
     channels = (
         [attenuator(lam, e) for lam in section["transmissivities"] for e in envs]
         + [amplifier(kap, e) for kap in section["gains"] for e in envs]
-        + [ChannelSpec(kind=ChannelKind.ADDITIVE, env_energy=e) for e in envs]
-        + [
-            ChannelSpec(kind=ChannelKind.CONTRAVARIANT, gain=kap, env_energy=e)
-            for kap in section["gains"]
-            for e in envs
-        ]
+        + [channel_maps.additive_noise(e) for e in envs]
+        + [channel_maps.contravariant_amplifier(kap, e) for kap in section["gains"] for e in envs]
     )
-    for spec in channels:
-        for e_in in input_energies:
-            c_in, dims = thermal_grid_dims(spec, e_in, section["tail_target"])
-            yield spec, e_in, c_in, dims
-            # no two points share a map, so the grid holds one map at a time
-            channel_maps.clear_caches()
+    points = []
+    for spec, e_in in product(channels, input_energies):
+        c_in = _cutoff(e_in, tail)
+        if spec.kind == ChannelKind.ATTENUATOR:
+            d = c_in + (_cutoff(spec.env_energy, tail) if spec.env_energy > 0.0 else 1) - 1
+        elif default_additive and spec.kind == ChannelKind.ADDITIVE:
+            d = channel_maps.default_dims(spec, c_in).d_out
+        else:
+            d = _cutoff(spec.output_energy(e_in), tail)
+        channel_maps.checked_bytes(channel_maps.band_zero_term(spec, c_in, d))
+        points.append((spec, e_in, c_in, ChannelDims(d_sys=d, d_env=d, d_out=d)))
+    for point in points:
+        yield point
+        # no two points share a map, so the grid holds one map at a time
+        channel_maps.clear_caches()
 
 
 def cmd_verify_thermal_laws(cfg: dict) -> int:
@@ -565,10 +556,8 @@ def _adversarial_job(args) -> dict:
 def _equality_rows(cfg: dict) -> list:
     """_report_row rows of the thermal inputs on the thermal grid, the first CSV data rows."""
     seed, out_dir, rows = cfg["seed"], cfg["out"], []
-    grid = thermal_grid(cfg["thermal"], cfg["cmoe"]["equality_input_energies"])
+    grid = thermal_grid(cfg["thermal"], cfg["cmoe"]["equality_input_energies"], True)
     for spec, e_in, c_in, dims in grid:
-        if spec.kind == ChannelKind.ADDITIVE:
-            dims = None  # additive rows keep the default output size
         state = thermal_state(e_in, c_in)
         rep, row = check_cmoe(spec, state, dims), len(rows)
         dump = _dump_path(out_dir, row)
@@ -576,23 +565,12 @@ def _equality_rows(cfg: dict) -> list:
     return rows
 
 
-def _warm_caches(specs, cutoffs, rows: int) -> None:
-    """Build every band of each channel map the trials and searches will need, pre-fork.
-
-    Maps are built directly at the inputs' sizes, so no probe state can
-    fail on a small cutoff.  The `rows` trial and search rows still to
-    come and the completed maps are refused together past
-    MAX_DENSE_BYTES, before any map is completed.  The caller's thermal
-    grid clears the cache, so this runs after the equality rows.
-    """
-    maps = [channel_maps.get_channel_map(spec, cutoff) for spec in specs for cutoff in cutoffs]
-    channel_maps.checked_bytes(
-        (f"{rows} trial and search rows", rows * CMOE_ROW_BYTES),
-        (f"{len(maps)} completed channel maps",
-         sum(channel_maps.checked_dense_bytes(m.d_in, m.d_out) for m in maps)),
-    )
-    for cmap in maps:
-        cmap.complete()
+def _map_plan(maps) -> list:
+    """Dense terms of the (spec, d_in) maps at default_dims, after refusing each band 0 alone."""
+    sized = [(spec, d_in, channel_maps.default_dims(spec, d_in).d_out) for spec, d_in in maps]
+    for spec, d_in, d_out in sized:
+        channel_maps.checked_bytes(channel_maps.band_zero_term(spec, d_in, d_out))
+    return [channel_maps.dense_term(d_in, d_out) for _, d_in, d_out in sized]
 
 
 def _run_tasks(jobs: int, tasks: list) -> list:
@@ -621,12 +599,23 @@ def cmd_verify_cmoe(cfg: dict) -> int:
     searches = section["adversarial_searches"]
     search_cutoff = section["adversarial_cutoff"]
     iterations = section["adversarial_iterations"]
+    warm_cutoffs = set(cutoffs) | ({search_cutoff} if searches else set())
+    # the memory plan, before the first row: each warm map's band 0, then
+    # the rows still to come and the completed warm maps together
+    dense = _map_plan(product(specs, warm_cutoffs))
+    held = len(specs) * (trials + searches)
+    channel_maps.checked_bytes(
+        (f"{held} trial and search rows", held * CMOE_ROW_BYTES),
+        (f"{len(dense)} completed channel maps", sum(channel_maps.checked_bytes(t) for t in dense)),
+    )
     rows = _equality_rows(cfg)
     equality_bad = sum(r["verdict"] != VERDICT_EQUALITY for r in rows)
     failures = [f"{equality_bad} thermal equality rows off bound"] if equality_bad else []
 
-    warm_cutoffs = set(cutoffs) | ({search_cutoff} if searches else set())
-    _warm_caches(specs, warm_cutoffs, len(specs) * (trials + searches))
+    # complete the trial and search maps before the pool forks; the
+    # equality rows' grid clears the cache, so this follows them
+    for spec, cutoff in product(specs, warm_cutoffs):
+        channel_maps.get_channel_map(spec, cutoff).complete()
     # the trial rows follow the equality rows, and the search rows follow them
     trials_run = (seed, out_dir, len(rows))
     searches_run = (seed, out_dir, len(rows) + len(specs) * trials)
@@ -730,6 +719,9 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
                 f"q={q} is outside the guaranteed region (q < {ORDER_GUARANTEE_LIMIT}); "
                 "rerun with --exploratory"
             )
+    # the probe's map, band 0 and then completed, is refused before the grid sweeps
+    probe_map = (amplifier(float(section["probe_gain"])), section["probe_cutoff"])
+    channel_maps.checked_bytes(*_map_plan([probe_map]))
     grid = LemmaGridSpec(
         z_points=section["grid_z_points"],
         order_points=section["grid_order_points"],

@@ -10,7 +10,7 @@ class InvalidDimensionError(FockLabError, ValueError):
 
 
 class ResourceLimitError(FockLabError):
-    """An allocation would pass MAX_DENSE_BYTES (channels.checked_bytes) or MAX_DENSE_D_OUT."""
+    """An allocation would pass MAX_DENSE_BYTES; only channels.checked_bytes raises it."""
 
 
 class NonHermitianError(FockLabError, ValueError):

@@ -109,8 +109,11 @@ def thermal_tail_cutoff(energy: float, tail: float) -> int:
         raise DomainError(f"bad arguments energy={e!r}, tail={t!r}")
     if e == 0.0:
         return 1
-    z = z_of_energy(e)
-    return max(1, math.ceil(math.log(t) / math.log(z)))
+    # ln z, or -ln(1 + 1/E) where z rounds to 1 (E past ~1e16)
+    levels = math.log(t) / (math.log(z_of_energy(e)) or -math.log1p(1.0 / e))
+    if not levels < math.inf:  # a NaN or infinite energy, or a cutoff past the float range
+        raise DomainError(f"energy {e!r} has no finite tail cutoff")
+    return max(1, math.ceil(levels))
 
 
 def _log_norm(z, p):

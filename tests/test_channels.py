@@ -1,4 +1,6 @@
+import ast
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -8,10 +10,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+import focklab
 from focklab.channels import (
     AMPLIFIER_TAIL_TARGET,
     MAX_DENSE_BYTES,
-    MAX_DENSE_D_OUT,
     ChannelDims,
     ChannelMap,
     ChannelKind,
@@ -454,7 +456,7 @@ def test_oversized_dense_map_is_refused_before_it_allocates():
     try:
         spec = amplifier(1000.0)
         cmap = get_channel_map(spec, 4)
-        assert cmap.d_out > MAX_DENSE_D_OUT
+        assert dense_bytes(cmap.d_in, cmap.d_out) > MAX_DENSE_BYTES
         with pytest.raises(ResourceLimitError, match="exceeds limit"):
             apply_channel(spec, DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)))
         assert len(cmap.bands) == 1
@@ -471,9 +473,38 @@ def test_dense_bytes_counts_what_the_dense_path_allocates(spec):
         cmap = get_channel_map(spec, 7)
         out = cmap.apply_matrix(random_mixed(7, 7, substream(3, 0)).matrix)
         arrays = (cmap._slabs, cmap._gather, cmap._to_vals, cmap._to_conj, out)
-        assert dense_bytes(cmap.d_in, cmap.d_out) == sum(a.nbytes for a in arrays)
+        # and the output's two transient copies in an eigensolve
+        assert dense_bytes(cmap.d_in, cmap.d_out) == sum(a.nbytes for a in arrays) + 2 * out.nbytes
     finally:
         clear_caches()
+
+
+def _refusals(path):
+    """(innermost enclosing function or None, line) of each ResourceLimitError raised or made in a file."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        parent = parents.get(node)
+        made = isinstance(parent, ast.Call) and parent.func is node
+        if name == "ResourceLimitError" and (made or isinstance(parent, ast.Raise)):
+            scope = parent
+            while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parents.get(scope)
+            found.append((scope.name if scope else None, node.lineno))
+    return found
+
+
+def test_only_checked_bytes_refuses_an_allocation():
+    # one limit and one message shape: a second refusal in src/ fails here
+    src = os.path.dirname(focklab.__file__)
+    found = {
+        name: _refusals(os.path.join(src, name)) for name in sorted(os.listdir(src)) if name.endswith(".py")
+    }
+    where = [(name, scope) for name, hits in found.items() for scope, _ in hits]
+    assert where == [("channels.py", "checked_bytes")]
 
 
 def test_dense_byte_limit_admits_300_and_refuses_400_levels_at_gain_two():
@@ -484,13 +515,12 @@ def test_dense_byte_limit_admits_300_and_refuses_400_levels_at_gain_two():
 
 
 def test_dense_map_over_the_byte_limit_is_refused_before_it_allocates():
-    # 400 levels at gain 2: d_out 987 is under MAX_DENSE_D_OUT, but the
-    # slabs, their index arrays and one output need 626 MiB
+    # 400 levels at gain 2: the slabs, their index arrays, one output and
+    # its two copies need 656 MiB
     clear_caches()
     tracemalloc.start()
     try:
         cmap = get_channel_map(amplifier(2.0), 400)
-        assert cmap.d_out <= MAX_DENSE_D_OUT
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]  # band 0, 3 MiB
         with pytest.raises(ResourceLimitError, match="exceeds limit"):

@@ -627,12 +627,15 @@ def _capped_cli(tmp_path, command, payload):
     [
         # an attenuator band 0 of 322,379 x 322,379 levels (774 GiB of int64)
         ("verify-thermal-laws", {"thermal": {"input_energies": [1e4]}}),
+        # a thermal input state of 3.2e10 levels, counted by its grid point's band 0
+        ("verify-thermal-laws", {"thermal": {"input_energies": [1e9]}}),
         # 2 -> 32,236,176 levels, after a lgamma table of as many floats
         ("verify-thermal-laws", {"thermal": {"gains": [1e6]}}),
         # 30 -> 3,223,665 levels (738 MiB of int64)
         ("verify-thermal-laws", {"thermal": {"env_energies": [1e5]}}),
         # the equality rows walk the same grid at cmoe.equality_input_energies
         ("verify-cmoe", {"cmoe": dict(TINY_CMOE, equality_input_energies=[1e4])}),
+        ("verify-cmoe", {"cmoe": dict(TINY_CMOE, equality_input_energies=[1e9])}),
         ("verify-cmoe", {"thermal": {"gains": [1e6]}, "cmoe": TINY_CMOE}),
         ("verify-cmoe", {"thermal": {"env_energies": [1e5]}, "cmoe": TINY_CMOE}),
         # the trials draw states at each cutoff, the search at its own,
@@ -644,7 +647,8 @@ def _capped_cli(tmp_path, command, payload):
         ("verify-lemma", {"lemma": {"probe_cutoff": 10**15}}),
     ],
     ids=[
-        "input-energy", "gain", "env-energy", "cmoe-input-energy", "cmoe-gain", "cmoe-env-energy",
+        "input-energy", "input-energy-1e9", "gain", "env-energy", "cmoe-input-energy",
+        "cmoe-input-energy-1e9", "cmoe-gain", "cmoe-env-energy",
         "cutoff-1e6", "search-cutoff-1e6", "search-cutoff-1e15", "probe-cutoff-1e6",
         "probe-cutoff-1e15",
     ],
@@ -688,6 +692,23 @@ def test_oversized_cmoe_warm_set_exits_two_before_it_completes_a_map(tmp_path):
     assert err[0].endswith(" exceeds limit 512 MiB")
 
 
+def test_cmoe_memory_plan_refuses_before_any_band_is_built(tmp_path, monkeypatch, capsys):
+    # four amplifiers at gain about 4 and cutoff 600: each band 0 of
+    # 600 -> 2950 levels passes alone, each completed map does not; a run
+    # that built every band 0 before refusing reached a maxrss of 186 MB
+    kraus_bands, built = channel_maps._kraus_bands, []
+    monkeypatch.setattr(channel_maps, "_kraus_bands", lambda *a: built.append(a) or kraus_bands(*a))
+    channels = [{"kind": "amplifier", "gain": gain} for gain in (4.0, 4.01, 4.02, 4.03)]
+    cfg = write_config(tmp_path, {"cmoe": {"cutoffs": [600], "channels": channels}})
+    channel_maps.clear_caches()
+    assert main(["verify-cmoe", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: ResourceLimitError: dense 600 -> 2950 level map needs 4486 MiB,"
+        " exceeds limit 512 MiB"
+    ]
+    assert built == []
+
+
 def _held_trial_rows(jobs, out_dir):
     """The rows of 800 trials run as verify-cmoe runs them, and the bytes they hold.
 
@@ -704,7 +725,8 @@ def _held_trial_rows(jobs, out_dir):
         ]
 
     channel_maps.clear_caches()
-    cli._warm_caches([spec], cutoffs, 0)
+    for cutoff in cutoffs:
+        channel_maps.get_channel_map(spec, cutoff).complete()
     cli._run_tasks(jobs, tasks(64))  # first-call costs
     tracemalloc.start()
     try:
@@ -789,13 +811,39 @@ def test_probe_ceiling_reaches_the_vacuum_near_gain_one(tmp_path, capsys):
 
 
 def test_dense_probe_over_the_byte_limit_exits_two(tmp_path, capsys):
-    # 500 levels at gain 2: d_out 1,207 passes MAX_DENSE_D_OUT, but the
-    # dense path would need 1,187 MiB
+    # 500 levels at gain 2: the dense path would need 1,231 MiB
     cfg = write_config(tmp_path, {"lemma": dict(SMALL_LEMMA["lemma"], probe_cutoff=500)})
     assert main(["verify-lemma", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["input error: ResourceLimitError: dense 500 -> 1207 level map needs 1187 MiB,"
+    assert err == ["input error: ResourceLimitError: dense 500 -> 1207 level map needs 1231 MiB,"
                    " exceeds limit 512 MiB"]
+
+
+DENSE_CHECK_RSS = r"""
+import json, resource
+from focklab import channels
+from focklab.cmoe import check_cmoe
+from focklab.sampling import random_mixed, substream
+
+def maxrss():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+rho = random_mixed(4, 4, substream(1, 0))
+check_cmoe(channels.attenuator(0.5, 0.5), rho)  # first-call costs, at 33 output levels
+spec = channels.attenuator(0.5, 50.0)
+before = maxrss()
+check_cmoe(spec, rho)
+d_out = channels.default_dims(spec, 4).d_out
+print(json.dumps({"d_out": d_out, "grown": maxrss() - before, "need": channels.dense_bytes(4, d_out)}))
+"""
+
+
+def test_dense_bytes_bound_a_dense_check():
+    # the output's Hermiticity check and its eigensolve each hold a copy
+    # of it: the growth read ~2.05 outputs, against 1.0 counted before
+    got = _run_script(DENSE_CHECK_RSS, preexec_fn=_cap_address_space)
+    assert got["d_out"] >= 1500
+    assert got["grown"] <= got["need"]
 
 
 @pytest.mark.parametrize(
@@ -827,6 +875,86 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, command, payload, whe
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and where in err[0]
+
+
+# the bounds of each config rule; a rule's edges are 1e300, 1e-300 where
+# it admits it, 10**15, and each bound +- 1e-7
+RULE_BOUNDS = {
+    cli.NONNEGATIVE: [0.0], cli.POSITIVE: [0.0], cli.OPEN_UNIT: [0.0, 1.0],
+    cli.TRANSMISSIVITY: [0.0, 1.0], cli.CHANNEL_GAIN: [1.0], cli.ABOVE_ONE: [1.0],
+    cli.COUNT: [0], cli.POSITIVE_COUNT: [1], cli.LEVELS: [2],
+}
+CHANNEL_RULES = {"transmissivity": cli.TRANSMISSIVITY, "gain": cli.CHANNEL_GAIN,
+                 "env_energy": cli.NONNEGATIVE}
+SECTION_RUNS = {"thermal": ("verify-thermal-laws", SMALL_THERMAL),
+                "cmoe": ("verify-cmoe", SMALL_CMOE), "lemma": ("verify-lemma", SMALL_LEMMA)}
+
+
+def _edges(rule):
+    edges = [1e300] + ([1e-300] if rule[1](1e-300) else []) + [10**15]
+    return edges + [bound + step for bound in RULE_BOUNDS[rule] for step in (-1e-7, 1e-7)]
+
+
+def _edge_configs():
+    """(name, command, payload) of each edge of each numeric config value, one at a time.
+
+    The values that size only the run time are left out.
+    """
+    for section, values in cli.CONFIG_SECTIONS.items():
+        command, base = SECTION_RUNS[section]
+        for key, (_, rule) in values.items():
+            if rule is None or key in ("adversarial_iterations", "probe_trials"):
+                continue
+            least = (rule[1] if len(rule) > 1 else 1) if isinstance(rule, list) else 0
+            for edge in _edges(rule[0] if least else rule):
+                value = [edge] * least if least else edge
+                payload = dict(base, **{section: dict(base.get(section, {}), **{key: value})})
+                yield f"{section}.{key}={edge!r}", command, payload
+    for entry in DEFAULT_CONFIG["cmoe"]["channels"]:
+        for param in sorted(entry.keys() - {"kind"}):
+            for edge in _edges(CHANNEL_RULES[param]):
+                cmoe = dict(SMALL_CMOE["cmoe"], channels=[dict(entry, **{param: edge})])
+                yield f"{entry['kind']}.{param}={edge!r}", "verify-cmoe", dict(SMALL_CMOE, cmoe=cmoe)
+
+
+EDGE_RUNNER = r"""
+import contextlib, io, json, sys, traceback
+from focklab import channels, cli
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except BaseException:
+            code = None
+            traceback.print_exc()
+    channels.clear_caches()
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_every_config_edge_exits_honestly(tmp_path):
+    # one capped child runs every edge; an edge that allocates fails there
+    cases = list(_edge_configs())
+    argvs = [
+        [command, "--config", write_config(tmp_path, payload, f"{i}.json"), "--out", str(tmp_path / f"r{i}")]
+        for i, (_, command, payload) in enumerate(cases)
+    ]
+    results = _run_script(EDGE_RUNNER, json.dumps(argvs), preexec_fn=_cap_address_space)
+    bad = []
+    for (name, _, _), (code, err) in zip(cases, results):
+        lines = err.splitlines()
+        honest = code in (EXIT_OK, EXIT_CLAIM_FAILED, EXIT_CONFIG) and "Traceback" not in err
+        if code == EXIT_CONFIG:
+            honest &= len(lines) == 1 and lines[0].startswith(("config error:", "input error:"))
+        if code == EXIT_CLAIM_FAILED:
+            honest &= any(line.startswith("FAIL ") for line in lines)
+        if not honest:
+            bad.append((name, code, lines[-3:]))
+    assert len(results) == len(cases) and bad == []
 
 
 def test_suppressed_rows_fail_verify_cmoe(tmp_path, monkeypatch, capsys):
@@ -984,7 +1112,8 @@ def test_thermal_grid_memory_is_bounded_by_its_largest_map(tmp_path, monkeypatch
     finally:
         tracemalloc.stop()
     assert code == EXIT_OK
-    assert len(needs) == 28
+    # each of the 28 points is sized once before the first is built, and once as it is built
+    assert len(needs) == 2 * 28
     assert peak < max(needs)
 
 
@@ -1042,13 +1171,14 @@ def test_pool_workers_inherit_one_blas_thread(blas_controls):
     assert counts == [[1] * len(controls)] * 2
 
 
-def _run_script(script, *args):
+def _run_script(script, *args, preexec_fn=None):
     """Run a Python script in a fresh interpreter on this focklab and tests/; its stdout as JSON."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     paths = [src, os.path.dirname(os.path.abspath(__file__)), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
-        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script, *args],
+        env=env, preexec_fn=preexec_fn, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])

@@ -180,6 +180,20 @@ def test_thermal_tail_cutoff_bracket():
         assert z**n <= tail < z ** (n - 1)
 
 
+@pytest.mark.parametrize("e", [1e16, 1e17, 1e300])
+def test_thermal_tail_cutoff_where_z_rounds_to_one(e):
+    # ln z is 0 there; ln(1 + 1/E) ~ 1/E gives about E ln(1/tail) levels
+    assert z_of_energy(e) == 1.0
+    assert math.isclose(thermal_tail_cutoff(e, 1e-14), -math.log(1e-14) * e, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("e", [math.inf, math.nan, 1e307])
+def test_thermal_tail_cutoff_refuses_an_energy_without_a_finite_cutoff(e):
+    # 1e307 needs more levels than a float can count
+    with pytest.raises(DomainError, match="no finite tail cutoff"):
+        thermal_tail_cutoff(e, 1e-14)
+
+
 def test_log_thermal_schatten_norm_vs_direct_sum():
     for z in (0.1, 0.5, 0.9):
         for p in (1.05, 1.5, 2.0, 4.0):
