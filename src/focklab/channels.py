@@ -227,9 +227,9 @@ class ChannelMap:
 
     def complete(self) -> list:
         """All min(d_in, d_out) bands, building the ones still missing."""
-        checked_bytes(dense_term(self.d_in, self.d_out))
         with self._lock:  # two threads may not advance one iterator
             if self._slabs is None:
+                checked_bytes(dense_term(self.d_in, self.d_out))
                 self._build_slabs()
         return self.bands
 

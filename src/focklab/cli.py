@@ -195,6 +195,11 @@ def _is_real(value) -> bool:
     return finite_float(value) is not None
 
 
+def _is_count(value) -> bool:
+    """An int (not a bool) that converts to a float, as the sizing arithmetic needs."""
+    return _is_int(value) and _is_real(value)
+
+
 # (description, test) pairs for config values; a rule in a list applies
 # to every entry of a list value, which needs at least one entry, or as
 # many as the list's second element
@@ -204,9 +209,9 @@ OPEN_UNIT = ("a number in (0, 1)", lambda v: _is_real(v) and 0.0 < v < 1.0)
 TRANSMISSIVITY = ("a number in (0, 1]", lambda v: _is_real(v) and 0.0 < v <= 1.0)
 CHANNEL_GAIN = ("a number >= 1", lambda v: _is_real(v) and v >= 1.0)
 ABOVE_ONE = ("a number > 1", lambda v: _is_real(v) and v > 1.0)
-COUNT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
-POSITIVE_COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
-LEVELS = ("an integer >= 2", lambda v: _is_int(v) and v >= 2)
+COUNT = ("an integer >= 0", lambda v: _is_count(v) and v >= 0)
+POSITIVE_COUNT = ("an integer >= 1", lambda v: _is_count(v) and v >= 1)
+LEVELS = ("an integer >= 2", lambda v: _is_count(v) and v >= 2)
 
 # (default, rule) of each config value, by section; DEFAULT_CONFIG and
 # validate_config both read this table.  cmoe.channels has no rule here:

@@ -69,63 +69,38 @@ def hermitian_eigh(m: np.ndarray):
     return vals[order].copy(), vecs[:, order].copy()
 
 
-# scipy release from which _load_expm runs the compiled kernel itself: its
-# pade_UV_calc takes (work, m) and pick_pade_structure scales the work
-# array, and the oracle test in tests/test_linalg.py proves the bits on it.
-# Earlier releases are untested here and may call the kernel otherwise.
-EXPM_KERNEL_SCIPY = (1, 17)
+def _expm_kernel():
+    """scipy's compiled expm module, loaded by file path.
 
-
-def _scipy_file(name: str, *parts: str):
-    """Execute the file scipy/<parts> as module `name` and return it.
-
-    Neither scipy/__init__ nor a subpackage __init__ runs, and the module
-    is not entered in sys.modules.
+    Neither scipy/__init__ nor its linalg package runs: the process maps
+    the module and its libscipy_openblas but not scipy's Python package
+    (~25 MB of RSS and ~0.3 s).  The module enters sys.modules as
+    _matfuncs_expm.
     """
-    path = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], *parts)
-    spec = importlib.util.spec_from_file_location(name, path)
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the tagged one, as scipy's build names it
+    path = os.path.join(scipy_dir, "linalg", "_matfuncs_expm" + suffix)
+    spec = importlib.util.spec_from_file_location("_matfuncs_expm", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def _scipy_version() -> tuple:
-    """(major, minor) of the installed scipy, read from scipy/version.py.
-
-    importlib.metadata would cost ~1.5 MB of RSS and ~30 ms per process.
-    """
-    version = _scipy_file("scipy.version", "version.py").short_version
-    return tuple(int(part) for part in version.split(".")[:2])
-
-
-def _expm_kernel():
-    """scipy's compiled expm module, loaded by file path.
-
-    The process maps the module and its libscipy_openblas but not
-    scipy's Python package (~25 MB of RSS and ~0.3 s).
-    """
-    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the tagged one, as scipy's build names it
-    return _scipy_file("scipy.linalg._matfuncs_expm", "linalg", "_matfuncs_expm" + suffix)
-
-
 def _load_expm():
-    """A matrix exponential with the bits of scipy.linalg.expm.
+    """A matrix exponential with the bits of scipy's expm.
 
-    From scipy EXPM_KERNEL_SCIPY on, this runs scipy's Al-Mohy–Higham
-    scaling and squaring (SIAM J. Matrix Anal. Appl. 31, 970, 2009) as
-    scipy.linalg.expm does for one 2-D matrix: the diagonal shortcut,
-    then the compiled Padé kernel on a (5, n, n) work array, then s
-    squarings with `@`.  Only square matrices that are diagonal or not
-    triangular are supported: scipy squares triangular ones another way.
-    On an earlier scipy this returns scipy.linalg.expm itself.  Call it
-    before a
+    It runs scipy's Al-Mohy–Higham scaling and squaring (SIAM J. Matrix
+    Anal. Appl. 31, 970, 2009) as scipy's expm does for one 2-D matrix:
+    the diagonal shortcut, then the compiled Padé kernel on a (5, n, n)
+    work array, then s squarings with `@`.  The kernel is called as
+    scipy 1.17, the declared floor, calls it: pade_UV_calc takes (work,
+    m) and pick_pade_structure scales the work array; the oracle test in
+    tests/test_linalg.py checks the bits on the installed scipy.  Only
+    square matrices that are diagonal or not triangular are supported:
+    scipy squares triangular ones another way.  Call it before a
     _single_blas_thread scope opens, so that the scope finds the
     kernel's OpenBLAS.
     """
-    if _scipy_version() < EXPM_KERNEL_SCIPY:
-        from scipy.linalg import expm as scipy_expm
-
-        return scipy_expm
     kernel = _expm_kernel()
     pick_pade_structure, pade_uv_calc = kernel.pick_pade_structure, kernel.pade_UV_calc
 

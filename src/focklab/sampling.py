@@ -110,7 +110,8 @@ def entropy_pinned_state(target: float, cutoff: int, rng: np.random.Generator) -
     The result is conjugated by a Haar unitary.
     """
     target = float(target)
-    if target < 0.0 or target > math.log(cutoff) - 1e-12:
+    # a target within PIN_TOL of 0 gives the pure state, even at cutoff 1
+    if target < 0.0 or target > max(math.log(cutoff) - 1e-12, PIN_TOL):
         raise DomainError(f"target entropy {target!r} unreachable at cutoff {cutoff}")
     base = random_pure(cutoff, rng).matrix
     t_star = 0.0

@@ -533,6 +533,31 @@ def test_dense_map_over_the_byte_limit_is_refused_before_it_allocates():
     assert grown < 2**20
 
 
+def test_dense_map_checks_its_bytes_when_it_builds(monkeypatch):
+    # a refused map is refused on every call; a built one is not checked again
+    clear_caches()
+    try:
+        cmap = get_channel_map(amplifier(2.0), 6)
+        monkeypatch.setattr(focklab.channels, "MAX_DENSE_BYTES", 1024)
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError, match="exceeds limit"):
+                cmap.complete()
+            assert len(cmap.bands) == 1
+        monkeypatch.undo()
+        checks, checked = [], focklab.channels.checked_bytes
+
+        def counting(*terms):
+            checks.append(terms)
+            return checked(*terms)
+
+        monkeypatch.setattr(focklab.channels, "checked_bytes", counting)
+        rho = random_mixed(6, 6, substream(3, 0)).matrix
+        first = cmap.apply_matrix(rho)
+        assert np.array_equal(cmap.apply_matrix(rho), first) and len(checks) == 1
+    finally:
+        clear_caches()
+
+
 # every kind, quantum-limited and noisy
 LAZY_SPECS = [
     attenuator(0.6),

@@ -794,6 +794,28 @@ def test_huge_solver_gains_print_only_fail_lines(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "z_points, gain, margins_fail",
+    [(199, 1e14, True), (15, 562950050069908.6, False)],
+    ids=["image-of-z", "image-of-z-plus-step"],
+)
+def test_huge_grid_gains_print_only_fail_lines(tmp_path, z_points, gain, margins_fail):
+    # at gain 1e14 the grid's amplifier image of z = 199/200 rounds to 1,
+    # where phi is not defined; at the second gain only the image of
+    # z + FD_STEP at z = 15/16 does.  Both exited 2 on a config that
+    # validate_config admits; now the margins or the fd residual fail
+    payload = {"lemma": dict(SMALL_LEMMA["lemma"], grid_z_points=z_points, grid_gains=[2.0, gain])}
+    code, err = _capped_cli(tmp_path, "verify-lemma", payload)
+    assert code == EXIT_CLAIM_FAILED, err
+    assert err[-1] == "FAIL lemma fd residual nan not within FD_TOL 1e-06"
+    if margins_fail:
+        assert len(err) == 2
+        assert err[0].startswith("FAIL lemma grid margins: {'phi_image_positive': {'min_margin': nan")
+        assert f"'gain': {gain!r}" in err[0]
+    else:
+        assert len(err) == 1
+
+
 def test_probe_ceiling_reaches_the_vacuum_near_gain_one(tmp_path, capsys):
     # at gain 1 + 1e-7 the thermal ratio is largest at z = 0 (-9.97e-8);
     # a ceiling scanned from z = 1/2001 on read -2.96e-5, below the best
@@ -878,7 +900,7 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, command, payload, whe
 
 
 # the bounds of each config rule; a rule's edges are 1e300, 1e-300 where
-# it admits it, 10**15, and each bound +- 1e-7
+# it admits it, 10**15, 10**400 (past the float range), and each bound +- 1e-7
 RULE_BOUNDS = {
     cli.NONNEGATIVE: [0.0], cli.POSITIVE: [0.0], cli.OPEN_UNIT: [0.0, 1.0],
     cli.TRANSMISSIVITY: [0.0, 1.0], cli.CHANNEL_GAIN: [1.0], cli.ABOVE_ONE: [1.0],
@@ -891,7 +913,7 @@ SECTION_RUNS = {"thermal": ("verify-thermal-laws", SMALL_THERMAL),
 
 
 def _edges(rule):
-    edges = [1e300] + ([1e-300] if rule[1](1e-300) else []) + [10**15]
+    edges = [1e300] + ([1e-300] if rule[1](1e-300) else []) + [10**15, 10**400]
     return edges + [bound + step for bound in RULE_BOUNDS[rule] for step in (-1e-7, 1e-7)]
 
 

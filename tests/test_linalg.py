@@ -1,4 +1,3 @@
-import importlib.metadata
 import sys
 import threading
 
@@ -245,7 +244,6 @@ def _skew_hermitian(rng, n, norm1):
 def test_expm_has_the_bits_of_scipy():
     from scipy.linalg import expm as scipy_expm
 
-    assert linalg._scipy_version() >= linalg.EXPM_KERNEL_SCIPY
     expm, kernel = linalg._load_expm(), linalg._expm_kernel()
     assert expm is not scipy_expm  # the compiled path runs here
     rng = np.random.default_rng(23)
@@ -266,12 +264,3 @@ def test_expm_has_the_bits_of_scipy():
     assert count >= 2000
     assert {m for m, _ in structures} == {3, 5, 7, 9, 13}
     assert max(s for _, s in structures) >= 2
-
-
-def test_expm_before_the_kernel_release_is_scipys(monkeypatch):
-    from scipy.linalg import expm as scipy_expm
-
-    installed = importlib.metadata.version("scipy").split(".")[:2]
-    assert linalg._scipy_version() == tuple(int(part) for part in installed)
-    monkeypatch.setattr(linalg, "_scipy_version", lambda: (1, 16))
-    assert linalg._load_expm() is scipy_expm

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from focklab import linalg, sampling
+from focklab import sampling
 from focklab.channels import amplifier, attenuator
 from focklab.cmoe import VERDICT_EQUALITY, check_cmoe
 from focklab.entropy import state_spectrum, von_neumann_entropy
@@ -93,6 +93,14 @@ def test_entropy_pinned_state_zero_target_is_pure():
     rho = entropy_pinned_state(0.0, 8, substream(11, 0))
     purity = float(np.trace(rho.matrix @ rho.matrix).real)
     assert_allclose(purity, 1.0, atol=1e-9)
+
+
+def test_entropy_pinned_state_zero_target_at_one_level_is_the_level():
+    # ln 1 = 0 is the only entropy at cutoff 1, and it is within PIN_TOL
+    rho = entropy_pinned_state(0.0, 1, substream(13, 0))
+    assert_allclose(rho.matrix, [[1.0]], atol=1e-15)
+    with pytest.raises(DomainError):
+        entropy_pinned_state(1e-6, 1, substream(13, 0))
 
 
 def test_entropy_pinned_state_rejects_unreachable_target():
@@ -251,12 +259,3 @@ def test_thermal_start_search_stays_at_equality_gap():
     result = adversarial_search(spec, g(e_ref), 20, 16, seed=8, start=start)
     rep = result.best_report
     assert rep.gap >= -(rep.truncation_margin + 1e-9)
-
-
-def test_search_on_an_older_scipy_is_identical(monkeypatch):
-    spec = amplifier(1.5, 0.1)
-    fast = adversarial_search(spec, 0.8, 60, 8, seed=5)
-    monkeypatch.setattr(linalg, "_scipy_version", lambda: (1, 16))
-    slow = adversarial_search(spec, 0.8, 60, 8, seed=5)
-    assert np.array_equal(fast.best_state.matrix, slow.best_state.matrix)
-    assert (fast.accepted, fast.best_report) == (slow.accepted, slow.best_report)
