@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, TruncationError
-from .states import DensityMatrix, DiagonalState
+from .states import DensityMatrix, DiagonalState, checked_levels
 from .thermal import thermal_tail_cutoff
 
 # Tail mass allowed past the default amplifier output cutoff for the
@@ -449,7 +449,7 @@ def _negative_binomial_span(successes: int, inv_gain: float, tail: float) -> int
     return k
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def default_dims(spec: ChannelSpec, d_in: int) -> ChannelDims:
     """Output cutoff for an arbitrary input supported on d_in levels.
 
@@ -458,8 +458,7 @@ def default_dims(spec: ChannelSpec, d_in: int) -> ChannelDims:
     dilation oracle is then exact up to its environment tail.  Memoized
     per (spec, d_in); clear_caches() empties the memo.
     """
-    if d_in < 1:
-        raise DomainError(f"d_in must be >= 1, got {d_in}")
+    d_in = checked_levels("d_in", d_in)
     e = spec.env_energy
     if spec.kind == ChannelKind.ATTENUATOR:
         k_env = thermal_tail_cutoff(e, ENV_TAIL_TARGET) if e > 0.0 else 1
@@ -500,6 +499,7 @@ def get_channel_map(spec: ChannelSpec, d_in: int, dims: Optional[ChannelDims] = 
     got = _map_cache.get(key)
     if got is not None:
         return got
+    d_in, d_out = checked_levels("d_in", d_in), checked_levels("d_out", d_out)
     checked_bytes(band_zero_term(spec, d_in, d_out))
     bands = None
     for kind, parameter, size, size_out in _stages(spec, d_in, d_out):

@@ -64,6 +64,11 @@ EXIT_CONFIG = 2
 # most --jobs workers; the pool starts them all with its first task
 MAX_JOBS = 256
 
+# a thermal-law row passes when its output is this close to the predicted
+# thermal state and misses at most this much mass
+THERMAL_TOLERANCE = 1e-7
+MAX_THERMAL_DEFICIT = 1e-9
+
 # q at or above this needs --exploratory; the scalar inequalities are
 # only guaranteed on 1 < p < q < 3/2
 ORDER_GUARANTEE_LIMIT = 1.5
@@ -204,7 +209,6 @@ def _is_count(value) -> bool:
 # to every entry of a list value, which needs at least one entry, or as
 # many as the list's second element
 NONNEGATIVE = ("a number >= 0", lambda v: _is_real(v) and v >= 0.0)
-POSITIVE = ("a number > 0", lambda v: _is_real(v) and v > 0.0)
 OPEN_UNIT = ("a number in (0, 1)", lambda v: _is_real(v) and 0.0 < v < 1.0)
 TRANSMISSIVITY = ("a number in (0, 1]", lambda v: _is_real(v) and 0.0 < v <= 1.0)
 CHANNEL_GAIN = ("a number >= 1", lambda v: _is_real(v) and v >= 1.0)
@@ -223,8 +227,6 @@ CONFIG_SECTIONS = {
         "gains": ([1.5, 2.0], [CHANNEL_GAIN]),
         "env_energies": ([0.0, 1.0], [NONNEGATIVE]),
         "tail_target": (1e-14, OPEN_UNIT),
-        "tolerance": (1e-7, POSITIVE),
-        "max_deficit": (1e-9, POSITIVE),
     },
     "cmoe": {
         "trials_per_channel": (10000, POSITIVE_COUNT),
@@ -417,8 +419,6 @@ def thermal_grid(section: dict, input_energies, default_additive: bool = False):
 def cmd_verify_thermal_laws(cfg: dict) -> int:
     out_dir = ensure_outdir(cfg)
     section = cfg["thermal"]
-    tol = section["tolerance"]
-    max_deficit = section["max_deficit"]
     rows = []
     failures = []
     for spec, e_in, c_in, dims in thermal_grid(section, section["input_energies"]):
@@ -433,7 +433,7 @@ def cmd_verify_thermal_laws(cfg: dict) -> int:
             dist = float("nan")
             deficit = exc.deficit
             out_dim = 0
-        passed = dist <= tol and deficit <= max_deficit
+        passed = dist <= THERMAL_TOLERANCE and deficit <= MAX_THERMAL_DEFICIT
         if not passed:
             failures.append(
                 f"{spec.kind.value} parameter={fmt(spec.parameter)} env={fmt(spec.env_energy)}"

@@ -14,18 +14,11 @@ from typing import Optional
 import numpy as np
 
 from . import lemma
-from .channels import (
-    ChannelDims,
-    ChannelSpec,
-    amplifier,
-    apply_channel,
-    apply_diagonal,
-    default_dims,
-)
+from .channels import ChannelDims, ChannelSpec, amplifier, apply_channel, apply_diagonal
 from .entropy import renyi_entropy, state_spectrum, von_neumann_entropy
 from .errors import DomainError, TruncationError
 from .states import DensityMatrix, DiagonalState
-from .thermal import g, g_inv, thermal_state, z_of_energy
+from .thermal import g, g_inv, log_thermal_schatten_norm, z_of_energy
 
 # Verdict rules: a gap below -(margin + VIOLATION_SLACK) is a candidate
 # violation; |gap| within max(EQUALITY_TOL, margin) counts as equality.
@@ -169,23 +162,19 @@ def amplifier_entropy_chain(rho: DensityMatrix, gain: float, q: float) -> Entrop
     z_bar = z_of_energy(e_ref)
     p = lemma.solve_p_of_q(z_bar, gain, q)
     prefactor = (q / (q - 1.0)) * ((p - 1.0) / p)
-    # reference thermal input lives at the channel-output cutoff so both
-    # sides of the comparison carry comparable truncation
-    omega = thermal_state(e_ref, default_dims(spec, rho.dim).d_out)
     out = apply_channel(spec, rho)
-    out_thermal = apply_diagonal(spec, omega)
     s_out = von_neumann_entropy(out)
     sq_out = renyi_entropy(out, q)
-    sq_thermal = renyi_entropy(out_thermal, q)
+    # the entropy-matched thermal input and its output, in closed form
+    sq_thermal = q / (1.0 - q) * log_thermal_schatten_norm(lemma.amplifier_z_map(z_bar, gain), q)
     sp_in = renyi_entropy(rho, p)
-    sp_thermal = renyi_entropy(omega, p)
+    sp_thermal = p / (1.0 - p) * log_thermal_schatten_norm(z_bar, p)
     step1 = s_out - sq_out
     step2 = sq_out - sq_thermal - prefactor * (sp_in - sp_thermal)
     slack = (
         VIOLATION_SLACK
         + _renyi_truncation_slack(out, q)
-        + _renyi_truncation_slack(out_thermal, q)
-        + prefactor * (_renyi_truncation_slack(rho, p) + _renyi_truncation_slack(omega, p))
+        + prefactor * _renyi_truncation_slack(rho, p)
         + entropy_truncation_margin(out.trace_deficit, out.dim)
     )
     return EntropyChainRecord(

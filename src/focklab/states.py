@@ -6,6 +6,8 @@ never silently renormalized away; downstream checks convert the deficit
 into explicit error margins instead.
 """
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +19,16 @@ from .errors import DomainError, InvalidDimensionError, PositivityError
 HERMITICITY_TOL = 1e-12
 NEG_EIG_CLAMP = -1e-10
 DIAG_NEG_CLAMP = -1e-14
+
+
+def checked_levels(what: str, levels) -> int:
+    """levels as an int; DomainError unless it is an integer >= 1 with a finite float value."""
+    if isinstance(levels, numbers.Integral) and not isinstance(levels, bool):
+        if 1 <= levels <= sys.float_info.max:
+            return int(levels)
+        if levels > 1:  # not printed: str() refuses ints past 4,300 digits
+            raise DomainError(f"{what} must convert to a finite float, got a larger int")
+    raise DomainError(f"{what} must be an integer >= 1, got {levels!r}")
 
 
 def clamp_spectrum(values):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .states import DiagonalState
+from .states import DiagonalState, checked_levels
 
 # Below this energy 1/E overflows; g is then E(1 - ln E) to double precision.
 _G_SMALL = 1e-300
@@ -89,8 +89,7 @@ def thermal_state(energy: float, cutoff: int) -> DiagonalState:
     e = float(energy)
     if e < 0.0:
         raise DomainError(f"thermal_state needs energy >= 0, got {e!r}")
-    if cutoff < 1:
-        raise DomainError(f"thermal_state needs cutoff >= 1, got {cutoff}")
+    cutoff = checked_levels("thermal_state cutoff", cutoff)
     if e == 0.0:
         probs = np.zeros(cutoff)
         probs[0] = 1.0

@@ -201,6 +201,21 @@ def test_criterion_05_amplifier_entropy_chain(capsys):
             worst_saturation = min(worst_saturation, rec.step_saturation + rec.slack)
             if not rec.holds:
                 failures += 1
+    # the equality case: a thermal input saturates the second step, so
+    # within its slack the step is zero, at 12 levels and at the tail cutoff
+    edge_cases = 0
+    edge_step = edge_slack = 0.0
+    for energy in [k / 10 for k in range(1, 21)]:
+        for cutoff in (12, thermal_tail_cutoff(energy, 1e-14)):
+            rho = thermal_state(energy, cutoff).to_density()
+            for q in (1.1, 1.3):
+                rec = amplifier_entropy_chain(rho, 2.0, q)
+                edge_cases += 1
+                if not rec.holds or abs(rec.step_saturation) > rec.slack:
+                    failures += 1
+                if cutoff > 12:
+                    edge_step = max(edge_step, abs(rec.step_saturation))
+                    edge_slack = max(edge_slack, rec.slack)
     elapsed = time.time() - start
     ok = failures == 0
     _report(
@@ -208,7 +223,9 @@ def test_criterion_05_amplifier_entropy_chain(capsys):
         "criterion 05: two-step entropy chain for the amplifier",
         ok,
         f"100 states x q in (1.3, 1.1), worst monotone step {worst_monotone:.3e}, "
-        f"worst slack-adjusted saturation step {worst_saturation:.3e}, {elapsed:.1f}s",
+        f"worst slack-adjusted saturation step {worst_saturation:.3e}; {edge_cases} thermal "
+        f"inputs, at the tail cutoff |saturation step| <= {edge_step:.1e} "
+        f"(slack {edge_slack:.1e}), {elapsed:.1f}s",
     )
 
 

@@ -238,6 +238,26 @@ def test_default_dims_additive_is_amplifier_stage():
     assert default_dims(additive_noise(1.0), 8) == default_dims(amplifier(2.0), 8)
 
 
+def test_level_counts_are_integers_with_a_finite_float_value():
+    # 10**400 ended in OverflowError, 2.5 in TypeError or a wrongly recorded deficit
+    clear_caches()
+    calls = (
+        lambda n: default_dims(amplifier(2.0), n),
+        lambda n: get_channel_map(amplifier(2.0), n),
+        lambda n: get_channel_map(amplifier(2.0), n, ChannelDims(8, 8, 8)),
+        lambda n: get_channel_map(amplifier(2.0), 4, ChannelDims(n, n, n)),
+        lambda n: thermal_state(1.0, n),
+    )
+    for call in calls:
+        for bad in (10**400, 10**5000, 2.5, 3.0, 0, -1, True, "3"):
+            with pytest.raises(DomainError):
+                call(bad)
+    # numpy integers pass
+    assert thermal_state(1.0, np.int64(3)).trace_deficit == 0.125
+    assert default_dims(amplifier(2.0), np.int32(16)) == default_dims(amplifier(2.0), 16)
+    assert get_channel_map(amplifier(2.0), np.int64(4), ChannelDims(8, 8, 8)).d_in == 4
+
+
 def test_pure_loss_half_on_one_photon():
     rho = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     out = apply_channel(attenuator(0.5), rho)

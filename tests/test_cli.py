@@ -203,6 +203,9 @@ def test_thermal_empty_grid_exits_two(tmp_path):
         pytest.param("cmoe", "equality_env_energies", [0.0], id="cmoe.equality_env_energies"),
         pytest.param("cmoe", "equality_tail_target", 1e-14, id="cmoe.equality_tail_target"),
         pytest.param("cmoe", "thermal_only", True, id="cmoe.thermal_only"),
+        # the thermal-law thresholds are constants in code
+        pytest.param("thermal", "tolerance", 1e-7, id="thermal.tolerance"),
+        pytest.param("thermal", "max_deficit", 1e-9, id="thermal.max_deficit"),
     ],
 )
 def test_unknown_config_key_exits_two(tmp_path, capsys, section, key, value):
@@ -880,7 +883,7 @@ def test_dense_bytes_bound_a_dense_check():
         ("verify-thermal-laws", {"thermal": {"gains": 2.0}}, "thermal.gains"),
         ("verify-cmoe", {"thermal": {"tail_target": 1.0}}, "thermal.tail_target"),
         ("verify-cmoe", {"cmoe": {"channels": [{"kind": "amplifier", "gain": "2"}]}}, "gain"),
-        ("verify-thermal-laws", {"thermal": {"tolerance": 10**400}}, "thermal.tolerance"),
+        ("verify-thermal-laws", {"thermal": {"env_energies": [10**400]}}, "thermal.env_energies[0]"),
         ("verify-thermal-laws", {"thermal": 5}, "'thermal'"),
         ("verify-lemma", {"lemma": []}, "'lemma'"),
         ("verify-lemma", {"lemma": {"grid_gains": []}}, "lemma.grid_gains"),
@@ -902,7 +905,7 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, command, payload, whe
 # the bounds of each config rule; a rule's edges are 1e300, 1e-300 where
 # it admits it, 10**15, 10**400 (past the float range), and each bound +- 1e-7
 RULE_BOUNDS = {
-    cli.NONNEGATIVE: [0.0], cli.POSITIVE: [0.0], cli.OPEN_UNIT: [0.0, 1.0],
+    cli.NONNEGATIVE: [0.0], cli.OPEN_UNIT: [0.0, 1.0],
     cli.TRANSMISSIVITY: [0.0, 1.0], cli.CHANNEL_GAIN: [1.0], cli.ABOVE_ONE: [1.0],
     cli.COUNT: [0], cli.POSITIVE_COUNT: [1], cli.LEVELS: [2],
 }

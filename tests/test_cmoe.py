@@ -21,9 +21,10 @@ from focklab.cmoe import (
     entropy_truncation_margin,
 )
 from focklab.errors import DomainError
+from focklab.lemma import amplifier_z_map
 from focklab.sampling import random_mixed, substream
 from focklab.states import DensityMatrix
-from focklab.thermal import g, thermal_state
+from focklab.thermal import g, g_inv, log_thermal_schatten_norm, thermal_state, z_of_energy
 
 
 def test_bound_formulas_on_thermal_entropies():
@@ -126,6 +127,18 @@ def test_chain_holds_for_random_states():
             # the first step never needs slack: entropy dominates any
             # higher-order entropy outright
             assert rec.step_monotone >= -1e-12
+
+
+def test_chain_thermal_side_is_the_closed_form():
+    # the entropy-matched thermal input and its amplifier output, untruncated
+    rho = random_mixed(12, 12, substream(43, 0))
+    for q in (1.3, 1.1):
+        rec = amplifier_entropy_chain(rho, 2.0, q)
+        z_bar = z_of_energy(g_inv(rec.input_entropy))
+        z_out = amplifier_z_map(z_bar, 2.0)
+        p = rec.p
+        assert rec.renyi_q_thermal_output == q / (1.0 - q) * log_thermal_schatten_norm(z_out, q)
+        assert rec.renyi_p_thermal == p / (1.0 - p) * log_thermal_schatten_norm(z_bar, p)
 
 
 def test_chain_saturates_on_thermal_input():
