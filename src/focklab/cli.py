@@ -34,7 +34,11 @@ from .cmoe import VERDICT_EQUALITY, VERDICT_SUPPRESSED, VERDICT_VIOLATION, check
 from .entropy import spectral_distance
 from .errors import ConfigError, FockLabError, TruncationError
 from .lemma import (
+    ORDER_GUARANTEE_LIMIT,
     P_SOLVER_RESIDUAL,
+    PROBE_GAIN,
+    PROBE_P,
+    PROBE_Q,
     SCAN_POINTS,
     LemmaGridSpec,
     amplifier_z_map,
@@ -68,10 +72,6 @@ MAX_JOBS = 256
 # thermal state and misses at most this much mass
 THERMAL_TOLERANCE = 1e-7
 MAX_THERMAL_DEFICIT = 1e-9
-
-# q at or above this needs --exploratory; the scalar inequalities are
-# only guaranteed on 1 < p < q < 3/2
-ORDER_GUARANTEE_LIMIT = 1.5
 
 THERMAL_CSV = "thermal_laws.csv"
 THERMAL_SUMMARY = "thermal_laws_summary.json"
@@ -253,9 +253,6 @@ CONFIG_SECTIONS = {
         "solver_gains": ([1.5, 2.0], [ABOVE_ONE]),
         "solver_q": ([1.1, 1.3, 1.49], [ABOVE_ONE]),
         "trend_q": ([1.1, 1.01, 1.001], [ABOVE_ONE, 2]),
-        "probe_gain": (2.0, ABOVE_ONE),
-        "probe_p": (1.2, ABOVE_ONE),
-        "probe_q": (1.35, ABOVE_ONE),
         "probe_cutoff": (24, POSITIVE_COUNT),
         "probe_trials": (500, POSITIVE_COUNT),
         "exploratory_q": ([1.6, 2.0], [ABOVE_ONE]),
@@ -672,6 +669,7 @@ def cmd_verify_cmoe(cfg: dict) -> int:
 
     summary = {
         "rows": len(rows),
+        "equality_grid": {k: v for k, v in cfg["thermal"].items() if k != "input_energies"},
         "per_channel": per_channel,
         "equality_failures": equality_bad,
         "violations": sum(rec["violations"] for rec in per_channel.values()),
@@ -725,7 +723,7 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
                 "rerun with --exploratory"
             )
     # the probe's map, band 0 and then completed, is refused before the grid sweeps
-    probe_map = (amplifier(float(section["probe_gain"])), section["probe_cutoff"])
+    probe_map = (amplifier(PROBE_GAIN), section["probe_cutoff"])
     channel_maps.checked_bytes(*_map_plan([probe_map]))
     grid = LemmaGridSpec(
         z_points=section["grid_z_points"],
@@ -758,8 +756,8 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
 
     # boundary behavior of the ratio derivative: climbing at z=0, falling
     # off a cliff toward z=1
-    d0 = float(norm_ratio_log_derivative(1e-9, 2.0, 1.2, 1.35))
-    d1 = float(norm_ratio_log_derivative(1.0 - 1e-3, 2.0, 1.2, 1.35))
+    d0 = float(norm_ratio_log_derivative(1e-9, PROBE_GAIN, PROBE_P, PROBE_Q))
+    d1 = float(norm_ratio_log_derivative(1.0 - 1e-3, PROBE_GAIN, PROBE_P, PROBE_Q))
     boundary_ok = d0 > 0.0 and d1 < -1.0
     if not boundary_ok:
         failures.append(
@@ -768,12 +766,8 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
         )
 
     probe = pq_norm_saturation_probe(
-        gain=float(section["probe_gain"]),
-        p=float(section["probe_p"]),
-        q=float(section["probe_q"]),
-        cutoff=section["probe_cutoff"],
-        trials=section["probe_trials"],
-        seed=cfg["seed"],
+        gain=PROBE_GAIN, p=PROBE_P, q=PROBE_Q,
+        cutoff=section["probe_cutoff"], trials=section["probe_trials"], seed=cfg["seed"],
     )
     if probe.exceeded:
         failures.append("saturation probe exceeded the thermal ceiling")

@@ -70,12 +70,15 @@ def _classify(gap: float, margin: float) -> str:
     return VERDICT_SATISFIED
 
 
+def _check_input_deficit(state) -> None:
+    d = state.trace_deficit
+    if d > MAX_INPUT_DEFICIT:
+        raise DomainError(f"input trace_deficit {d:.3e} exceeds {MAX_INPUT_DEFICIT}")
+
+
 def check_cmoe(spec: ChannelSpec, state, dims: Optional[ChannelDims] = None) -> CmoeReport:
     """Compare the output entropy of `state` against the channel's bound."""
-    if state.trace_deficit > MAX_INPUT_DEFICIT:
-        raise DomainError(
-            f"input trace_deficit {state.trace_deficit:.3e} exceeds {MAX_INPUT_DEFICIT}"
-        )
+    _check_input_deficit(state)
     s_in = von_neumann_entropy(state)
     bound = bound_for(spec, s_in)
     margin_in = entropy_truncation_margin(state.trace_deficit, state.dim)
@@ -152,8 +155,10 @@ def amplifier_entropy_chain(rho: DensityMatrix, gain: float, q: float) -> Entrop
     q-entropy.  Step two: the q-entropy of the output dominates the
     q-entropy of the thermal output plus a weighted difference of
     p-entropies, with p solved from the norm-ratio stationarity
-    condition at the entropy-matched thermal input.
+    condition at the entropy-matched thermal input.  Like check_cmoe, it
+    refuses an input whose trace_deficit exceeds MAX_INPUT_DEFICIT.
     """
+    _check_input_deficit(rho)
     spec = amplifier(gain)
     s_in = von_neumann_entropy(rho)
     if s_in <= 0.0:

@@ -23,16 +23,21 @@ from .channels import (
 )
 from .entropy import schatten_norm, schatten_norms
 from .errors import DomainError, LemmaViolationError
-from .thermal import _log_norm, _norm_args
+from .thermal import _log_norm, _norm_args, _one_minus_pow
 
 P_SOLVER_WIDTH = 1e-14
 P_SOLVER_RESIDUAL = 1e-12
 
+# the scalar inequalities are only guaranteed on 1 < p < q < 3/2
+ORDER_GUARANTEE_LIMIT = 1.5
 # the grid's orders span [GRID_P_LO, GRID_P_HI]; central differences of
 # step FD_STEP must match the closed forms to within FD_TOL
 GRID_P_LO, GRID_P_HI = 1.01, 1.49
 FD_STEP, FD_TOL = 1e-7, 1e-6
 SCAN_POINTS = 2000  # coarse-scan points of scan_ratio_maximizer
+# the amplifier gain and the orders at which verify-lemma probes the
+# ceiling and checks the ratio derivative at the boundary
+PROBE_GAIN, PROBE_P, PROBE_Q = 2.0, 1.2, 1.35
 # slack of the saturation probe over the thermal ceiling, and the margin
 # by which a skipped output's bound must fall below the best ratio
 PROBE_TOLERANCE = 1e-6
@@ -52,13 +57,6 @@ def _check_z(z) -> np.ndarray:
     if np.any(z < 0.0) or np.any(z >= 1.0):
         raise DomainError("ratio z must lie in [0, 1)")
     return z
-
-
-def _one_minus_pow(z: np.ndarray, expo) -> np.ndarray:
-    """1 - z**expo computed without cancellation, with 1 - 0**e = 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.expm1(np.multiply(expo, np.log(z)))
-    return np.where(z == 0.0, 1.0, out)
 
 
 def phi(z, p):
@@ -348,7 +346,7 @@ def verify_lemma_inequalities(grid: LemmaGridSpec) -> LemmaGridReport:
 
     # finite differences agree in sign away from the p = 3/2 boundary
     h = FD_STEP
-    keep = np.abs(orders - 1.5) > 0.01 + 1e-12
+    keep = np.abs(orders - ORDER_GUARANTEE_LIMIT) > 0.01 + 1e-12
     pk = orders[keep]
     fd_f = (f_func(z[:, None], pk[None, :] + h) - f_func(z[:, None], pk[None, :] - h)) / (2.0 * h)
     _record(report, "f_decreasing_in_p_fd", [(-fd_f, {"z": z, "p": pk})])
@@ -437,17 +435,18 @@ class SaturationProbeReport:
 
 
 def log_schatten_bound(trace, frobenius, q):
-    """Upper bound on ln ||m||_q of a positive matrix m for 1 < q <= 2.
+    """Upper bound on ln ||m||_q of a positive matrix m for q > 1.
 
     The l_q norm of a spectrum interpolates between its l_1 and l_2
-    norms (Lyapunov): with theta = 2/q - 1, ||x||_q <= ||x||_1**theta *
-    ||x||_2**(1 - theta), and for a positive matrix ||x||_1 = tr m and
-    ||x||_2 = ||m||_F (arrays of them broadcast).  Rank one attains it.
+    norms (Lyapunov), and ||x||_q <= ||x||_2 for q >= 2: with theta =
+    max(0, 2/q - 1), ||x||_q <= ||x||_1**theta * ||x||_2**(1 - theta).
+    For a positive matrix ||x||_1 = tr m and ||x||_2 = ||m||_F (arrays
+    of them broadcast).  Rank one attains it.
     """
     q = float(q)
-    if not 1.0 < q <= 2.0:
-        raise DomainError(f"the trace-Frobenius bound needs 1 < q <= 2, got {q!r}")
-    theta = 2.0 / q - 1.0
+    if not q > 1.0:
+        raise DomainError(f"the trace-Frobenius bound needs q > 1, got {q!r}")
+    theta = max(0.0, 2.0 / q - 1.0)
     return theta * np.log(trace) + (1.0 - theta) * np.log(frobenius)
 
 
@@ -464,12 +463,11 @@ def pq_norm_saturation_probe(
     Draws states of the PROBE_KINDS in rotation, pushes each through
     the quantum-limited amplifier, and compares the realized q-to-p norm
     ratio against the thermal ceiling.  Per PROBE_CHUNK trials the dense
-    inputs' p-norms come from one stacked eigensolve and, for 1 < q <= 2,
-    their outputs' log_schatten_bound from one stacked slab product; in
-    trial order, an output whose bound is more than PROBE_TOLERANCE below
-    the best ratio cannot raise it and is never built (333 of 334 at the
-    CLI's default).  For q > 2 the bound does not hold and every output is
-    built.  Every field of the report is that of an unpruned loop.
+    inputs' p-norms come from one stacked eigensolve and their outputs'
+    log_schatten_bound from one stacked slab product; in trial order, an
+    output whose bound is more than PROBE_TOLERANCE below the best ratio
+    cannot raise it and is never built (333 of 334 at the CLI's default).
+    Every field of the report is that of an unpruned loop.
     """
     from .sampling import SamplerConfig, draw_state
 
@@ -478,7 +476,6 @@ def pq_norm_saturation_probe(
     # first refuses a map too large to build before a state of its size is drawn
     get_channel_map(spec, cutoff).complete()
     _, ceiling = scan_ratio_maximizer(gain, p, q)
-    prune = q <= 2.0
     best = -math.inf
     for start in range(0, trials, PROBE_CHUNK):
         chunk = range(start, min(start + PROBE_CHUNK, trials))
@@ -486,8 +483,7 @@ def pq_norm_saturation_probe(
         states = [draw_state(SamplerConfig(seed, cutoff, kind), t) for kind, t in zip(kinds, chunk)]
         dense = np.array([s.matrix for s, kind in zip(states, kinds) if kind != "diagonal"])
         if dense.size:
-            if prune:
-                bounds = iter(log_schatten_bound(*output_trace_frobenius(spec, dense), q))
+            bounds = iter(log_schatten_bound(*output_trace_frobenius(spec, dense), q))
             norms = iter(schatten_norms(dense, p))
         for kind, state in zip(kinds, states):
             if kind == "diagonal":
@@ -502,7 +498,7 @@ def pq_norm_saturation_probe(
                 # so adds at most d_out * |NEG_EIG_CLAMP| (~1e-8 here) to the
                 # spectrum's l_1 norm over tr out >= 1 - MAX_APPLY_DEFICIT.
                 # An output below best - PROBE_TOLERANCE cannot be the best.
-                if prune and next(bounds) - log_in < best - PROBE_TOLERANCE:
+                if next(bounds) - log_in < best - PROBE_TOLERANCE:
                     continue
                 out = apply_channel(spec, state)
             ratio = math.log(schatten_norm(out, q)) - log_in

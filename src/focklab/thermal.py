@@ -115,13 +115,18 @@ def thermal_tail_cutoff(energy: float, tail: float) -> int:
     return max(1, math.ceil(levels))
 
 
+def _one_minus_pow(z, expo) -> np.ndarray:
+    """1 - z**expo computed without cancellation, with 1 - 0**e = 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.expm1(np.multiply(expo, np.log(z)))
+    return np.where(z == 0.0, 1.0, out)
+
+
 def _log_norm(z, p):
     """log_thermal_schatten_norm without argument checks: 0 <= z < 1, p > 1."""
     # a z that rounds to 1, as at a huge amplifier gain, gives -inf or NaN quietly
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_z = np.where(z > 0.0, np.log(z), -np.inf)
-        one_minus_zp = -np.expm1(p * log_z)  # 1 - z^p, accurate for z near 1
-        return np.log1p(-z) - np.log(one_minus_zp) / p
+        return np.log1p(-z) - np.log(_one_minus_pow(z, p)) / p
 
 
 def _norm_args(z, p):

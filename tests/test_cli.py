@@ -206,6 +206,10 @@ def test_thermal_empty_grid_exits_two(tmp_path):
         # the thermal-law thresholds are constants in code
         pytest.param("thermal", "tolerance", 1e-7, id="thermal.tolerance"),
         pytest.param("thermal", "max_deficit", 1e-9, id="thermal.max_deficit"),
+        # the probe's point is a constant in code, as is the boundary check's
+        pytest.param("lemma", "probe_gain", 2.0, id="lemma.probe_gain"),
+        pytest.param("lemma", "probe_p", 1.2, id="lemma.probe_p"),
+        pytest.param("lemma", "probe_q", 1.35, id="lemma.probe_q"),
     ],
 )
 def test_unknown_config_key_exits_two(tmp_path, capsys, section, key, value):
@@ -263,6 +267,24 @@ def test_cmoe_small_run_passes(tmp_path):
     assert summary["passed"] is True
     assert summary["violations"] == 0
     assert summary["counterexamples"] == []
+
+
+def test_cmoe_summary_records_the_equality_grid(tmp_path):
+    # the equality rows walk the thermal section's grid, which the summary's
+    # config (the cmoe section) does not hold
+    grid = {"transmissivities": [0.4], "gains": [2.5], "env_energies": [0.3], "tail_target": 1e-12}
+    cfg = write_config(tmp_path, dict(SMALL_CMOE, thermal=grid))
+    out = str(tmp_path / "run")
+    assert main(["verify-cmoe", "--config", cfg, "--out", out]) == EXIT_OK
+    summary = json.loads((tmp_path / "run" / CMOE_SUMMARY).read_text())
+    assert summary["equality_grid"] == grid
+    rows = [r for r in read_rows(os.path.join(out, CMOE_CSV))[1:] if r[0] == "equality"]
+    assert [r[1:4] for r in rows] == [
+        ["attenuator", "0.40000000000000002", "0.29999999999999999"],
+        ["amplifier", "2.5", "0.29999999999999999"],
+        ["additive", "0.29999999999999999", "0.29999999999999999"],
+        ["contravariant", "2.5", "0.29999999999999999"],
+    ]
 
 
 def test_equality_rows_walk_the_thermal_laws_grid(tmp_path):
@@ -569,7 +591,7 @@ def test_trend_order_next_to_one_fails_the_claim(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, payload",
     [
-        ("verify-lemma", {"lemma": dict(SMALL_LEMMA["lemma"], probe_gain=1000.0)}),
+        ("verify-lemma", {"lemma": dict(SMALL_LEMMA["lemma"], probe_cutoff=400)}),
         (
             "verify-cmoe",
             dict(
@@ -580,8 +602,9 @@ def test_trend_order_next_to_one_fails_the_claim(tmp_path, capsys):
     ],
 )
 def test_oversized_dense_channel_exits_two(tmp_path, capsys, command, payload):
-    # gain 1000 sizes d_out in the tens of thousands; the probe's and the
-    # trial warm-up's band completion refuse it before allocating
+    # the probe's map at 400 levels would complete to 656 MiB, and gain 1000
+    # sizes d_out in the tens of thousands; the probe's and the trial
+    # warm-up's band completion refuse them before allocating
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
@@ -819,20 +842,19 @@ def test_huge_grid_gains_print_only_fail_lines(tmp_path, z_points, gain, margins
         assert len(err) == 1
 
 
-def test_probe_ceiling_reaches_the_vacuum_near_gain_one(tmp_path, capsys):
+def test_probe_ceiling_reaches_the_vacuum_near_gain_one():
     # at gain 1 + 1e-7 the thermal ratio is largest at z = 0 (-9.97e-8);
     # a ceiling scanned from z = 1/2001 on read -2.96e-5, below the best
     # random trial (-8.04e-7), and the probe failed a claim that holds
-    payload = {"lemma": dict(SMALL_LEMMA["lemma"], probe_gain=1.0000001)}
-    for key in ("probe_cutoff", "probe_trials"):
-        del payload["lemma"][key]
-    cfg = write_config(tmp_path, payload)
-    out = tmp_path / "r"
-    assert main(["verify-lemma", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert capsys.readouterr().err == ""
-    probe = json.loads((out / LEMMA_SUMMARY).read_text())["probe"]
-    assert probe["thermal_log_ceiling"] >= focklab.lemma.log_thermal_norm_ratio(0.0, 1.0000001, 1.2, 1.35)
-    assert probe["best_trial_log_ratio"] < probe["thermal_log_ceiling"]
+    section, gain = DEFAULT_CONFIG["lemma"], 1.0000001
+    probe = focklab.lemma.pq_norm_saturation_probe(
+        gain, focklab.lemma.PROBE_P, focklab.lemma.PROBE_Q,
+        section["probe_cutoff"], section["probe_trials"], DEFAULT_CONFIG["seed"],
+    )
+    assert not probe.exceeded
+    ceiling = focklab.lemma.log_thermal_norm_ratio(0.0, gain, probe.p, probe.q)
+    assert probe.thermal_log_ceiling >= ceiling
+    assert probe.best_trial_log_ratio < probe.thermal_log_ceiling
 
 
 def test_dense_probe_over_the_byte_limit_exits_two(tmp_path, capsys):

@@ -150,6 +150,17 @@ def test_chain_saturates_on_thermal_input():
     assert abs(rec.step_saturation) < 1e-5
 
 
+def test_chain_refuses_the_inputs_check_cmoe_refuses():
+    # 12 levels at energy 2.0 miss 7.7e-3 of the trace; the chain passed
+    # that input on slack alone (step_monotone -5.6e-2 against slack 0.20)
+    rho = thermal_state(2.0, 12).to_density()
+    with pytest.raises(DomainError) as chain:
+        amplifier_entropy_chain(rho, 2.0, 1.1)
+    with pytest.raises(DomainError) as cmoe:
+        check_cmoe(amplifier(2.0), rho)
+    assert str(chain.value) == str(cmoe.value) == "input trace_deficit 7.707e-03 exceeds 0.0001"
+
+
 def test_chain_rejects_zero_entropy_input():
     pure = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(DomainError):

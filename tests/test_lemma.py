@@ -312,7 +312,7 @@ def test_norm_ratio_and_scan_reject_bad_arguments():
     for gain, p, q in ((0.9, 1.2, 1.3), (2.0, 1.0, 1.3), (2.0, 1.2, 0.5)):
         with pytest.raises(DomainError):
             scan_ratio_maximizer(gain, p, q)
-    for q in (1.0, 2.5):  # the trace-Frobenius bound fails above q = 2
+    for q in (1.0, 0.5, math.nan):  # the trace-Frobenius bound needs q > 1
         with pytest.raises(DomainError):
             log_schatten_bound(1.0, math.sqrt(0.5), q)  # tr and ||.||_F of eye(2)/2
 
@@ -487,7 +487,9 @@ def _probe_unpruned(gain, p, q, cutoff, trials, seed):
         (2.0, 1.2, 1.35, 24, 500, DEFAULT_CONFIG["seed"]),
         (1.5, 1.1, 1.3, 16, 300, 7),  # a pure trial is the best
         (2.0, 1.2, 2.0, 10, 60, 4),  # theta = 0: the bound is the Frobenius norm
-        (2.0, 1.2, 3.0, 12, 60, 11),  # q > 2: no pruning
+        (2.0, 1.2, 2.5, 12, 60, 6),
+        (2.0, 1.2, 3.0, 12, 60, 11),  # q > 2: pruned too, the bound is the Frobenius norm
+        (2.0, 1.2, 4.0, 24, 300, 9),
         (2.0, 1.2, 1.35, 1, 30, 5),
         (2.0, 1.2, 1.35, 2, 30, 5),
         (2.0, 1.2, 1.35, 24, 1, 3),
@@ -495,13 +497,15 @@ def _probe_unpruned(gain, p, q, cutoff, trials, seed):
         (2.0, 1.2, 1.35, 12, PROBE_CHUNK, 8),
         (2.0, 1.2, 1.35, 12, PROBE_CHUNK + 1, 8),
         (2.0, 1.2, 1.35, 12, 2 * PROBE_CHUNK + 1, 8),
-        (2.0, 1.2, 3.0, 12, 2 * PROBE_CHUNK + 1, 8),
+        (2.0, 1.2, 3.0, 12, 2 * PROBE_CHUNK + 1, 8),  # pruned across chunks
     ],
     ids=[
         "default",
         "pure-best",
         "q-two",
+        "q-five-halves",
         "q-three",
+        "q-four",
         "cutoff-1",
         "cutoff-2",
         "one-trial",

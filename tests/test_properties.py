@@ -1,5 +1,6 @@
 """Property tests of the channel maps over every kind, quantum-limited and noisy,
-and of the trace-Frobenius bound on Schatten q-norms that the lemma probe uses.
+of complementary pairs of channels, and of the trace-Frobenius bound on
+Schatten q-norms that the lemma probe uses.
 
 Inputs live on at most 8 levels (12 for majorization) and use default
 output sizes; the dilation reference gets extra levels in both modes.
@@ -10,6 +11,7 @@ deterministic.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -24,8 +26,10 @@ from focklab.channels import (
     attenuator,
     clear_caches,
     contravariant_amplifier,
+    get_channel_map,
 )
-from focklab.entropy import schatten_norm
+from focklab.cmoe import entropy_truncation_margin
+from focklab.entropy import schatten_norm, von_neumann_entropy
 from focklab.lemma import log_schatten_bound
 from focklab.sampling import random_diagonal, random_mixed, random_pure, substream
 from focklab.states import DensityMatrix, DiagonalState
@@ -78,8 +82,10 @@ def sub_unit_states(draw):
     return DensityMatrix(draw(st.floats(1e-3, 1.0)) * rho.matrix)
 
 
-# the trace-Frobenius bound holds for 1 < q <= 2
-bound_orders = st.floats(1.0, 2.0, exclude_min=True)
+# the trace-Frobenius bound holds for every q > 1, and on flat spectra
+# it is attained for 1 < q <= 2
+bound_orders = st.floats(1.0, 4.0, exclude_min=True)
+attained_orders = st.floats(1.0, 2.0, exclude_min=True)
 
 
 def _bound(x, q):
@@ -93,11 +99,11 @@ def test_outputs_are_valid_states(spec, rho):
 
 @given(sub_unit_states() | st.builds(apply_channel, specs, states()), bound_orders)
 def test_trace_frobenius_bound_holds(x, q):
-    # ||x||_q <= (tr x)**theta * ||x||_F**(1 - theta), theta = 2/q - 1
+    # ||x||_q <= (tr x)**theta * ||x||_F**(1 - theta), theta = max(0, 2/q - 1)
     assert math.log(schatten_norm(x, q)) <= _bound(x, q) + NORM_BOUND_TOL
 
 
-@given(st.integers(1, MAX_LEVELS), st.data(), st.floats(1e-3, 1.0), bound_orders)
+@given(st.integers(1, MAX_LEVELS), st.data(), st.floats(1e-3, 1.0), attained_orders)
 def test_trace_frobenius_bound_is_attained_on_flat_spectra(dim, data, t, q):
     # t/r on r levels: ||x||_q = t r**(1/q - 1) equals the bound exactly
     # when theta = 2/q - 1; at rank one ||x||_q = tr x = ||x||_F = t
@@ -171,3 +177,47 @@ def test_agrees_with_the_dilation_reference(spec, rho):
     d = out.dim + REFERENCE_HEADROOM
     ref = apply_channel_dense(spec, rho, ChannelDims(d, d, out.dim))
     assert_allclose(ref.matrix, out.matrix, rtol=0, atol=1e-12)
+
+
+# (channel, complementary channel): the amplifier's complement is the
+# contravariant amplifier of the same gain, with environment output
+# sqrt(k) e + sqrt(k - 1) a+, and the attenuator's is the attenuator of
+# transmissivity 1 - l
+COMPLEMENTARY_PAIRS = [(amplifier(k), contravariant_amplifier(k)) for k in (1.5, 2.0, 3.0)] + [
+    (attenuator(lam), attenuator(1.0 - lam)) for lam in (0.2, 0.7)
+]
+COMPLEMENT_LEVELS = 10
+
+
+def _worst_complement_mismatch(spec, complement):
+    """Largest |S(spec(psi)) - S(complement(psi))| less its tolerance, over 30 pure states.
+
+    The tolerance is the two outputs' entropy_truncation_margin plus 1e-12.
+    """
+    worst = -math.inf
+    for i in range(30):
+        psi = random_pure(COMPLEMENT_LEVELS, substream(2026, i))
+        out, comp = apply_channel(spec, psi), apply_channel(complement, psi)
+        tol = 1e-12 + sum(entropy_truncation_margin(x.trace_deficit, x.dim) for x in (out, comp))
+        worst = max(worst, abs(von_neumann_entropy(out) - von_neumann_entropy(comp)) - tol)
+    return worst
+
+
+@pytest.mark.parametrize(
+    "spec, complement",
+    COMPLEMENTARY_PAIRS,
+    ids=["amplifier-1.5", "amplifier-2", "amplifier-3", "attenuator-0.2", "attenuator-0.7"],
+)
+def test_complementary_pairs_have_equal_output_entropy_on_pure_inputs(spec, complement):
+    # a pure input's two outputs are the marginals of one pure state; this
+    # reaches bands >= 1 of the contravariant kind without the dilation oracle
+    assert _worst_complement_mismatch(spec, complement) <= 0.0
+    # one band-1 weight of the complement scaled by 1 + 1e-6, which no
+    # Fock-diagonal equality row can see, breaks the identity (by 6.6e-9 to
+    # 1.2e-7 over these pairs)
+    clear_caches()
+    try:
+        get_channel_map(complement, COMPLEMENT_LEVELS).complete()[1][0, 1] *= 1.0 + 1e-6
+        assert _worst_complement_mismatch(spec, complement) > 0.0
+    finally:
+        clear_caches()
