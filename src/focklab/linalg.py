@@ -9,7 +9,6 @@ import ctypes
 import importlib.machinery
 import importlib.util
 import os
-import threading
 
 import numpy as np
 
@@ -23,12 +22,6 @@ OPENBLAS_THREAD_SYMBOLS = tuple(
     for prefix in ("scipy_openblas", "openblas")
     for suffix in ("64_", "")
 )
-
-# open single-thread scopes, and the thread count each OpenBLAS had when
-# the outermost scope first set it to 1 (keyed by library path)
-_blas_lock = threading.Lock()
-_blas_depth = 0
-_blas_saved = {}
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
@@ -75,14 +68,21 @@ def _expm_kernel():
     Neither scipy/__init__ nor its linalg package runs: the process maps
     the module and its libscipy_openblas but not scipy's Python package
     (~25 MB of RSS and ~0.3 s).  The module enters sys.modules as
-    _matfuncs_expm.
+    _matfuncs_expm.  Every OpenBLAS that scipy's distribution ships (in
+    the wheel, scipy.libs/ beside the package) is then set to one thread
+    for the rest of the process, whether this load or an earlier import
+    of scipy.linalg mapped it: its thread pool would spin against
+    numpy's.  A scipy that shares numpy's OpenBLAS has none to pin.
     """
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    scipy_dir = os.path.realpath(importlib.util.find_spec("scipy").submodule_search_locations[0])
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the tagged one, as scipy's build names it
     path = os.path.join(scipy_dir, "linalg", "_matfuncs_expm" + suffix)
     spec = importlib.util.spec_from_file_location("_matfuncs_expm", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    for lib, (_, put) in _loaded_openblas().items():
+        if lib.startswith((scipy_dir + os.sep, scipy_dir + ".libs" + os.sep)):
+            put(1)
     return module
 
 
@@ -97,9 +97,8 @@ def _load_expm():
     m) and pick_pade_structure scales the work array; the oracle test in
     tests/test_linalg.py checks the bits on the installed scipy.  Only
     square matrices that are diagonal or not triangular are supported:
-    scipy squares triangular ones another way.  Call it before a
-    _single_blas_thread scope opens, so that the scope finds the
-    kernel's OpenBLAS.
+    scipy squares triangular ones another way.  Loading the kernel sets
+    scipy's own OpenBLAS, not numpy's, to one thread (_expm_kernel).
     """
     kernel = _expm_kernel()
     pick_pade_structure, pade_uv_calc = kernel.pick_pade_structure, kernel.pade_UV_calc
@@ -157,29 +156,16 @@ def _loaded_openblas() -> dict:
 
 @contextlib.contextmanager
 def _single_blas_thread():
-    """Run every loaded OpenBLAS on one thread until the last open scope closes.
+    """Run every loaded OpenBLAS on one thread; put the counts back on exit.
 
-    Scopes nest and may overlap across threads.  Each scope that opens
-    saves the count of, and sets to 1, every OpenBLAS not yet saved,
-    including one loaded since an outer scope opened; the last scope to
-    close puts the saved counts back.  One thread matters twice: with
-    numpy's and scipy's OpenBLAS both loaded, each library's thread pool
-    spins while the other works; and pool workers forked inside inherit
-    the single thread, so --jobs is a command's only parallelism.
+    cli.main is the only opener.  Pool workers forked inside inherit the
+    single thread, so --jobs is a command's only parallelism.
     """
-    global _blas_depth
-    with _blas_lock:
-        for path, (get, put) in _loaded_openblas().items():
-            if path not in _blas_saved:
-                _blas_saved[path] = (put, get())
-                put(1)
-        _blas_depth += 1
+    saved = [(put, get()) for get, put in _loaded_openblas().values()]
+    for put, _ in saved:
+        put(1)
     try:
         yield
     finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                for put, count in _blas_saved.values():
-                    put(count)
-                _blas_saved.clear()
+        for put, count in saved:
+            put(count)

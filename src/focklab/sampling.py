@@ -18,7 +18,7 @@ import numpy as np
 from .channels import ChannelKind, ChannelSpec
 from .cmoe import CmoeReport, check_cmoe
 from .errors import DomainError
-from .linalg import _load_expm, _single_blas_thread, hermitian_eigh
+from .linalg import _load_expm, hermitian_eigh
 from .states import DensityMatrix, DiagonalState
 
 _MASK64 = (1 << 64) - 1
@@ -228,49 +228,48 @@ def adversarial_search(
     after runs of rejections so the search settles into local minima.
     The unitary moves exponentiate with scipy's compiled expm kernel,
     which the search loads by file path without importing the scipy
-    package (linalg._load_expm).  The search runs with every loaded
-    OpenBLAS, the kernel's included, on one thread: the thread pools of
-    numpy's and scipy's builds would spin against each other.  The
-    caller's thread counts are restored on return.
+    package (linalg._load_expm).  Loading it sets scipy's own OpenBLAS
+    to one thread for the rest of the process, so that its thread pool
+    does not spin against numpy's; numpy's OpenBLAS keeps the caller's
+    thread count.
     """
     if start is not None and start.dim != cutoff:
         raise DomainError(f"start state has {start.dim} levels, the search cutoff is {cutoff}")
     expm = _load_expm()
-    with _single_blas_thread():
-        rng = substream(seed, 0)
-        state = start if start is not None else entropy_pinned_state(target_entropy, cutoff, rng)
-        best = check_cmoe(spec, state)
-        accepted = 0
-        rejected_streak = 0
-        angle = STEP_ANGLE
-        for _ in range(iterations):
-            cand = None
-            if rng.random() < 0.5:
-                h = complex_normal(rng, (cutoff, cutoff))
-                h = h - h.conj().T
-                scale = np.linalg.norm(h) / math.sqrt(cutoff)
-                if scale > 0.0:
-                    v = expm((angle / scale) * h)
-                    m = v @ state.matrix @ v.conj().T
-                    cand = DensityMatrix(0.5 * (m + m.conj().T))
-            else:
-                vals, vecs = hermitian_eigh(state.matrix)
-                noise = rng.standard_normal(cutoff)
-                perturbed = np.clip(vals, 0.0, None) * np.exp(angle * noise)
-                pinned = _escort_pin(perturbed, target_entropy)
-                if pinned is not None:
-                    m = (vecs * pinned) @ vecs.conj().T
-                    cand = DensityMatrix(0.5 * (m + m.conj().T))
-            if cand is not None:
-                rep = check_cmoe(spec, cand)
-                if rep.verdict is not None and rep.output_entropy < best.output_entropy:
-                    state, best = cand, rep
-                    accepted += 1
-                    rejected_streak = 0
-                    continue
-            rejected_streak += 1
-            if rejected_streak % DECAY_AFTER == 0:
-                angle *= ANGLE_DECAY
+    rng = substream(seed, 0)
+    state = start if start is not None else entropy_pinned_state(target_entropy, cutoff, rng)
+    best = check_cmoe(spec, state)
+    accepted = 0
+    rejected_streak = 0
+    angle = STEP_ANGLE
+    for _ in range(iterations):
+        cand = None
+        if rng.random() < 0.5:
+            h = complex_normal(rng, (cutoff, cutoff))
+            h = h - h.conj().T
+            scale = np.linalg.norm(h) / math.sqrt(cutoff)
+            if scale > 0.0:
+                v = expm((angle / scale) * h)
+                m = v @ state.matrix @ v.conj().T
+                cand = DensityMatrix(0.5 * (m + m.conj().T))
+        else:
+            vals, vecs = hermitian_eigh(state.matrix)
+            noise = rng.standard_normal(cutoff)
+            perturbed = np.clip(vals, 0.0, None) * np.exp(angle * noise)
+            pinned = _escort_pin(perturbed, target_entropy)
+            if pinned is not None:
+                m = (vecs * pinned) @ vecs.conj().T
+                cand = DensityMatrix(0.5 * (m + m.conj().T))
+        if cand is not None:
+            rep = check_cmoe(spec, cand)
+            if rep.verdict is not None and rep.output_entropy < best.output_entropy:
+                state, best = cand, rep
+                accepted += 1
+                rejected_streak = 0
+                continue
+        rejected_streak += 1
+        if rejected_streak % DECAY_AFTER == 0:
+            angle *= ANGLE_DECAY
     return SearchResult(
         best_state=state,
         best_report=best,

@@ -25,7 +25,7 @@ def pytest_configure(config):
 def _openblas_or_skip():
     from focklab.linalg import _loaded_openblas
 
-    controls = list(_loaded_openblas().values())
+    controls = _loaded_openblas()
     if not controls:
         with open("/proc/self/maps") as fh:
             assert "openblas" not in fh.read(), "an OpenBLAS is mapped but was not found"
@@ -36,12 +36,12 @@ def _openblas_or_skip():
 @pytest.fixture
 def blas_controls():
     """(get, put) of every loaded OpenBLAS; skipped when none is loaded."""
-    return _openblas_or_skip()
+    return list(_openblas_or_skip().values())
 
 
 @pytest.fixture
 def threaded_blas():
-    """Set every OpenBLAS, scipy's included, to 2 threads; yield a reader of the counts.
+    """Set every OpenBLAS, scipy's included, to 2 threads; yield a reader of the counts by path.
 
     The counts are put back after the test.  Skipped on one core, where
     OpenBLAS starts with one thread, and when no OpenBLAS is loaded.
@@ -51,9 +51,9 @@ def threaded_blas():
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("OpenBLAS starts with one thread on one core")
     controls = _openblas_or_skip()
-    saved = [get() for get, _ in controls]
-    for _, put in controls:
+    saved = {path: get() for path, (get, _) in controls.items()}
+    for _, put in controls.values():
         put(2)
-    yield lambda: [get() for get, _ in controls]
-    for (_, put), count in zip(controls, saved):
-        put(count)
+    yield lambda: {path: get() for path, (get, _) in controls.items()}
+    for path, (_, put) in controls.items():
+        put(saved[path])

@@ -1411,52 +1411,63 @@ def test_search_workers_run_every_blas_on_one_thread(tmp_path, blas_controls):
 
 
 LIBRARY_SEARCH_BLAS = r"""
-import importlib.util, json, sys
+import os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "2"  # every OpenBLAS starts at 2 threads
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg
+import importlib.util, json
 from focklab import linalg, sampling
 from focklab.channels import amplifier
 
 def counts():
     return {path: get() for path, (get, _) in linalg._loaded_openblas().items()}
 
-def all_to_two():
-    for _, put in linalg._loaded_openblas().values():
-        put(2)
-    return counts()
-
-kernel, check, seen = linalg._expm_kernel, sampling.check_cmoe, []
-
-def loading():
-    # the kernel's OpenBLAS maps here; give it a count the search must undo
-    module = kernel()
-    before.update(all_to_two())
-    return module
+check, seen, before = sampling.check_cmoe, [], counts()
 
 def recording(spec, state):
     seen.append(counts())
     return check(spec, state)
 
-before = all_to_two()
-linalg._expm_kernel, sampling.check_cmoe = loading, recording
+sampling.check_cmoe = recording
 sampling.adversarial_search(amplifier(1.5, 0.1), 0.8, 10, 8, seed=5)
 print(json.dumps({
     "before": before,
     "seen": seen,
     "after": counts(),
     "scipy_linalg": "scipy.linalg" in sys.modules,
-    "scipy_dir": importlib.util.find_spec("scipy").submodule_search_locations[0],
+    "scipy_dir": os.path.realpath(importlib.util.find_spec("scipy").submodule_search_locations[0]),
 }))
 """
 
 
-def test_first_library_search_pins_the_blas_it_loads():
+def _library_search_blas(first):
+    """Run a first library search in a fresh interpreter; check the OpenBLAS counts around it.
+
+    Every OpenBLAS starts at 2 threads.  During and after the search,
+    scipy's own is at 1 and any other keeps its 2.
+    """
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("OpenBLAS starts with one thread on one core")
-    got = _run_script(LIBRARY_SEARCH_BLAS)
+    got = _run_script(LIBRARY_SEARCH_BLAS, first)
     if not got["before"]:
         pytest.skip("no OpenBLAS loaded")
-    if not any(p.startswith(got["scipy_dir"]) for p in got["before"]):
+    expected = {p: 1 if p.startswith(got["scipy_dir"]) else 2 for p in got["after"]}
+    if 1 not in expected.values():
         pytest.skip("scipy brings no OpenBLAS of its own")
-    assert not got["scipy_linalg"]
-    assert len(got["seen"]) > 1
-    assert all(c == {p: 1 for p in got["before"]} for c in got["seen"])
-    assert got["after"] == got["before"] == {p: 2 for p in got["before"]}
+    assert got["before"] == {p: 2 for p in got["before"]}
+    assert len(got["seen"]) > 1 and all(c == expected for c in got["seen"])
+    assert got["after"] == expected
+    return got
+
+
+def test_first_library_search_pins_the_blas_it_loads():
+    # numpy's OpenBLAS keeps the caller's 2 threads during and after the
+    # search; scipy's, which the search maps, is at 1 from the first check on
+    assert not _library_search_blas("numpy-only")["scipy_linalg"]
+
+
+def test_library_search_pins_scipys_blas_when_scipy_linalg_came_first():
+    # scipy's OpenBLAS is already mapped, at 2 threads, when the search loads
+    # the kernel: it is pinned by where it lies, not by when it was loaded
+    got = _library_search_blas("scipy-first")
+    assert got["before"].keys() == got["after"].keys()

@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from focklab.channels import (
@@ -9,7 +11,9 @@ from focklab.channels import (
     additive_noise,
     amplifier,
     attenuator,
+    clear_caches,
     contravariant_amplifier,
+    get_channel_map,
 )
 from focklab.cmoe import (
     VERDICT_EQUALITY,
@@ -25,6 +29,8 @@ from focklab.lemma import amplifier_z_map
 from focklab.sampling import random_mixed, substream
 from focklab.states import DensityMatrix
 from focklab.thermal import g, g_inv, log_thermal_schatten_norm, thermal_state, z_of_energy
+
+from dilation import ladder
 
 
 def test_bound_formulas_on_thermal_entropies():
@@ -81,6 +87,56 @@ def test_check_cmoe_thermal_input_is_equality():
         assert rep.verdict_label == VERDICT_EQUALITY
         assert abs(rep.gap) < 1e-6
         assert_allclose(rep.input_entropy, g(1.0), rtol=1e-10)
+
+
+DISPLACED_LEVELS = 40
+
+
+@functools.cache
+def _displaced_thermal_states():
+    """D(a) w_E D(a)+ for a in {0.5, 1 + 0.5i} and E in {0, 0.5, 1}.
+
+    Each is built on 160 levels and cut to DISPLACED_LEVELS, so the state
+    carries the mass it loses as its trace deficit.
+    """
+    a, states = ladder(160), []
+    for alpha in (0.5, 1.0 + 0.5j):
+        d = scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
+        for energy in (0.0, 0.5, 1.0):
+            m = (d * thermal_state(energy, 160).probs) @ d.conj().T
+            m = m[:DISPLACED_LEVELS, :DISPLACED_LEVELS]
+            states.append(DensityMatrix.from_matrix(0.5 * (m + m.conj().T)))
+    return states
+
+
+def _worst_displaced_excess(spec):
+    """Largest |gap| less truncation_margin + 1e-12 over the displaced thermal inputs."""
+    reports = [check_cmoe(spec, rho) for rho in _displaced_thermal_states()]
+    return max(abs(r.gap) - r.truncation_margin - 1e-12 for r in reports)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        attenuator(0.5, 0.5),
+        amplifier(2.0),
+        amplifier(1.5, 0.3),
+        additive_noise(0.5),
+        contravariant_amplifier(2.0),
+    ],
+    ids=["attenuator", "amplifier", "noisy-amplifier", "additive", "contravariant"],
+)
+def test_displaced_thermal_inputs_sit_on_the_bound(spec):
+    # the output of D(a) w D(a)+ is a displaced copy of the output of w,
+    # with its entropy; unlike a Fock-diagonal input, it reaches bands >= 1
+    assert _worst_displaced_excess(spec) <= 0.0
+    # band 1's weight [0, 0] scaled by 1 + 1e-6 is seen (by 1.2e-7 to 3.7e-7)
+    clear_caches()
+    try:
+        get_channel_map(spec, DISPLACED_LEVELS).complete()[1][0, 0] *= 1.0 + 1e-6
+        assert _worst_displaced_excess(spec) > 0.0
+    finally:
+        clear_caches()
 
 
 def test_check_cmoe_random_input_satisfied():

@@ -163,6 +163,30 @@ def test_solver_trend_toward_order_one():
     assert 5.0 < gaps[1] / gaps[2] < 20.0
 
 
+def _slope_limit_error(closed_form_gain_scale):
+    """Largest |lim (p - 1)/(q - 1) - k ln z'/ln z| as q -> 1 over a (z, gain) grid.
+
+    The limit is Richardson-extrapolated from the solver at q - 1 = 1e-4
+    and 5e-5; the closed form takes the gain times closed_form_gain_scale.
+    """
+    z_bar, kap = (a.ravel() for a in np.meshgrid([0.2, 0.5, 0.75, 0.95], [1.5, 2.0, 4.0]))
+
+    def slope(h):
+        return (solve_p_of_q(z_bar, kap, np.full(z_bar.shape, 1.0 + h)) - 1.0) / h
+
+    limit = 2.0 * slope(5e-5) - slope(1e-4)
+    k = kap * closed_form_gain_scale
+    return float(np.abs(limit - k * np.log(amplifier_z_map(z_bar, k)) / np.log(z_bar)).max())
+
+
+def test_solver_slope_tends_to_the_entropy_bounds_slope():
+    # as q -> 1 the norm ceiling's stationary order p(q) has slope
+    # k g'(E_out)/g'(E), the slope of the CMOE bound: one theorem, two limits
+    assert _slope_limit_error(1.0) <= 1e-8
+    # a gain off by 1e-6 in the closed form is seen (by up to 3.5e-7)
+    assert _slope_limit_error(1.0 + 1e-6) > 1e-8
+
+
 def test_solver_no_bracket_at_gain_one():
     with pytest.raises(LemmaViolationError):
         solve_p_of_q(0.5, 1.0, 1.3)

@@ -1,17 +1,20 @@
-import sys
-import threading
+import ast
+import os
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from focklab import linalg
+from focklab.channels import apply_channel
+from focklab.cli import DEFAULT_CONFIG, parse_channel
 from focklab.errors import (
     InvalidDimensionError,
     NonHermitianError,
     ResourceLimitError,
 )
-from focklab.linalg import _single_blas_thread, hermitian_eigh, hermitian_spectrum
+from focklab.linalg import hermitian_eigh, hermitian_spectrum
+from focklab.sampling import random_mixed, substream
 
 from dilation import check_joint_dim, ladder, partial_trace
 
@@ -173,66 +176,61 @@ def test_spectrum_moment_identities():
         assert_allclose(np.trace(power).real, np.sum(vals**k), rtol=1e-11)
 
 
-def test_overlapping_blas_scopes_restore_when_the_last_closes(threaded_blas):
-    # thread A opens, B opens, A closes, B closes
-    counts = threaded_blas
-    original = counts()
-    ones = [1] * len(original)
-    a_open, b_open, a_closed = threading.Event(), threading.Event(), threading.Event()
-    seen = {}
-
-    def a():
-        with _single_blas_thread():
-            a_open.set()
-            assert b_open.wait(30)
-            seen["both open"] = counts()
-        a_closed.set()
-
-    def b():
-        assert a_open.wait(30)
-        with _single_blas_thread():
-            b_open.set()
-            assert a_closed.wait(30)
-            seen["A closed"] = counts()
-        seen["B closed"] = counts()
-
-    workers = [threading.Thread(target=f) for f in (a, b)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join(60)
-    assert not any(w.is_alive() for w in workers)
-    assert seen == {"both open": ones, "A closed": ones, "B closed": original}
+def _enclosing_function(parents, node):
+    scope = parents.get(node)
+    while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = parents.get(scope)
+    return scope.name if scope else None
 
 
-def test_blas_scopes_under_thread_contention(threaded_blas):
-    # a lost update of the open-scope count would restore the counts while
-    # a scope is still open, or leave them at 1 after the last one closed
-    counts = threaded_blas
-    original = counts()
-    ones = [1] * len(original)
-    wrong = []
+def test_only_cli_main_opens_the_blas_scope_and_only_linalg_sets_blas_threads():
+    # the caller's OpenBLAS thread counts change only inside the scope that
+    # cli.main opens, and only linalg reaches an OpenBLAS thread setter
+    src = os.path.dirname(linalg.__file__)
+    openers, setters = [], set()
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                if called == "_single_blas_thread":
+                    openers.append((name, _enclosing_function(parents, node)))
+            used = {node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+                used = {module.split(".")[0] for module in modules}
+            if used & {"_loaded_openblas", "ctypes", "threadpoolctl"} or (
+                isinstance(node, ast.Constant) and "set_num_threads" in str(node.value)
+            ):
+                setters.add(name)
+    assert openers == [("cli.py", "main")]
+    assert setters == {"linalg.py"}
 
-    def worker():
-        for _ in range(50):
-            with _single_blas_thread():
-                with _single_blas_thread():
-                    if counts() != ones:
-                        wrong.append(counts())
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+def test_spectrum_bits_do_not_depend_on_the_blas_thread_count(blas_controls):
+    # a library search runs numpy's eigensolves at the caller's thread
+    # count, so that count must not move a row
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts with one thread on one core")
+    outputs = [
+        apply_channel(parse_channel(entry), random_mixed(d, d, substream(d, i))).matrix
+        for entry in DEFAULT_CONFIG["cmoe"]["channels"]
+        for d in (16, 24)
+        for i in range(20)
+    ]
+    saved, spectra = [get() for get, _ in blas_controls], []
     try:
-        workers = [threading.Thread(target=worker) for _ in range(4)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(60)
+        for threads in (1, 2):
+            for _, put in blas_controls:
+                put(threads)
+            assert [get() for get, _ in blas_controls] == [threads] * len(blas_controls)
+            spectra.append([hermitian_spectrum(m) for m in outputs])
     finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    assert wrong == [] and counts() == original
-    assert linalg._blas_depth == 0 and linalg._blas_saved == {}
+        for (_, put), count in zip(blas_controls, saved):
+            put(count)
+    assert all(np.array_equal(one, two) for one, two in zip(*spectra))
 
 
 def _skew_hermitian(rng, n, norm1):
