@@ -40,6 +40,9 @@ from .lemma import (
     PROBE_P,
     PROBE_Q,
     SCAN_POINTS,
+    TREND_GAIN,
+    TREND_Q,
+    TREND_Z,
     LemmaGridSpec,
     amplifier_z_map,
     norm_ratio_log_derivative,
@@ -206,8 +209,7 @@ def _is_count(value) -> bool:
 
 
 # (description, test) pairs for config values; a rule in a list applies
-# to every entry of a list value, which needs at least one entry, or as
-# many as the list's second element
+# to every entry of a list value, which needs at least one entry
 NONNEGATIVE = ("a number >= 0", lambda v: _is_real(v) and v >= 0.0)
 OPEN_UNIT = ("a number in (0, 1)", lambda v: _is_real(v) and 0.0 < v < 1.0)
 TRANSMISSIVITY = ("a number in (0, 1]", lambda v: _is_real(v) and 0.0 < v <= 1.0)
@@ -252,10 +254,8 @@ CONFIG_SECTIONS = {
         "solver_z": ([0.25, 0.5, 0.75], [OPEN_UNIT]),
         "solver_gains": ([1.5, 2.0], [ABOVE_ONE]),
         "solver_q": ([1.1, 1.3, 1.49], [ABOVE_ONE]),
-        "trend_q": ([1.1, 1.01, 1.001], [ABOVE_ONE, 2]),
         "probe_cutoff": (24, POSITIVE_COUNT),
         "probe_trials": (500, POSITIVE_COUNT),
-        "exploratory_q": ([1.6, 2.0], [ABOVE_ONE]),
     },
 }
 
@@ -273,9 +273,8 @@ DEFAULT_CONFIG = {
 
 def _check_value(where: str, value, rule) -> None:
     if isinstance(rule, list):
-        least = rule[1] if len(rule) > 1 else 1
-        if not isinstance(value, list) or len(value) < least:
-            raise ConfigError(f"{where} must be a list of {least} or more entries, got {value!r}")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a list of 1 or more entries, got {value!r}")
         for i, item in enumerate(value):
             _check_value(f"{where}[{i}]", item, rule[0])
         return
@@ -302,6 +301,9 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("cmoe.channels must be a nonempty list")
     for ch in cm["channels"]:
         parse_channel(ch)
+    # rows with q at or above the limit are exploratory: the solver claim needs one below
+    if not any(q < ORDER_GUARANTEE_LIMIT for q in cfg["lemma"]["solver_q"]):
+        raise ConfigError(f"lemma.solver_q needs an order below {ORDER_GUARANTEE_LIMIT}")
 
 
 def parse_channel(entry: dict) -> ChannelSpec:
@@ -688,10 +690,11 @@ def cmd_verify_cmoe(cfg: dict) -> int:
 
 
 def _solver_rows(cells) -> list:
-    """LEMMA_COLUMNS rows of (z_bar, gain, q, exploratory) cells, solved in one call.
+    """LEMMA_COLUMNS rows of (z_bar, gain, q) cells, solved in one call.
 
-    A cell the order solver or the maximizer scan cannot handle gets a
-    row of NaNs that does not pass.
+    A row is exploratory when q is at or above ORDER_GUARANTEE_LIMIT.  A
+    cell the order solver or the maximizer scan cannot handle gets a row
+    of NaNs that does not pass.
     """
     z_bar, gain, q = (np.array([cell[i] for cell in cells], dtype=float) for i in range(3))
     p = solve_p_of_q(z_bar, gain, q)
@@ -708,20 +711,14 @@ def _solver_rows(cells) -> list:
     passed &= (prefactor <= 1.0) & (offset <= 1.0 / (SCAN_POINTS + 1.0))  # one scan cell
     numbers = zip(*(a.tolist() for a in (p, residual, prefactor, z_star, offset)))
     return [
-        dict(zip(LEMMA_COLUMNS, (*cell[:3], *row, cell[3], ok)))
+        dict(zip(LEMMA_COLUMNS, (*cell, *row, cell[2] >= ORDER_GUARANTEE_LIMIT, ok)))
         for cell, row, ok in zip(cells, numbers, passed.tolist())
     ]
 
 
-def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
+def cmd_verify_lemma(cfg: dict) -> int:
     out_dir = ensure_outdir(cfg)
     section = cfg["lemma"]
-    for q in section["solver_q"]:
-        if q >= ORDER_GUARANTEE_LIMIT and not exploratory:
-            raise ConfigError(
-                f"q={q} is outside the guaranteed region (q < {ORDER_GUARANTEE_LIMIT}); "
-                "rerun with --exploratory"
-            )
     # the probe's map, band 0 and then completed, is refused before the grid sweeps
     probe_map = (amplifier(PROBE_GAIN), section["probe_cutoff"])
     channel_maps.checked_bytes(*_map_plan([probe_map]))
@@ -733,11 +730,8 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
     grid_report = verify_lemma_inequalities(grid)
     failures = grid_report.failures()
 
-    points = (section["solver_z"], section["solver_gains"])
-    cells = [(*c, c[2] >= ORDER_GUARANTEE_LIMIT) for c in product(*points, section["solver_q"])]
-    if exploratory:
-        cells += [(*c, True) for c in product(*points, section["exploratory_q"])]
-    solver_rows = _solver_rows(cells)
+    cells = product(section["solver_z"], section["solver_gains"], section["solver_q"])
+    solver_rows = _solver_rows(list(cells))
     write_csv(os.path.join(out_dir, LEMMA_CSV), LEMMA_COLUMNS, solver_rows)
     solver_bad = [
         f"solver at z_bar={r['z_bar']} gain={r['gain']} q={r['q']}"
@@ -746,13 +740,13 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
     ]
     failures += solver_bad
 
-    trend_p = solve_p_of_q(0.5, 2.0, np.array(section["trend_q"], dtype=float))
-    trend = [{"q": q, "p_minus_one": float(p) - 1.0} for q, p in zip(section["trend_q"], trend_p)]
+    trend_p = solve_p_of_q(TREND_Z, TREND_GAIN, np.array(TREND_Q, dtype=float))
+    trend = [{"q": q, "p_minus_one": float(p) - 1.0} for q, p in zip(TREND_Q, trend_p)]
     trend_ok = all(
         trend[i]["p_minus_one"] > trend[i + 1]["p_minus_one"] for i in range(len(trend) - 1)
     )
     if not trend_ok:
-        failures.append(f"p-1 does not decrease along trend_q={section['trend_q']}")
+        failures.append(f"p-1 does not decrease along TREND_Q={TREND_Q}")
 
     # boundary behavior of the ratio derivative: climbing at z=0, falling
     # off a cliff toward z=1
@@ -773,7 +767,6 @@ def cmd_verify_lemma(cfg: dict, exploratory: bool) -> int:
         failures.append("saturation probe exceeded the thermal ceiling")
 
     summary = {
-        "exploratory": exploratory,
         "grid": dataclasses.asdict(grid_report),
         "solver_rows": len(solver_rows),
         "solver_ok": not solver_bad,
@@ -868,12 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="base RNG seed")
         p.add_argument("--jobs", type=int, help="worker process count")
         p.add_argument("--out", help="output directory")
-        if name == "verify-lemma":
-            p.add_argument(
-                "--exploratory",
-                action="store_true",
-                help="also attempt orders outside the guaranteed q < 3/2 region",
-            )
     return parser
 
 
@@ -887,7 +874,7 @@ def main(argv=None) -> int:
             if args.command == "verify-cmoe":
                 return cmd_verify_cmoe(cfg)
             if args.command == "verify-lemma":
-                return cmd_verify_lemma(cfg, getattr(args, "exploratory", False))
+                return cmd_verify_lemma(cfg)
             return cmd_report(cfg)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ def entropy_truncation_margin(deficit: float, dim: int) -> float:
     d = float(deficit)
     if d <= 0.0:
         return 0.0
-    if d >= 1.0:
+    if not d < 1.0:
         raise DomainError(f"deficit must be < 1, got {d!r}")
     binary = -d * math.log(d) - (1.0 - d) * math.log1p(-d)
     return d * math.log(dim) + binary

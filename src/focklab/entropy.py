@@ -44,7 +44,7 @@ def von_neumann_entropy(state) -> float:
 def _spectrum_norm(vals: np.ndarray, alpha: float) -> float:
     """(sum of vals**alpha)**(1/alpha) of a clamped spectrum sorted descending, alpha > 1."""
     a = float(alpha)
-    if a <= 1.0:
+    if not a > 1.0:
         raise DomainError(f"schatten_norm needs alpha > 1, got {a!r}")
     vals = vals[vals > 0.0]
     if vals.size == 0:
@@ -67,7 +67,7 @@ def schatten_norms(matrices: np.ndarray, alpha: float) -> list:
 def renyi_entropy(state, alpha: float) -> float:
     """(alpha / (1 - alpha)) ln ||state||_alpha for alpha > 1."""
     a = float(alpha)
-    if a <= 1.0:
+    if not a > 1.0:
         raise DomainError(f"renyi_entropy needs alpha > 1, got {a!r}")
     norm = schatten_norm(state, a)
     if norm <= 0.0:

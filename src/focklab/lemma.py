@@ -23,6 +23,7 @@ from .channels import (
 )
 from .entropy import schatten_norm, schatten_norms
 from .errors import DomainError, LemmaViolationError
+from .states import checked_levels
 from .thermal import _log_norm, _norm_args, _one_minus_pow
 
 P_SOLVER_WIDTH = 1e-14
@@ -38,6 +39,8 @@ SCAN_POINTS = 2000  # coarse-scan points of scan_ratio_maximizer
 # the amplifier gain and the orders at which verify-lemma probes the
 # ceiling and checks the ratio derivative at the boundary
 PROBE_GAIN, PROBE_P, PROBE_Q = 2.0, 1.2, 1.35
+# the ratio, gain and decreasing orders along which p - 1 must decrease
+TREND_Z, TREND_GAIN, TREND_Q = 0.5, 2.0, (1.1, 1.01, 1.001)
 # slack of the saturation probe over the thermal ceiling, and the margin
 # by which a skipped output's bound must fall below the best ratio
 PROBE_TOLERANCE = 1e-6
@@ -66,7 +69,7 @@ def phi(z, p):
     """
     z = _check_z(z)
     p = np.asarray(p, dtype=float)
-    if np.any(p < 1.0):
+    if not np.all(p >= 1.0):
         raise DomainError("order p must be >= 1")
     num = np.where(p == 1.0, 0.0, _one_minus_pow(z, p - 1.0))
     return num / _one_minus_pow(z, p)
@@ -76,7 +79,7 @@ def psi(z, p):
     """p*(1 - z)/(1 - z**p) - 1; decreases from p - 1 at z=0 to 0 at z=1."""
     z = _check_z(z)
     p = np.asarray(p, dtype=float)
-    if np.any(p < 1.0):
+    if not np.all(p >= 1.0):
         raise DomainError("order p must be >= 1")
     return p * (1.0 - z) / _one_minus_pow(z, p) - 1.0
 
@@ -109,7 +112,7 @@ def amplifier_z_map(z, gain):
     """Thermal-ratio pushforward of the quantum-limited amplifier."""
     z = _check_z(z)
     kap = np.asarray(gain, dtype=float)
-    if np.any(kap < 1.0):
+    if not np.all(kap >= 1.0):
         raise DomainError(f"gain must be >= 1, got {gain!r}")
     return (z + kap - 1.0) / kap
 
@@ -151,7 +154,7 @@ def solve_p_of_q(z_bar, gain, q):
     z_bar, kap, q = _rows(z_bar, gain, q)
     if not np.all((0.0 < z_bar) & (z_bar < 1.0)):
         raise DomainError("z_bar must lie in (0, 1)")
-    if np.any(q <= 1.0):
+    if not np.all(q > 1.0):
         raise DomainError("order q must exceed 1")
     z_out = amplifier_z_map(z_bar, kap)
     lo, hi = np.full(q.shape, 1.0 + 1e-9), q - 1e-9
@@ -383,7 +386,7 @@ def scan_ratio_maximizer(gain, p, q):
     refused = amplifier_z_map(zg[-1], kap) >= 1.0  # the image rises with z
     if refused.ndim == 0 and refused:
         raise DomainError("log_thermal_schatten_norm needs 0 <= z < 1")
-    if np.any(p <= 1.0) or np.any(q <= 1.0):
+    if not (np.all(p > 1.0) and np.all(q > 1.0)):
         raise DomainError("log_thermal_schatten_norm needs p > 1")
     kap = np.where(refused, 1.0, kap)
 
@@ -471,6 +474,7 @@ def pq_norm_saturation_probe(
     """
     from .sampling import SamplerConfig, draw_state
 
+    trials = checked_levels("probe trials", trials)
     spec = ChannelSpec(kind=ChannelKind.AMPLIFIER, gain=float(gain))
     # the first trial is dense and completes this map anyway; completing it
     # first refuses a map too large to build before a state of its size is drawn
@@ -511,7 +515,7 @@ def pq_norm_saturation_probe(
         p=float(p),
         q=float(q),
         cutoff=int(cutoff),
-        trials=int(trials),
+        trials=trials,
         thermal_log_ceiling=float(ceiling),
         best_trial_log_ratio=float(best),
         worst_margin=float(margin),

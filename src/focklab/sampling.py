@@ -19,7 +19,7 @@ from .channels import ChannelKind, ChannelSpec
 from .cmoe import CmoeReport, check_cmoe
 from .errors import DomainError
 from .linalg import _load_expm, hermitian_eigh
-from .states import DensityMatrix, DiagonalState
+from .states import DensityMatrix, DiagonalState, checked_levels
 
 _MASK64 = (1 << 64) - 1
 
@@ -111,7 +111,7 @@ def entropy_pinned_state(target: float, cutoff: int, rng: np.random.Generator) -
     """
     target = float(target)
     # a target within PIN_TOL of 0 gives the pure state, even at cutoff 1
-    if target < 0.0 or target > max(math.log(cutoff) - 1e-12, PIN_TOL):
+    if not 0.0 <= target <= max(math.log(cutoff) - 1e-12, PIN_TOL):
         raise DomainError(f"target entropy {target!r} unreachable at cutoff {cutoff}")
     base = random_pure(cutoff, rng).matrix
     t_star = 0.0
@@ -144,17 +144,18 @@ class SamplerConfig:
 
 
 def draw_state(config: SamplerConfig, index: int):
+    cutoff = checked_levels("sampler cutoff", config.cutoff)
     rng = substream(config.seed, index)
     if config.kind == "pure":
-        return random_pure(config.cutoff, rng)
+        return random_pure(cutoff, rng)
     if config.kind == "mixed":
-        return random_mixed(config.cutoff, config.cutoff, rng)
+        return random_mixed(cutoff, cutoff, rng)
     if config.kind == "diagonal":
-        return random_diagonal(config.cutoff, rng)
+        return random_diagonal(cutoff, rng)
     if config.kind == "pinned":
         if config.target_entropy is None:
             raise DomainError("pinned sampler needs target_entropy")
-        return entropy_pinned_state(config.target_entropy, config.cutoff, rng)
+        return entropy_pinned_state(config.target_entropy, cutoff, rng)
     raise DomainError(f"unknown sampler kind {config.kind!r}")
 
 
@@ -233,6 +234,8 @@ def adversarial_search(
     does not spin against numpy's; numpy's OpenBLAS keeps the caller's
     thread count.
     """
+    cutoff = checked_levels("search cutoff", cutoff)
+    iterations = checked_levels("search iterations", iterations, least=0)
     if start is not None and start.dim != cutoff:
         raise DomainError(f"start state has {start.dim} levels, the search cutoff is {cutoff}")
     expm = _load_expm()

@@ -21,14 +21,21 @@ NEG_EIG_CLAMP = -1e-10
 DIAG_NEG_CLAMP = -1e-14
 
 
-def checked_levels(what: str, levels) -> int:
-    """levels as an int; DomainError unless it is an integer >= 1 with a finite float value."""
+def checked_levels(what: str, levels, least: int = 1) -> int:
+    """levels as an int; DomainError unless it is an integer >= least with a finite float value."""
     if isinstance(levels, numbers.Integral) and not isinstance(levels, bool):
-        if 1 <= levels <= sys.float_info.max:
+        if least <= levels <= sys.float_info.max:
             return int(levels)
         if levels > 1:  # not printed: str() refuses ints past 4,300 digits
             raise DomainError(f"{what} must convert to a finite float, got a larger int")
-    raise DomainError(f"{what} must be an integer >= 1, got {levels!r}")
+    raise DomainError(f"{what} must be an integer >= {least}, got {levels!r}")
+
+
+def _valid_deficit(deficit) -> float:
+    """deficit as a float; DomainError unless it is a real number in [0, 1)."""
+    if not (isinstance(deficit, numbers.Real) and 0.0 <= deficit < 1.0):
+        raise DomainError(f"trace_deficit must be a number in [0, 1), got {deficit!r}")
+    return float(deficit)
 
 
 def clamp_spectrum(values):
@@ -61,6 +68,7 @@ class DensityMatrix:
         if m.shape[0] < 1:
             raise InvalidDimensionError("density matrix must have dimension >= 1")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "trace_deficit", _valid_deficit(self.trace_deficit))
 
     @property
     def dim(self) -> int:
@@ -96,6 +104,7 @@ class DiagonalState:
             raise PositivityError(f"negative probability {low:.3e} below {DIAG_NEG_CLAMP:.1e}")
         p = np.where(p < 0.0, 0.0, p)
         object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "trace_deficit", _valid_deficit(self.trace_deficit))
 
     @property
     def dim(self) -> int:

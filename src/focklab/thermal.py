@@ -20,7 +20,7 @@ _G_SMALL = 1e-300
 def g(energy: float) -> float:
     """Entropy of the thermal state with the given mean photon number."""
     e = float(energy)
-    if e < 0.0:
+    if not e >= 0.0:
         raise DomainError(f"g needs energy >= 0, got {e!r}")
     if e == 0.0:
         return 0.0
@@ -33,7 +33,7 @@ def g(energy: float) -> float:
 def g_prime(energy: float) -> float:
     """Derivative dg/dE = ln(1 + 1/E)."""
     e = float(energy)
-    if e <= 0.0:
+    if not e > 0.0:
         raise DomainError(f"g_prime needs energy > 0, got {e!r}")
     return math.log1p(1.0 / e)
 
@@ -79,7 +79,7 @@ def g_inv(entropy: float) -> float:
 def z_of_energy(energy: float) -> float:
     """Geometric ratio z = E/(E+1)."""
     e = float(energy)
-    if e < 0.0:
+    if not e >= 0.0:
         raise DomainError(f"z_of_energy needs energy >= 0, got {e!r}")
     return e / (e + 1.0)
 
@@ -87,7 +87,7 @@ def z_of_energy(energy: float) -> float:
 def thermal_state(energy: float, cutoff: int) -> DiagonalState:
     """Thermal state truncated at `cutoff` levels; deficit is exactly z^cutoff."""
     e = float(energy)
-    if e < 0.0:
+    if not e >= 0.0:
         raise DomainError(f"thermal_state needs energy >= 0, got {e!r}")
     cutoff = checked_levels("thermal_state cutoff", cutoff)
     if e == 0.0:
@@ -109,7 +109,7 @@ def thermal_tail_cutoff(energy: float, tail: float) -> int:
     if e == 0.0:
         return 1
     # ln z, or -ln(1 + 1/E) where z rounds to 1 (E past ~1e16)
-    levels = math.log(t) / (math.log(z_of_energy(e)) or -math.log1p(1.0 / e))
+    levels = math.log(t) / (math.log(e / (e + 1.0)) or -math.log1p(1.0 / e))
     if not levels < math.inf:  # a NaN or infinite energy, or a cutoff past the float range
         raise DomainError(f"energy {e!r} has no finite tail cutoff")
     return max(1, math.ceil(levels))
@@ -134,7 +134,7 @@ def _norm_args(z, p):
     p_arr = np.asarray(p, dtype=float)
     if np.any(z_arr < 0.0) or np.any(z_arr >= 1.0):
         raise DomainError("log_thermal_schatten_norm needs 0 <= z < 1")
-    if np.any(p_arr <= 1.0):
+    if not np.all(p_arr > 1.0):
         raise DomainError("log_thermal_schatten_norm needs p > 1")
     return z_arr, p_arr
 

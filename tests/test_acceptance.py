@@ -359,7 +359,6 @@ def test_criterion_10_reruns_are_byte_identical(tmp_path_factory, capsys):
             "solver_z": [0.5],
             "solver_gains": [2.0],
             "solver_q": [1.3],
-            "trend_q": [1.1, 1.01],
             "probe_cutoff": 8,
             "probe_trials": 6,
         },

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import focklab.cmoe
 import focklab.lemma
@@ -83,7 +85,6 @@ SMALL_LEMMA = {
         "solver_z": [0.5],
         "solver_gains": [2.0],
         "solver_q": [1.3],
-        "trend_q": [1.1, 1.01],
         "probe_cutoff": 8,
         "probe_trials": 4,
     }
@@ -112,13 +113,16 @@ def dir_bytes(path):
 def test_parser_has_all_subcommands_and_flags():
     parser = build_parser()
     args = parser.parse_args(
-        ["verify-lemma", "--config", "c.json", "--seed", "5", "--jobs", "2", "--out", "d", "--exploratory"]
+        ["verify-lemma", "--config", "c.json", "--seed", "5", "--jobs", "2", "--out", "d"]
     )
     assert args.command == "verify-lemma"
     assert args.seed == 5 and args.jobs == 2 and args.out == "d"
-    assert args.exploratory
     for name in ("verify-thermal-laws", "verify-cmoe", "report"):
         assert parser.parse_args([name]).command == name
+    # a row's q alone makes it exploratory
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(["verify-lemma", "--exploratory"])
+    assert info.value.code == EXIT_CONFIG
 
 
 def test_parser_rejects_unknown_subcommand():
@@ -210,6 +214,9 @@ def test_thermal_empty_grid_exits_two(tmp_path):
         pytest.param("lemma", "probe_gain", 2.0, id="lemma.probe_gain"),
         pytest.param("lemma", "probe_p", 1.2, id="lemma.probe_p"),
         pytest.param("lemma", "probe_q", 1.35, id="lemma.probe_q"),
+        # so are the trend's orders; a solver row's q alone makes it exploratory
+        pytest.param("lemma", "trend_q", [1.1, 1.01], id="lemma.trend_q"),
+        pytest.param("lemma", "exploratory_q", [1.6], id="lemma.exploratory_q"),
     ],
 )
 def test_unknown_config_key_exits_two(tmp_path, capsys, section, key, value):
@@ -375,16 +382,17 @@ def test_lemma_small_run_passes(tmp_path):
     assert summary["passed"] is True
 
 
-def test_lemma_exploratory_orders_need_flag(tmp_path):
-    payload = {"lemma": dict(SMALL_LEMMA["lemma"], solver_q=[1.3, 1.6])}
-    cfg = write_config(tmp_path, payload)
-    out = str(tmp_path / "run")
-    assert main(["verify-lemma", "--config", cfg, "--out", out]) == EXIT_CONFIG
-    assert main(["verify-lemma", "--config", cfg, "--out", out, "--exploratory"]) == EXIT_OK
-    rows = read_rows(os.path.join(out, LEMMA_CSV))
-    flags = {float(r[2]): r[-2] for r in rows[1:] if float(r[0]) == 0.5}
-    assert flags[1.6] == "true"
-    assert flags[1.3] == "false"
+MIXED_ORDERS = {"lemma": dict(SMALL_LEMMA["lemma"], solver_q=[1.2, 1.3, 1.6, 2.0])}
+
+
+def test_lemma_rows_are_exploratory_by_q_alone(tmp_path):
+    cfg, out = write_config(tmp_path, MIXED_ORDERS), str(tmp_path / "run")
+    assert main(["verify-lemma", "--config", cfg, "--out", out]) == EXIT_OK
+    rows = read_rows(os.path.join(out, LEMMA_CSV))[1:]
+    assert [float(r[2]) for r in rows] == [1.2, 1.3, 1.6, 2.0]
+    assert [r[-2] for r in rows] == ["false", "false", "true", "true"]
+    summary = json.loads((tmp_path / "run" / LEMMA_SUMMARY).read_text())
+    assert "exploratory" not in summary
 
 
 def _lemma_failure(tmp_path, capsys, payload):
@@ -394,12 +402,13 @@ def _lemma_failure(tmp_path, capsys, payload):
     return code, summary, capsys.readouterr().err.strip().splitlines()
 
 
-def test_lemma_trend_failure_is_named(tmp_path, capsys):
-    # an increasing trend_q list: p - 1 grows along it
-    code, summary, err = _lemma_failure(tmp_path, capsys, {"lemma": {"trend_q": [1.01, 1.1]}})
+def test_lemma_trend_failure_is_named(tmp_path, capsys, monkeypatch):
+    # increasing trend orders: p - 1 grows along them
+    monkeypatch.setattr(cli, "TREND_Q", (1.01, 1.1))
+    code, summary, err = _lemma_failure(tmp_path, capsys, SMALL_LEMMA)
     assert code == EXIT_CLAIM_FAILED
     assert summary["trend_ok"] is False and summary["boundary_ok"] is True
-    assert len(err) == 1 and err[0].startswith("FAIL") and "trend_q=[1.01, 1.1]" in err[0]
+    assert err == ["FAIL p-1 does not decrease along TREND_Q=(1.01, 1.1)"]
 
 
 def test_lemma_boundary_failure_is_named(tmp_path, capsys, monkeypatch):
@@ -445,18 +454,20 @@ def test_lemma_grid_margin_failure_is_named(tmp_path, capsys, monkeypatch):
 
 def test_lemma_solver_failure_is_named(tmp_path, capsys, monkeypatch):
     # a maximizer scan that finds nothing fails every guaranteed row, and
-    # only those: the exploratory row at q = 1.6 fails without a line
+    # only those: the exploratory rows at q = 1.6 and 2 fail without a line
     monkeypatch.setattr(
         cli, "scan_ratio_maximizer", lambda gain, p, q: (np.full(p.shape, np.nan),) * 2
     )
-    payload = {"lemma": dict(SMALL_LEMMA["lemma"], solver_q=[1.3, 1.6], solver_gains=[2.0, 4])}
+    payload = {"lemma": dict(MIXED_ORDERS["lemma"], solver_gains=[2.0, 4])}
     code = main(["verify-lemma", "--config", write_config(tmp_path, payload),
-                 "--out", str(tmp_path / "run"), "--exploratory"])
+                 "--out", str(tmp_path / "run")])
     assert code == EXIT_CLAIM_FAILED
     assert capsys.readouterr().err.splitlines() == [
-        "FAIL solver at z_bar=0.5 gain=2.0 q=1.3",
-        "FAIL solver at z_bar=0.5 gain=4 q=1.3",
+        f"FAIL solver at z_bar=0.5 gain={g} q={q}" for g in ("2.0", "4") for q in (1.2, 1.3)
     ]
+    rows = read_rows(tmp_path / "run" / LEMMA_CSV)[1:]
+    assert [r[-2] for r in rows] == ["false", "false", "true", "true"] * 2
+    assert {r[-1] for r in rows} == {"false"}
     summary = json.loads((tmp_path / "run" / LEMMA_SUMMARY).read_text())
     assert summary["solver_ok"] is False and summary["passed"] is False
 
@@ -481,13 +492,13 @@ def test_lemma_probe_failure_is_named(tmp_path, capsys, monkeypatch):
 def test_lemma_failures_print_in_check_order(tmp_path, capsys, monkeypatch):
     _exceeded_probe(monkeypatch)
     monkeypatch.setattr(cli, "norm_ratio_log_derivative", lambda z, gain, p, q: 0.0)
-    payload = {"lemma": dict(SMALL_LEMMA["lemma"], trend_q=[1.01, 1.1])}
-    code, summary, err = _lemma_failure(tmp_path, capsys, payload)
+    monkeypatch.setattr(cli, "TREND_Q", (1.01, 1.1))
+    code, summary, err = _lemma_failure(tmp_path, capsys, SMALL_LEMMA)
     assert code == EXIT_CLAIM_FAILED
     assert summary["passed"] is False and summary["grid"]["all_hold"] is True
     assert summary["solver_ok"] is True
     assert err == [
-        "FAIL p-1 does not decrease along trend_q=[1.01, 1.1]",
+        "FAIL p-1 does not decrease along TREND_Q=(1.01, 1.1)",
         "FAIL ratio derivative at the boundary: 0.0 at z=0 (want > 0), 0.0 near z=1 (want < -1)",
         "FAIL saturation probe exceeded the thermal ceiling",
     ]
@@ -578,14 +589,14 @@ def test_cmoe_small_cutoff_warms_caches_without_probe(tmp_path):
     assert {r[4] for r in rows[1:] if r[0] == "random"} == {"4"}
 
 
-def test_trend_order_next_to_one_fails_the_claim(tmp_path, capsys):
-    # q passes the config's q > 1 rule, but the solver's bracket
-    # (1 + 1e-9, q - 1e-9) is empty there: p - 1 is NaN, not an input error
-    payload = {"lemma": dict(SMALL_LEMMA["lemma"], trend_q=[1.1, 1.000000000001])}
-    code, summary, err = _lemma_failure(tmp_path, capsys, payload)
+def test_trend_order_next_to_one_fails_the_claim(tmp_path, capsys, monkeypatch):
+    # q exceeds 1, but the solver's bracket (1 + 1e-9, q - 1e-9) is empty
+    # there: p - 1 is NaN, not an input error
+    monkeypatch.setattr(cli, "TREND_Q", (1.1, 1.000000000001))
+    code, summary, err = _lemma_failure(tmp_path, capsys, SMALL_LEMMA)
     assert code == EXIT_CLAIM_FAILED
     assert summary["trend_ok"] is False
-    assert err == ["FAIL p-1 does not decrease along trend_q=[1.1, 1.000000000001]"]
+    assert err == ["FAIL p-1 does not decrease along TREND_Q=(1.1, 1.000000000001)"]
 
 
 @pytest.mark.parametrize(
@@ -911,9 +922,11 @@ def test_dense_bytes_bound_a_dense_check():
         ("verify-lemma", {"lemma": {"grid_gains": []}}, "lemma.grid_gains"),
         ("verify-lemma", {"lemma": {"grid_order_points": 1}}, "lemma.grid_order_points"),
         ("verify-lemma", {"lemma": {"solver_z": []}}, "lemma.solver_z"),
-        ("verify-lemma", {"lemma": {"trend_q": [1.1]}}, "lemma.trend_q"),
+        # every row would be exploratory, so the solver claim could not fail
+        ("verify-lemma", {"lemma": {"solver_q": [1.5, 2.0]}}, "lemma.solver_q"),
         ("verify-cmoe", {"cmoe": {"equality_input_energies": []}}, "cmoe.equality_input_energies"),
         ("verify-cmoe", {"cmoe": {"cutoffs": []}}, "cmoe.cutoffs"),
+        ("verify-thermal-laws", {"lemma": {"solver_q": [1.6]}}, "lemma.solver_q"),
     ],
 )
 def test_mistyped_config_value_exits_two(tmp_path, capsys, command, payload, where):
@@ -942,26 +955,29 @@ def _edges(rule):
     return edges + [bound + step for bound in RULE_BOUNDS[rule] for step in (-1e-7, 1e-7)]
 
 
+def _run(section, **values):
+    """(command, payload) of the section's small run with `values` set."""
+    command, base = SECTION_RUNS[section]
+    return command, dict(base, **{section: dict(base.get(section, {}), **values)})
+
+
 def _edge_configs():
     """(name, command, payload) of each edge of each numeric config value, one at a time.
 
     The values that size only the run time are left out.
     """
     for section, values in cli.CONFIG_SECTIONS.items():
-        command, base = SECTION_RUNS[section]
         for key, (_, rule) in values.items():
             if rule is None or key in ("adversarial_iterations", "probe_trials"):
                 continue
-            least = (rule[1] if len(rule) > 1 else 1) if isinstance(rule, list) else 0
-            for edge in _edges(rule[0] if least else rule):
-                value = [edge] * least if least else edge
-                payload = dict(base, **{section: dict(base.get(section, {}), **{key: value})})
-                yield f"{section}.{key}={edge!r}", command, payload
+            listed = isinstance(rule, list)
+            for edge in _edges(rule[0] if listed else rule):
+                yield f"{section}.{key}={edge!r}", *_run(section, **{key: [edge] if listed else edge})
     for entry in DEFAULT_CONFIG["cmoe"]["channels"]:
         for param in sorted(entry.keys() - {"kind"}):
             for edge in _edges(CHANNEL_RULES[param]):
-                cmoe = dict(SMALL_CMOE["cmoe"], channels=[dict(entry, **{param: edge})])
-                yield f"{entry['kind']}.{param}={edge!r}", "verify-cmoe", dict(SMALL_CMOE, cmoe=cmoe)
+                channel = dict(entry, **{param: edge})
+                yield f"{entry['kind']}.{param}={edge!r}", *_run("cmoe", channels=[channel])
 
 
 EDGE_RUNNER = r"""
@@ -983,14 +999,17 @@ print(json.dumps(results))
 """
 
 
-def test_every_config_edge_exits_honestly(tmp_path):
-    # one capped child runs every edge; an edge that allocates fails there
-    cases = list(_edge_configs())
+def _dishonest_runs(tmp_path, cases) -> list:
+    """(name, code, last stderr lines) of each (name, command, payload) run that breaks the exit contract.
+
+    One capped child runs every case, so a case that allocates fails there.
+    """
     argvs = [
         [command, "--config", write_config(tmp_path, payload, f"{i}.json"), "--out", str(tmp_path / f"r{i}")]
         for i, (_, command, payload) in enumerate(cases)
     ]
     results = _run_script(EDGE_RUNNER, json.dumps(argvs), preexec_fn=_cap_address_space)
+    assert len(results) == len(cases)
     bad = []
     for (name, _, _), (code, err) in zip(cases, results):
         lines = err.splitlines()
@@ -1001,7 +1020,66 @@ def test_every_config_edge_exits_honestly(tmp_path):
             honest &= any(line.startswith("FAIL ") for line in lines)
         if not honest:
             bad.append((name, code, lines[-3:]))
-    assert len(results) == len(cases) and bad == []
+    return bad
+
+
+def test_every_config_edge_exits_honestly(tmp_path):
+    assert _dishonest_runs(tmp_path, list(_edge_configs())) == []
+
+
+# values of generated configs: solver orders on both sides of 3/2, and
+# the gains and env energies of channels
+ORDERS = st.sampled_from([1.01, 1.3, 1.49, 1.5, 1.6, 2.0])
+SIZES = st.sampled_from([1, 2, 1e300])
+
+
+def _entries(values):
+    return st.lists(values, min_size=1, max_size=3)
+
+
+def _listed(values):
+    """A list value of 1-3 entries, or an empty or a nested one."""
+    return st.one_of(_entries(values), st.just([]), _entries(values).map(lambda v: [v]))
+
+
+CHANNEL = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["amplifier", "contravariant"]), "gain": SIZES, "env_energy": SIZES}
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("attenuator"), "transmissivity": st.just(0.6), "env_energy": SIZES}
+    ),
+    st.fixed_dictionaries({"kind": st.just("additive"), "env_energy": SIZES}),
+)
+GENERATED_CONFIG = st.one_of(
+    st.builds(_run, st.just("lemma"), solver_q=_listed(ORDERS),
+              solver_gains=_entries(st.sampled_from([1.5, 2, 1e300]))),
+    st.builds(_run, st.just("cmoe"), channels=st.lists(CHANNEL, min_size=1, max_size=3)),
+    st.builds(_run, st.just("thermal"), gains=_listed(SIZES), env_energies=_entries(SIZES)),
+)
+
+
+def _covers_the_edges(configs) -> bool:
+    """Whether the configs mix orders, hold empty and nested lists, and repeat and mix kinds."""
+    lemma = [payload["lemma"]["solver_q"] for command, payload in configs if command == "verify-lemma"]
+    kinds = [[c["kind"] for c in payload["cmoe"]["channels"]]
+             for command, payload in configs if command == "verify-cmoe"]
+    listed = [v for _, payload in configs for section in payload.values() if isinstance(section, dict)
+              for v in section.values() if isinstance(v, list)]
+    return (
+        any(min(q) < 1.5 <= max(q) for q in lemma if q and not isinstance(q[0], list))
+        and [] in listed and any(v and isinstance(v[0], list) for v in listed)
+        and any(len(set(k)) < len(k) for k in kinds) and any(len(set(k)) > 1 for k in kinds)
+    )
+
+
+@settings(max_examples=1)
+@given(st.lists(GENERATED_CONFIG, min_size=40, max_size=40))
+def test_generated_configs_exit_honestly(tmp_path_factory, configs):
+    # the simplest example repeats one config, so the one run is of a list that covers the edges
+    assume(_covers_the_edges(configs))
+    cases = [(json.dumps(payload), command, payload) for command, payload in configs]
+    assert _dishonest_runs(tmp_path_factory.mktemp("generated"), cases) == []
 
 
 def test_suppressed_rows_fail_verify_cmoe(tmp_path, monkeypatch, capsys):
@@ -1180,14 +1258,14 @@ def test_commands_run_blas_on_one_thread_and_restore(tmp_path, monkeypatch, blas
     saved = [get() for get, _ in controls]
     seen = []
 
-    def recording(cfg, exploratory):
+    def recording(cfg):
         seen.append(_blas_threads())
         return EXIT_OK
 
-    def refusing(cfg, exploratory):
+    def refusing(cfg):
         raise ConfigError("refused")
 
-    def crashing(cfg, exploratory):
+    def crashing(cfg):
         raise RuntimeError("crashed")
 
     argv = ["verify-lemma", "--out", str(tmp_path / "r")]

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_equal
 
 import focklab.entropy
 from focklab.channels import amplifier, apply_channel, apply_diagonal, default_dims
-from focklab.entropy import schatten_norm
+from focklab.entropy import renyi_entropy, schatten_norm
 from focklab.errors import DomainError, LemmaViolationError
 from focklab.cli import DEFAULT_CONFIG
 from focklab.lemma import (
@@ -18,6 +18,9 @@ from focklab.lemma import (
     PROBE_CHUNK,
     PROBE_KINDS,
     PROBE_TOLERANCE,
+    TREND_GAIN,
+    TREND_Q,
+    TREND_Z,
     LemmaGridReport,
     LemmaGridSpec,
     SaturationProbeReport,
@@ -36,8 +39,8 @@ from focklab.lemma import (
     solve_p_of_q,
     verify_lemma_inequalities,
 )
-from focklab.sampling import SamplerConfig, draw_state
-from focklab.thermal import thermal_state, z_of_energy
+from focklab.sampling import SamplerConfig, draw_state, entropy_pinned_state, substream
+from focklab.thermal import g, g_prime, log_thermal_schatten_norm, thermal_state, z_of_energy
 
 
 def test_phi_closed_form_points():
@@ -642,6 +645,10 @@ def _solved_by_scalar(rows):
     return np.array(out)
 
 
+# orders past the guaranteed region, as solver_q may hold them
+EXPLORATORY_Q = [1.6, 2.0]
+
+
 def _default_rows(*qs):
     lemma = DEFAULT_CONFIG["lemma"]
     qs = qs or (lemma["solver_q"],)
@@ -666,8 +673,8 @@ def _random_rows(count, seed):
     "rows",
     [
         _default_rows(),
-        [(0.5, 2.0, q) for q in DEFAULT_CONFIG["lemma"]["trend_q"]],
-        _default_rows(DEFAULT_CONFIG["lemma"]["exploratory_q"], [3.0, 10.0]),
+        [(TREND_Z, TREND_GAIN, q) for q in TREND_Q],
+        _default_rows(EXPLORATORY_Q, [3.0, 10.0]),
         _random_rows(300, 1),
         [(0.5, 1.0, 1.3), (0.999, 1.0000001, 1.3), (0.5, 2.0, 1.3)],  # rows without a bracket
     ],
@@ -695,7 +702,7 @@ def test_no_bracket_rows_stay_nan_in_a_batch():
     "rows",
     [
         _default_rows(),
-        _default_rows(DEFAULT_CONFIG["lemma"]["exploratory_q"]),
+        _default_rows(EXPLORATORY_Q),
         _random_rows(300, 2),
     ],
     ids=["default-rows", "exploratory", "random"],
@@ -734,3 +741,41 @@ def test_scan_row_whose_grid_maps_onto_one_is_nan():
     assert not math.isnan(z_star[0]) and math.isnan(z_star[1]) and math.isnan(value[1])
     with pytest.raises(DomainError):
         scan_ratio_maximizer(1e17, 1.2, 1.35)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_p_of_q(0.5, NAN, 1.2),
+        lambda: solve_p_of_q(0.5, 2.0, NAN),
+        lambda: solve_p_of_q(np.array([0.5, 0.5]), 2.0, np.array([1.2, NAN])),
+        lambda: scan_ratio_maximizer(NAN, 1.2, 1.3),
+        lambda: scan_ratio_maximizer(2.0, NAN, 1.3),
+        lambda: scan_ratio_maximizer(2.0, 1.2, NAN),
+        lambda: amplifier_z_map(0.5, NAN),
+        lambda: phi(0.5, NAN),
+        lambda: psi(0.5, NAN),
+        lambda: log_thermal_norm_ratio(0.5, 2.0, NAN, 1.3),
+        lambda: g(NAN),
+        lambda: g_prime(NAN),
+        lambda: z_of_energy(NAN),
+        lambda: thermal_state(NAN, 4),
+        lambda: schatten_norm(thermal_state(0.5, 8), NAN),
+        lambda: renyi_entropy(thermal_state(0.5, 8), NAN),
+        lambda: log_thermal_schatten_norm(0.5, NAN),
+        lambda: entropy_pinned_state(NAN, 8, substream(1, 0)),
+    ],
+)
+def test_nan_orders_gains_energies_and_targets_are_refused(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("trials", [0, -5, 2.0, True])
+def test_probe_refuses_a_trial_count_that_is_not_a_positive_integer(trials):
+    # zero trials once passed with best -inf and exceeded False
+    with pytest.raises(DomainError, match="probe trials must be an integer >= 1"):
+        pq_norm_saturation_probe(2.0, 1.2, 1.35, cutoff=8, trials=trials, seed=1)

@@ -267,3 +267,26 @@ def test_thermal_start_search_stays_at_equality_gap():
     result = adversarial_search(spec, g(e_ref), 20, 16, seed=8, start=start)
     rep = result.best_report
     assert rep.gap >= -(rep.truncation_margin + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: draw_state(SamplerConfig(1, 2.5, "pure"), 0),
+        lambda: draw_state(SamplerConfig(1, 0, "diagonal"), 0),
+        lambda: draw_state(SamplerConfig(1, True, "mixed"), 0),
+        lambda: adversarial_search(attenuator(0.5), 0.5, -1, 6, seed=1),
+        lambda: adversarial_search(attenuator(0.5), 0.5, 1.5, 6, seed=1),
+        lambda: adversarial_search(attenuator(0.5), 0.5, 2, 6.0, seed=1),
+    ],
+    ids=["cutoff-float", "cutoff-zero", "cutoff-bool", "iterations-negative",
+         "iterations-float", "search-cutoff-float"],
+)
+def test_sampler_and_search_counts_must_be_integers(call):
+    with pytest.raises(DomainError, match="must be an integer >= "):
+        call()
+
+
+def test_search_of_zero_iterations_reports_its_start():
+    result = adversarial_search(attenuator(0.5), 0.5, 0, 6, seed=1)
+    assert result.iterations == 0 and result.accepted == 0

@@ -12,6 +12,7 @@ from focklab.errors import (
     PositivityError,
 )
 from focklab.states import DensityMatrix, DiagonalState, clamp_spectrum
+from focklab.thermal import thermal_state
 
 from dilation import validate_state
 
@@ -107,3 +108,16 @@ def test_non_finite_populations_are_refused(value):
     m[1, 1] = value
     with pytest.raises(EigensolverError):
         check_cmoe(amplifier(2.0), DensityMatrix(m))
+
+
+@pytest.mark.parametrize("deficit", [float("nan"), -1.0, 1.0, float("inf"), "0.1", None])
+@pytest.mark.parametrize(
+    "make", [DiagonalState, lambda p, d: DensityMatrix(np.diag(p), d)], ids=["diagonal", "dense"]
+)
+def test_states_refuse_a_deficit_outside_zero_one(make, deficit):
+    probs = thermal_state(0.5, 30).probs
+    with pytest.raises(DomainError, match="trace_deficit must be a number in"):
+        make(probs, deficit)
+    # a NaN deficit once reached check_cmoe, which called the row an Equality
+    assert make(probs, 0.0).trace_deficit == 0.0
+    assert check_cmoe(amplifier(2.0), make(probs, 0.25 ** 30)).verdict is not None
