@@ -127,6 +127,10 @@ class ChannelSpec:
                 raise DomainError(f"{self.kind.value} needs gain >= 1, got {kap!r}")
             if self.transmissivity is not None:
                 raise DomainError(f"{self.kind.value} takes no transmissivity parameter")
+            if self.kind == ChannelKind.CONTRAVARIANT and not math.isfinite(kap * self.env_energy):
+                raise DomainError(
+                    f"contravariant gain {kap!r} x env_energy {self.env_energy!r} is not finite"
+                )
         elif self.kind == ChannelKind.ADDITIVE:
             if self.transmissivity is not None or self.gain is not None:
                 raise DomainError("additive noise is parameterized by env_energy alone")

@@ -11,14 +11,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import lemma
 from .channels import ChannelDims, ChannelSpec, amplifier, apply_channel, apply_diagonal
-from .entropy import renyi_entropy, state_spectrum, von_neumann_entropy
+from .entropy import schatten_norm, von_neumann_entropy
 from .errors import DomainError, TruncationError
 from .states import DensityMatrix, DiagonalState
-from .thermal import g, g_inv, log_thermal_schatten_norm, z_of_energy
+from .thermal import g, g_inv, z_of_energy
 
 # Verdict rules: a gap below -(margin + VIOLATION_SLACK) is a candidate
 # violation; |gap| within max(EQUALITY_TOL, margin) counts as equality.
@@ -110,7 +108,7 @@ def check_cmoe(spec: ChannelSpec, state, dims: Optional[ChannelDims] = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# amplifier entropy chain: vN entropy >= alpha-entropy >= shifted thermal value
+# amplifier entropy chain: vN entropy >= q-entropy, then the p->q norm bound
 # ---------------------------------------------------------------------------
 
 
@@ -123,9 +121,8 @@ class EntropyChainRecord:
     input_entropy: float
     output_entropy: float
     renyi_q_output: float
-    renyi_q_thermal_output: float
-    renyi_p_input: float
-    renyi_p_thermal: float
+    log_ratio: float
+    log_thermal_ratio: float
     step_monotone: float
     step_saturation: float
     slack: float
@@ -135,53 +132,39 @@ class EntropyChainRecord:
         return self.step_monotone >= -self.slack and self.step_saturation >= -self.slack
 
 
-def _renyi_truncation_slack(state, alpha: float) -> float:
-    """Bound on |Renyi entropy error| from a recorded trace deficit."""
-    d = float(state.trace_deficit)
-    if d <= 0.0:
+def _renyi_truncation_slack(deficit: float, alpha: float, log_norm: float) -> float:
+    """Bound on |Renyi entropy error| from a recorded trace deficit and ln ||state||_alpha."""
+    if deficit <= 0.0:
         return 0.0
-    vals = state_spectrum(state)
-    power_sum = float(np.sum(vals[vals > 0.0] ** alpha))
-    if power_sum <= 0.0:
-        return float("inf")
     # the omitted tail contributes at most deficit**alpha to the power sum
-    return d**alpha / ((alpha - 1.0) * power_sum)
+    return deficit**alpha / ((alpha - 1.0) * math.exp(alpha * log_norm))
 
 
 def amplifier_entropy_chain(rho: DensityMatrix, gain: float, q: float) -> EntropyChainRecord:
     """Evaluate the two-step chain bounding the amplifier output entropy.
 
-    Step one: the von Neumann entropy of the output dominates its
-    q-entropy.  Step two: the q-entropy of the output dominates the
-    q-entropy of the thermal output plus a weighted difference of
-    p-entropies, with p solved from the norm-ratio stationarity
-    condition at the entropy-matched thermal input.  Like check_cmoe, it
-    refuses an input whose trace_deficit exceeds MAX_INPUT_DEFICIT.
+    Step one: the output's von Neumann entropy dominates its q-entropy.
+    Step two: the p->q norm ratio ln||out||_q - ln||rho||_p stays below its
+    value on the entropy-matched thermal input z_bar, with p solved from the
+    stationarity condition at z_bar; the step is that margin times q/(q-1).
+    Like check_cmoe, it refuses an input whose trace_deficit exceeds MAX_INPUT_DEFICIT.
     """
     _check_input_deficit(rho)
-    spec = amplifier(gain)
     s_in = von_neumann_entropy(rho)
     if s_in <= 0.0:
         raise DomainError("chain needs an input with strictly positive entropy")
-    e_ref = g_inv(s_in)
-    z_bar = z_of_energy(e_ref)
+    z_bar = z_of_energy(g_inv(s_in))
     p = lemma.solve_p_of_q(z_bar, gain, q)
     prefactor = (q / (q - 1.0)) * ((p - 1.0) / p)
-    out = apply_channel(spec, rho)
+    out = apply_channel(amplifier(gain), rho)
     s_out = von_neumann_entropy(out)
-    sq_out = renyi_entropy(out, q)
-    # the entropy-matched thermal input and its output, in closed form
-    sq_thermal = q / (1.0 - q) * log_thermal_schatten_norm(lemma.amplifier_z_map(z_bar, gain), q)
-    sp_in = renyi_entropy(rho, p)
-    sp_thermal = p / (1.0 - p) * log_thermal_schatten_norm(z_bar, p)
-    step1 = s_out - sq_out
-    step2 = sq_out - sq_thermal - prefactor * (sp_in - sp_thermal)
-    slack = (
-        VIOLATION_SLACK
-        + _renyi_truncation_slack(out, q)
-        + prefactor * _renyi_truncation_slack(rho, p)
-        + entropy_truncation_margin(out.trace_deficit, out.dim)
-    )
+    log_out = math.log(schatten_norm(out, q))
+    log_in = math.log(schatten_norm(rho, p))
+    ceiling = lemma.log_thermal_norm_ratio(z_bar, gain, p, q)
+    sq_out = q / (1.0 - q) * log_out
+    slack = VIOLATION_SLACK + _renyi_truncation_slack(out.trace_deficit, q, log_out)
+    slack += prefactor * _renyi_truncation_slack(rho.trace_deficit, p, log_in)
+    slack += entropy_truncation_margin(out.trace_deficit, out.dim)
     return EntropyChainRecord(
         gain=float(gain),
         q=float(q),
@@ -190,10 +173,9 @@ def amplifier_entropy_chain(rho: DensityMatrix, gain: float, q: float) -> Entrop
         input_entropy=s_in,
         output_entropy=s_out,
         renyi_q_output=sq_out,
-        renyi_q_thermal_output=sq_thermal,
-        renyi_p_input=sp_in,
-        renyi_p_thermal=sp_thermal,
-        step_monotone=step1,
-        step_saturation=step2,
+        log_ratio=log_out - log_in,
+        log_thermal_ratio=ceiling,
+        step_monotone=s_out - sq_out,
+        step_saturation=q / (q - 1.0) * (ceiling - (log_out - log_in)),
         slack=slack,
     )

@@ -76,9 +76,14 @@ def test_spec_constructors_validate():
         contravariant_amplifier(0.5)
     with pytest.raises(DomainError):
         attenuator(0.5, env_energy=-0.1)
+    # the contravariant kind's additive stage has env energy gain x env_energy
+    with pytest.raises(DomainError, match="contravariant gain 1e"):
+        contravariant_amplifier(1e300, 1e300)
     attenuator(1.0)
     amplifier(1.0)
     additive_noise(0.5)
+    contravariant_amplifier(1e300, 1.0)
+    amplifier(1e300, 1e300)
 
 
 @pytest.mark.parametrize(

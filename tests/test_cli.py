@@ -927,6 +927,13 @@ def test_dense_bytes_bound_a_dense_check():
         ("verify-cmoe", {"cmoe": {"equality_input_energies": []}}, "cmoe.equality_input_energies"),
         ("verify-cmoe", {"cmoe": {"cutoffs": []}}, "cmoe.cutoffs"),
         ("verify-thermal-laws", {"lemma": {"solver_q": [1.6]}}, "lemma.solver_q"),
+        # the contravariant kind's derived additive stage would get env energy inf
+        (
+            "verify-cmoe",
+            {"cmoe": {"channels": [{"kind": "contravariant", "gain": 1e300, "env_energy": 1e300}]}},
+            "bad channel entry {'kind': 'contravariant', 'gain': 1e+300, 'env_energy': 1e+300}: "
+            "contravariant gain 1e+300 x env_energy 1e+300 is not finite",
+        ),
     ],
 )
 def test_mistyped_config_value_exits_two(tmp_path, capsys, command, payload, where):

@@ -6,10 +6,12 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from focklab import entropy
 from focklab.channels import (
     ChannelDims,
     additive_noise,
     amplifier,
+    apply_channel,
     attenuator,
     clear_caches,
     contravariant_amplifier,
@@ -19,16 +21,25 @@ from focklab.cmoe import (
     VERDICT_EQUALITY,
     VERDICT_SATISFIED,
     VERDICT_SUPPRESSED,
+    VIOLATION_SLACK,
     amplifier_entropy_chain,
     bound_for,
     check_cmoe,
     entropy_truncation_margin,
 )
+from focklab.entropy import renyi_entropy, state_spectrum
 from focklab.errors import DomainError
 from focklab.lemma import amplifier_z_map
 from focklab.sampling import random_mixed, substream
 from focklab.states import DensityMatrix
-from focklab.thermal import g, g_inv, log_thermal_schatten_norm, thermal_state, z_of_energy
+from focklab.thermal import (
+    g,
+    g_inv,
+    log_thermal_schatten_norm,
+    thermal_state,
+    thermal_tail_cutoff,
+    z_of_energy,
+)
 
 from dilation import ladder
 
@@ -185,16 +196,75 @@ def test_chain_holds_for_random_states():
             assert rec.step_monotone >= -1e-12
 
 
+def _renyi_slack(state, alpha):
+    """The Renyi tail term of the chain's slack, from the state's spectrum power sum."""
+    vals = state_spectrum(state)
+    return state.trace_deficit**alpha / ((alpha - 1.0) * np.sum(vals[vals > 0.0] ** alpha))
+
+
 def test_chain_thermal_side_is_the_closed_form():
-    # the entropy-matched thermal input and its amplifier output, untruncated
-    rho = random_mixed(12, 12, substream(43, 0))
-    for q in (1.3, 1.1):
-        rec = amplifier_entropy_chain(rho, 2.0, q)
-        z_bar = z_of_energy(g_inv(rec.input_entropy))
-        z_out = amplifier_z_map(z_bar, 2.0)
-        p = rec.p
-        assert rec.renyi_q_thermal_output == q / (1.0 - q) * log_thermal_schatten_norm(z_out, q)
-        assert rec.renyi_p_thermal == p / (1.0 - p) * log_thermal_schatten_norm(z_bar, p)
+    # the oracle of the norm-margin form: the closed-form thermal norms at
+    # z_bar and its amplifier image z', and the second step as a weighted
+    # difference of Renyi entropies of rho, its output and the thermal pair
+    for gain in (1.5, 2.0, 4.0):
+        for i in range(4):
+            rho = random_mixed(12, 12, substream(43, i))
+            for q in (1.1, 1.3):
+                rec = amplifier_entropy_chain(rho, gain, q)
+                p, z_bar = rec.p, z_of_energy(g_inv(rec.input_entropy))
+                log_q = log_thermal_schatten_norm(amplifier_z_map(z_bar, gain), q)
+                log_p = log_thermal_schatten_norm(z_bar, p)
+                assert rec.log_thermal_ratio == log_q - log_p
+                sq_out = renyi_entropy(apply_channel(amplifier(gain), rho), q)
+                sp_in = renyi_entropy(rho, p)
+                renyi_form = (
+                    sq_out - q / (1.0 - q) * log_q - rec.prefactor * (sp_in - p / (1.0 - p) * log_p)
+                )
+                assert abs(rec.step_saturation - renyi_form) <= 1e-14
+    # thermal inputs that miss 2.3e-8 to 5.9e-5 of their trace: the Renyi tail
+    # terms of the slack, read from the norms, equal the spectrum power sums
+    for energy in (0.3, 0.5, 0.8):
+        rho = thermal_state(energy, 12).to_density()
+        assert rho.trace_deficit > 0.0
+        for q in (1.1, 1.3):
+            rec = amplifier_entropy_chain(rho, 2.0, q)
+            out = apply_channel(amplifier(2.0), rho)
+            slack = (
+                VIOLATION_SLACK
+                + _renyi_slack(out, q)
+                + rec.prefactor * _renyi_slack(rho, rec.p)
+                + entropy_truncation_margin(out.trace_deficit, out.dim)
+            )
+            assert_allclose(rec.slack, slack, rtol=1e-12, atol=0.0)
+
+
+def test_chain_catches_a_broken_channel():
+    # band 0's weight [1, 0] of the amplifier scaled by 1 + 1e-6 lifts the
+    # output norm past the thermal ceiling: the step reads -6.2e-7 to
+    # -1.9e-6 against a slack of 1e-9 on inputs that hold unbroken
+    inputs = [thermal_state(e, thermal_tail_cutoff(e, 1e-14)).to_density() for e in (0.5, 1.0)]
+    for rho in inputs:
+        for q in (1.1, 1.3):
+            assert amplifier_entropy_chain(rho, 2.0, q).holds
+    clear_caches()
+    try:
+        for rho in inputs:
+            get_channel_map(amplifier(2.0), rho.dim).complete()[0][1, 0] *= 1.0 + 1e-6
+            for q in (1.1, 1.3):
+                assert not amplifier_entropy_chain(rho, 2.0, q).holds
+    finally:
+        clear_caches()
+
+
+def test_chain_solves_four_spectra(monkeypatch):
+    # rho and its output, each once for its entropy and once for its norm,
+    # whether or not rho misses part of its trace
+    solved, spectrum = [], entropy.hermitian_spectrum
+    monkeypatch.setattr(entropy, "hermitian_spectrum", lambda m: solved.append(m) or spectrum(m))
+    for rho in (random_mixed(12, 12, substream(43, 0)), thermal_state(0.5, 12).to_density()):
+        solved.clear()
+        amplifier_entropy_chain(rho, 2.0, 1.3)
+        assert len(solved) == 4
 
 
 def test_chain_saturates_on_thermal_input():
