@@ -240,8 +240,8 @@ class ChannelMap:
     def _build_slabs(self) -> None:
         d_in, d_out = self.d_in, self.d_out
         count = min(d_in, d_out)
-        width = 2 * d_in - count + 1
-        slabs = np.zeros(((count + 1) // 2, d_out, width))
+        slabs = np.zeros(slab_shape(d_in, d_out))
+        width = slabs.shape[2]
         # input slot (slab, column, side) -> flat index into rho, or the zero appended to it
         gather = np.full((len(slabs), width, 2), d_in * d_in)
         # output slot (slab, row, side) -> flat index into the output, or the spare entry after it
@@ -289,16 +289,31 @@ class ChannelMap:
         return self.bands[0] @ self._checked(np.asarray(probs, dtype=float))
 
 
+def slab_shape(d_in: int, d_out: int) -> tuple:
+    """Shape (slabs, d_out, width) of a completed d_in -> d_out map's real slabs."""
+    count = min(d_in, d_out)
+    return (count + 1) // 2, d_out, 2 * d_in - count + 1
+
+
 def dense_bytes(d_in: int, d_out: int) -> int:
     """Bytes of a completed map's slabs and index arrays plus one output and two copies.
 
     An output's eigensolve holds two more of its size: the conjugate the
     Hermiticity check makes, then the eigensolver's own input copy.
     """
-    count = min(d_in, d_out)
-    slabs, width = (count + 1) // 2, 2 * d_in - count + 1
+    slabs, _, width = slab_shape(d_in, d_out)
     # slabs (d_out x width floats), gather (width x 2), lower and upper (d_out x 2 each)
     return 8 * slabs * (d_out * width + 2 * width + 4 * d_out) + 3 * 16 * d_out * d_out
+
+
+def band_outputs_bytes(n: int, d_in: int, d_out: int) -> int:
+    """Bytes ChannelMap.band_outputs allocates for a stack of n inputs.
+
+    The flattened inputs with a zero appended, the gathered band inputs
+    and the band outputs.
+    """
+    slabs, _, width = slab_shape(d_in, d_out)
+    return 16 * n * (d_in * d_in + 1 + 2 * slabs * (width + d_out))
 
 
 def dense_term(d_in: int, d_out: int) -> tuple:

@@ -36,6 +36,7 @@ from .errors import ConfigError, FockLabError, TruncationError
 from .lemma import (
     ORDER_GUARANTEE_LIMIT,
     P_SOLVER_RESIDUAL,
+    PROBE_CHUNK,
     PROBE_GAIN,
     PROBE_P,
     PROBE_Q,
@@ -48,6 +49,7 @@ from .lemma import (
     norm_ratio_log_derivative,
     phi,
     pq_norm_saturation_probe,
+    probe_chunk_bytes,
     scan_ratio_maximizer,
     solve_p_of_q,
     verify_lemma_inequalities,
@@ -719,9 +721,14 @@ def _solver_rows(cells) -> list:
 def cmd_verify_lemma(cfg: dict) -> int:
     out_dir = ensure_outdir(cfg)
     section = cfg["lemma"]
-    # the probe's map, band 0 and then completed, is refused before the grid sweeps
-    probe_map = (amplifier(PROBE_GAIN), section["probe_cutoff"])
-    channel_maps.checked_bytes(*_map_plan([probe_map]))
+    # the probe's map, band 0 and then completed, and its chunks are
+    # refused before the grid sweeps
+    spec, cutoff = amplifier(PROBE_GAIN), section["probe_cutoff"]
+    channel_maps.checked_bytes(
+        *_map_plan([(spec, cutoff)]),
+        (f"the saturation probe's {PROBE_CHUNK}-trial chunks",
+         probe_chunk_bytes(cutoff, channel_maps.default_dims(spec, cutoff).d_out)),
+    )
     grid = LemmaGridSpec(
         z_points=section["grid_z_points"],
         order_points=section["grid_order_points"],
@@ -761,7 +768,7 @@ def cmd_verify_lemma(cfg: dict) -> int:
 
     probe = pq_norm_saturation_probe(
         gain=PROBE_GAIN, p=PROBE_P, q=PROBE_Q,
-        cutoff=section["probe_cutoff"], trials=section["probe_trials"], seed=cfg["seed"],
+        cutoff=cutoff, trials=section["probe_trials"], seed=cfg["seed"],
     )
     if probe.exceeded:
         failures.append("saturation probe exceeded the thermal ceiling")

@@ -17,6 +17,7 @@ from .channels import (
     ChannelSpec,
     apply_channel,
     apply_diagonal,
+    band_outputs_bytes,
     checked_bytes,
     get_channel_map,
     output_trace_frobenius,
@@ -42,12 +43,13 @@ PROBE_GAIN, PROBE_P, PROBE_Q = 2.0, 1.2, 1.35
 # the ratio, gain and decreasing orders along which p - 1 must decrease
 TREND_Z, TREND_GAIN, TREND_Q = 0.5, 2.0, (1.1, 1.01, 1.001)
 # slack of the saturation probe over the thermal ceiling, and the margin
-# by which a skipped output's bound must fall below the best ratio
+# by which a skipped trial's upper value must fall below the best ratio
 PROBE_TOLERANCE = 1e-6
 PROBE_KINDS = ("mixed", "pure", "diagonal")
-# trials the probe draws at a time, for one stacked input eigensolve and
-# one stacked slab product of their dense outputs
-PROBE_CHUNK = 8
+# trials the probe bounds at a time: each kind's draws form one stack, for
+# one input eigensolve (mixed), slab product (mixed, pure) or band-0
+# product (diagonal)
+PROBE_CHUNK = 16
 
 
 def _rows(*args):
@@ -220,12 +222,13 @@ class LemmaGridSpec:
     def peak_bytes(self) -> int:
         """Peak bytes of verify_lemma_inequalities on this grid.
 
-        One (z, order) image per gain, about fourteen (z, order) temporaries
-        (tracemalloc: 12.9-15.6), and the o(o-1)/2 int64 indices of the
+        One (z, order) image per gain; at the fd sweep its four log-norm
+        tables beside about thirteen other (z, order) arrays (tracemalloc:
+        15.5-17.7 arrays in all); and the o(o-1)/2 int64 indices of the
         orders above each order, an array object each.
         """
         n, o = self.z_points, self.order_points
-        return 8 * n * o * (len(self.gains) + 16) + 4 * o * o + 512 * o
+        return 8 * n * o * (len(self.gains) + 18) + 4 * o * o + 512 * o
 
 
 @dataclass
@@ -270,6 +273,36 @@ def _record(report: LemmaGridReport, name: str, chunks) -> None:
     idx = iter(np.unravel_index(j, shape))
     point = {k: float(g if np.ndim(g) == 0 else g[next(idx)]) for k, g in axes.items()}
     report.margins[name] = {"min_margin": v, "argmin": point}
+
+
+def _fd_max_residual(z, orders, above, gains, z_images, pz, images) -> float:
+    """Largest |analytic - central-difference| log-derivative of the norm ratio.
+
+    Taken over every gain, every order p with the orders q `above` it,
+    and z, from the grid's phi tables pz and images, (z, order) each.  A
+    NaN residual propagates, and a gain with an image at 1 has no
+    derivative there, so it gives NaN.  ln ||.||_p at z +- h is tabled
+    once per order, and ln ||.||_q at z'(z +- h) once per order and gain;
+    each p takes one (q, z) block of each, with the float operations of
+    norm_ratio_log_derivative and _log_norm_ratio.
+    """
+    h = FD_STEP
+
+    def log_norms(*zs):
+        return [_log_norm(x, orders[:, None]) for x in zs]
+
+    norm_p = log_norms(z + h, z - h)
+    fd_max = 0.0
+    for kap, zk, pzk in zip(gains, z_images, images):
+        if np.isnan(zk).any():
+            fd_max = math.nan
+            continue
+        norm_q = log_norms((z + h + kap - 1.0) / kap, (z - h + kap - 1.0) / kap)
+        for ip, iq in enumerate(above):
+            ana = (pz[:, ip] - pzk[:, iq].T) / (1.0 - z)
+            diff = (norm_q[0][iq] - norm_p[0][ip]) - (norm_q[1][iq] - norm_p[1][ip])
+            fd_max = float(np.max(np.abs(ana - diff / (2.0 * h)), initial=fd_max))
+    return fd_max
 
 
 def verify_lemma_inequalities(grid: LemmaGridSpec) -> LemmaGridReport:
@@ -354,19 +387,8 @@ def verify_lemma_inequalities(grid: LemmaGridSpec) -> LemmaGridReport:
     fd_f = (f_func(z[:, None], pk[None, :] + h) - f_func(z[:, None], pk[None, :] - h)) / (2.0 * h)
     _record(report, "f_decreasing_in_p_fd", [(-fd_f, {"z": z, "p": pk})])
 
-    # analytic log-derivative vs central differences; a NaN residual
-    # propagates, and a gain with an image at 1 has no derivative there
-    fd_max = 0.0
-    for kap, zk in zip(gains, z_images):
-        if np.isnan(zk).any():
-            fd_max = math.nan
-            continue
-        for p, iq in zip(orders, above):
-            q = orders[iq, None]
-            ana = norm_ratio_log_derivative(z, kap, p, q)
-            diff = _log_norm_ratio(z + h, kap, p, q) - _log_norm_ratio(z - h, kap, p, q)
-            fd_max = float(np.max(np.abs(ana - diff / (2.0 * h)), initial=fd_max))
-    report.fd_max_residual = fd_max
+    # the analytic log-derivative of the norm ratio against central differences
+    report.fd_max_residual = _fd_max_residual(z, orders, above, gains, z_images, pz, images)
     report.all_hold = not report.failures()
     return report
 
@@ -453,6 +475,62 @@ def log_schatten_bound(trace, frobenius, q):
     return theta * np.log(trace) + (1.0 - theta) * np.log(frobenius)
 
 
+def probe_chunk_bytes(d_in: int, d_out: int) -> int:
+    """Bytes a probe chunk needs past the dense output and two copies of dense_bytes.
+
+    A chunk holds its drawn states, at most PROBE_CHUNK - PROBE_CHUNK // 3
+    of them dense, while it runs.  Beside them its largest kind,
+    ceil(PROBE_CHUNK / 3) dense inputs, is stacked and goes through
+    output_trace_frobenius (channels.band_outputs_bytes); its eigensolve
+    holds less.  The stacks are freed before a trial on the exact path
+    builds a dense output, so only their excess over that output counts.
+    """
+    n = -(-PROBE_CHUNK // len(PROBE_KINDS))
+    states = 16 * (PROBE_CHUNK - PROBE_CHUNK // len(PROBE_KINDS)) * d_in * d_in
+    stacks = 16 * n * d_in * d_in + band_outputs_bytes(n, d_in, d_out)
+    return states + max(0, stacks - 3 * 16 * d_out * d_out)
+
+
+def _log_vector_norms(x: np.ndarray, alpha: float) -> np.ndarray:
+    """ln of the l_alpha norm of each nonnegative vector in a stack (..., d), none zero."""
+    top = x.max(-1, keepdims=True)
+    return np.log(top[..., 0]) + np.log(np.sum((x / top) ** alpha, -1)) / alpha
+
+
+def _upper_values(spec: ChannelSpec, p: float, q: float, kinds, states) -> np.ndarray:
+    """An upper value on the probe's norm ratio of each state, drawn as its kind.
+
+    Each kind's states are stacked.  A dense state's value is its
+    output's log_schatten_bound, from one stacked slab product, less its
+    ln ||rho||_p: from one stacked eigensolve (mixed) or ln tr rho (pure,
+    whose Schatten norms all equal its trace).  The ratio the per-trial
+    path computes exceeds it by rounding only: the eigensolver's and the
+    slab product's, ~d_out * eps, and the clamp window, where
+    clamp_spectrum zeroes eigenvalues in [NEG_EIG_CLAMP, 0) and so adds
+    at most d_out * |NEG_EIG_CLAMP| (~1e-8 at 24 levels) to the
+    spectrum's l_1 norm over tr out >= 1 - MAX_APPLY_DEFICIT.  A
+    diagonal state's value is its ratio, from one band-0 product.
+    """
+    kinds = np.array(kinds)
+    upper = np.empty(len(states))
+    for kind in PROBE_KINDS:
+        at = np.flatnonzero(kinds == kind)
+        if not at.size:
+            continue
+        if kind == "diagonal":
+            probs = np.array([states[i].probs for i in at])
+            band0 = get_channel_map(spec, probs.shape[-1]).bands[0]
+            upper[at] = _log_vector_norms(probs @ band0.T, q) - _log_vector_norms(probs, p)
+            continue
+        dense = np.array([states[i].matrix for i in at])
+        if kind == "pure":
+            log_in = np.log(np.trace(dense, axis1=1, axis2=2).real)
+        else:
+            log_in = np.log(schatten_norms(dense, p))
+        upper[at] = log_schatten_bound(*output_trace_frobenius(spec, dense), q) - log_in
+    return upper
+
+
 def pq_norm_saturation_probe(
     gain: float,
     p: float,
@@ -465,19 +543,20 @@ def pq_norm_saturation_probe(
 
     Draws states of the PROBE_KINDS in rotation, pushes each through
     the quantum-limited amplifier, and compares the realized q-to-p norm
-    ratio against the thermal ceiling.  Per PROBE_CHUNK trials the dense
-    inputs' p-norms come from one stacked eigensolve and their outputs'
-    log_schatten_bound from one stacked slab product; in trial order, an
-    output whose bound is more than PROBE_TOLERANCE below the best ratio
-    cannot raise it and is never built (333 of 334 at the CLI's default).
-    Every field of the report is that of an unpruned loop.
+    ratio against the thermal ceiling.  PROBE_CHUNK trials at a time are
+    drawn and get an upper value on their ratio from stacks of their
+    states (_upper_values).  In decreasing upper value, a trial runs the
+    per-trial path (the channel, schatten_norm) while its value is within
+    PROBE_TOLERANCE of the best ratio so far; none after it can raise
+    that best.  At the CLI's defaults 6 of 500 trials run, none of them
+    dense.  Every field of the report is that of an unpruned loop.
     """
     from .sampling import SamplerConfig, draw_state
 
     trials = checked_levels("probe trials", trials)
     spec = ChannelSpec(kind=ChannelKind.AMPLIFIER, gain=float(gain))
-    # the first trial is dense and completes this map anyway; completing it
-    # first refuses a map too large to build before a state of its size is drawn
+    # the dense upper values complete this map anyway; completing it first
+    # refuses a map too large to build before a chunk of its size is drawn
     get_channel_map(spec, cutoff).complete()
     _, ceiling = scan_ratio_maximizer(gain, p, q)
     best = -math.inf
@@ -485,27 +564,17 @@ def pq_norm_saturation_probe(
         chunk = range(start, min(start + PROBE_CHUNK, trials))
         kinds = [PROBE_KINDS[t % len(PROBE_KINDS)] for t in chunk]
         states = [draw_state(SamplerConfig(seed, cutoff, kind), t) for kind, t in zip(kinds, chunk)]
-        dense = np.array([s.matrix for s, kind in zip(states, kinds) if kind != "diagonal"])
-        if dense.size:
-            bounds = iter(log_schatten_bound(*output_trace_frobenius(spec, dense), q))
-            norms = iter(schatten_norms(dense, p))
-        for kind, state in zip(kinds, states):
-            if kind == "diagonal":
-                out = apply_diagonal(spec, state)
-                log_in = math.log(schatten_norm(state, p))
-            else:
-                log_in = math.log(next(norms))
-                # The computed ratio exceeds this bound by rounding only: the
-                # eigensolver's and the slab product's, ~d_out * eps, and the
-                # clamp window, where
-                # clamp_spectrum zeroes eigenvalues in [NEG_EIG_CLAMP, 0) and
-                # so adds at most d_out * |NEG_EIG_CLAMP| (~1e-8 here) to the
-                # spectrum's l_1 norm over tr out >= 1 - MAX_APPLY_DEFICIT.
-                # An output below best - PROBE_TOLERANCE cannot be the best.
-                if next(bounds) - log_in < best - PROBE_TOLERANCE:
-                    continue
-                out = apply_channel(spec, state)
-            ratio = math.log(schatten_norm(out, q)) - log_in
+        upper = _upper_values(spec, p, q, kinds, states)
+        upper[np.isnan(upper)] = math.inf  # no bound
+        for i in np.argsort(-upper, kind="stable"):
+            # a trial below best - PROBE_TOLERANCE cannot be the best, nor any after it
+            if upper[i] < best - PROBE_TOLERANCE:
+                break
+            state = states[i]
+            apply = apply_diagonal if kinds[i] == "diagonal" else apply_channel
+            # no name holds an output, so the next trial's is the only one alive
+            log_out = math.log(schatten_norm(apply(spec, state), q))
+            ratio = log_out - math.log(schatten_norm(state, p))
             if ratio > best:
                 best = ratio
     margin = ceiling + PROBE_TOLERANCE - best

@@ -423,10 +423,8 @@ def test_lemma_boundary_failure_is_named(tmp_path, capsys, monkeypatch):
 def test_lemma_fd_residual_failure_is_named(tmp_path, capsys, monkeypatch, shift):
     # a NaN residual must fail like one above FD_TOL, and neither may
     # print an empty margins line
-    derivative = focklab.lemma.norm_ratio_log_derivative
-    monkeypatch.setattr(
-        focklab.lemma, "norm_ratio_log_derivative", lambda *args: derivative(*args) + shift
-    )
+    fd_residual = focklab.lemma._fd_max_residual
+    monkeypatch.setattr(focklab.lemma, "_fd_max_residual", lambda *args: fd_residual(*args) + shift)
     code, summary, err = _lemma_failure(tmp_path, capsys, SMALL_LEMMA)
     assert code == EXIT_CLAIM_FAILED
     residual = summary["grid"]["fd_max_residual"]
@@ -869,12 +867,13 @@ def test_probe_ceiling_reaches_the_vacuum_near_gain_one():
 
 
 def test_dense_probe_over_the_byte_limit_exits_two(tmp_path, capsys):
-    # 500 levels at gain 2: the dense path would need 1,231 MiB
+    # 500 levels at gain 2: the dense path would need 1,231 MiB, and a
+    # chunk's states and stacked dense inputs 99 MiB past its output
     cfg = write_config(tmp_path, {"lemma": dict(SMALL_LEMMA["lemma"], probe_cutoff=500)})
     assert main(["verify-lemma", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["input error: ResourceLimitError: dense 500 -> 1207 level map needs 1231 MiB,"
-                   " exceeds limit 512 MiB"]
+    assert err == ["input error: ResourceLimitError: dense 500 -> 1207 level map and the"
+                   " saturation probe's 16-trial chunks need 1330 MiB, exceeds limit 512 MiB"]
 
 
 DENSE_CHECK_RSS = r"""

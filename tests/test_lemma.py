@@ -7,7 +7,15 @@ import pytest
 from numpy.testing import assert_allclose, assert_equal
 
 import focklab.entropy
-from focklab.channels import amplifier, apply_channel, apply_diagonal, default_dims
+import focklab.lemma
+from focklab.channels import (
+    amplifier,
+    apply_channel,
+    apply_diagonal,
+    clear_caches,
+    default_dims,
+    dense_bytes,
+)
 from focklab.entropy import renyi_entropy, schatten_norm
 from focklab.errors import DomainError, LemmaViolationError
 from focklab.cli import DEFAULT_CONFIG
@@ -26,6 +34,7 @@ from focklab.lemma import (
     SaturationProbeReport,
     _log_norm_ratio,
     _one_minus_pow,
+    _upper_values,
     amplifier_z_map,
     f_func,
     f_partial_p,
@@ -34,6 +43,7 @@ from focklab.lemma import (
     norm_ratio_log_derivative,
     phi,
     pq_norm_saturation_probe,
+    probe_chunk_bytes,
     psi,
     scan_ratio_maximizer,
     solve_p_of_q,
@@ -477,6 +487,39 @@ def test_grid_broadcasts_equal_the_per_pair_loops(grid):
     )
 
 
+def _fd_per_pair(grid):
+    # the fd residual one (gain, p) pair at a time, re-evaluating phi and
+    # the closed-form norms for every block of orders q > p
+    z, orders, h = grid.z_grid(), grid.order_grid(), FD_STEP
+    fd_max = 0.0
+    for kap in np.asarray(grid.gains, dtype=float):
+        if not np.all(amplifier_z_map(z, kap) < 1.0):
+            fd_max = math.nan
+            continue
+        for p in orders:
+            q = orders[orders > p, None]
+            ana = norm_ratio_log_derivative(z, kap, p, q)
+            diff = _log_norm_ratio(z + h, kap, p, q) - _log_norm_ratio(z - h, kap, p, q)
+            fd_max = float(np.max(np.abs(ana - diff / (2.0 * h)), initial=fd_max))
+    return fd_max
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        _DEFAULT_GRID,
+        dataclasses.replace(_DEFAULT_GRID, order_points=2),
+        dataclasses.replace(_DEFAULT_GRID, gains=(2.0, 1e17)),  # an image that rounds to 1
+    ],
+    ids=["default", "two-orders", "image-at-one"],
+)
+def test_fd_tables_equal_the_per_pair_loop(grid):
+    # bit for bit, NaN as NaN
+    fd_max = verify_lemma_inequalities(grid).fd_max_residual
+    assert_equal(fd_max, _fd_per_pair(grid))
+    assert math.isnan(fd_max) == (1e17 in grid.gains)
+
+
 # ---------------------------------------------------------------------------
 # the saturation probe without its bound, kept as the oracle for the pruning
 # ---------------------------------------------------------------------------
@@ -525,6 +568,11 @@ def _probe_unpruned(gain, p, q, cutoff, trials, seed):
         (2.0, 1.2, 1.35, 12, PROBE_CHUNK + 1, 8),
         (2.0, 1.2, 1.35, 12, 2 * PROBE_CHUNK + 1, 8),
         (2.0, 1.2, 3.0, 12, 2 * PROBE_CHUNK + 1, 8),  # pruned across chunks
+        # chunks of PROBE_CHUNK trials end on each kind and on none
+        (2.0, 1.2, 1.35, 12, PROBE_CHUNK + 2, 8),  # pure and diagonal only
+        (2.0, 1.2, 1.35, 12, 3 * PROBE_CHUNK, 8),
+        (2.0, 1.2, 1.35, 12, 3 * PROBE_CHUNK + 1, 8),  # mixed only
+        (2.0, 1.2, 1.35, 4, 40, 5),  # mixed trial 36 is the best
     ],
     ids=[
         "default",
@@ -541,26 +589,79 @@ def _probe_unpruned(gain, p, q, cutoff, trials, seed):
         "chunk-plus-one",
         "two-chunks-plus-one",
         "q-three-two-chunks-plus-one",
+        "chunk-plus-two",
+        "three-chunks",
+        "three-chunks-plus-one",
+        "mixed-best",
     ],
 )
 def test_pruned_probe_equals_the_unpruned_loop(args):
     assert pq_norm_saturation_probe(*args) == _probe_unpruned(*args)
 
 
+@pytest.mark.parametrize(
+    "gain, p, q, cutoff",
+    [(2.0, 1.2, 1.35, 24), (2.0, 1.2, 1.35, 2), (1.5, 1.1, 1.3, 16), (2.0, 1.2, 2.5, 12)],
+)
+def test_upper_values_bound_each_trials_ratio(gain, p, q, cutoff):
+    # up to rounding, and a diagonal trial's value is its ratio
+    spec, trials = amplifier(gain), range(3 * PROBE_CHUNK + 1)
+    kinds = [PROBE_KINDS[t % len(PROBE_KINDS)] for t in trials]
+    states = [draw_state(SamplerConfig(5, cutoff, kind), t) for kind, t in zip(kinds, trials)]
+    upper = _upper_values(spec, p, q, kinds, states)
+    for t, kind, state, value in zip(trials, kinds, states, upper):
+        out = (apply_diagonal if kind == "diagonal" else apply_channel)(spec, state)
+        ratio = math.log(schatten_norm(out, q)) - math.log(schatten_norm(state, p))
+        assert ratio <= value + 1e-12, (t, kind, value - ratio)
+        if kind == "diagonal":
+            assert abs(value - ratio) <= 1e-12, (t, value - ratio)
+
+
 def test_probe_skips_almost_every_output_eigensolve(monkeypatch):
     # 334 of the default probe's 500 outputs are dense (mixed and pure
-    # inputs); the trace-Frobenius bound rules out all but a handful
+    # inputs).  Taken in decreasing upper value, a handful of trials run
+    # the per-trial path and none of them need be dense; a loop in trial
+    # order built trial 0's dense output while the best was still -inf
     d_out = default_dims(amplifier(2.0), 24).d_out
-    dims = []
+    dims, exact = [], []
     spectrum = focklab.entropy.hermitian_spectrum
 
     def counted(m):
-        dims.append(m.shape[0])
+        dims.append(m.shape[-1])
         return spectrum(m)
 
+    def exact_path(apply):
+        def applied(spec, state):
+            exact.append(state)
+            return apply(spec, state)
+
+        return applied
+
     monkeypatch.setattr(focklab.entropy, "hermitian_spectrum", counted)
+    for name in ("apply_channel", "apply_diagonal"):
+        monkeypatch.setattr(focklab.lemma, name, exact_path(getattr(focklab.lemma, name)))
     pq_norm_saturation_probe(2.0, 1.2, 1.35, 24, 500, seed=DEFAULT_CONFIG["seed"])
-    assert 1 <= dims.count(d_out) <= 5
+    assert 1 <= len(exact) <= 10
+    assert dims.count(d_out) <= 5
+
+
+@pytest.mark.parametrize("cutoff", [24, 48, 120])
+@pytest.mark.parametrize("q", [1.35, 4.0], ids=["pruned", "dense-outputs"])
+def test_probe_plan_bounds_what_the_probe_allocates(cutoff, q):
+    # the completed map with a dense output and two copies, and what a
+    # chunk needs past that; at q = 4 the bound prunes little, so the
+    # per-trial path builds dense outputs
+    d_out = default_dims(amplifier(2.0), cutoff).d_out
+    pq_norm_saturation_probe(2.0, 1.2, q, 6, PROBE_CHUNK + 1, seed=1)  # numpy's first-call buffers
+    clear_caches()
+    tracemalloc.start()
+    try:
+        pq_norm_saturation_probe(2.0, 1.2, q, cutoff, PROBE_CHUNK + 1, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    plan = dense_bytes(cutoff, d_out) + probe_chunk_bytes(cutoff, d_out)
+    assert peak <= plan <= 1.3 * peak
 
 
 # ---------------------------------------------------------------------------
