@@ -47,8 +47,9 @@ AMPLIFIER_TAIL_TARGET = 1e-9
 # apply_channel refuses to return an output that lost more than this much mass.
 MAX_APPLY_DEFICIT = 0.01
 
-# Tail-mass target used when sizing the attenuator environment.
-ENV_TAIL_TARGET = 1e-14
+# Thermal tail mass z**cutoff past the attenuator environment's cutoff in
+# default_dims, and past each input's and output's in the CLI's thermal grid.
+THERMAL_TAIL_TARGET = 1e-14
 
 # Memory limit of every allocation a config value sizes; only
 # checked_bytes compares bytes with it.  At gain 2 a completed map admits
@@ -472,6 +473,7 @@ def _negative_binomial_span(successes: int, inv_gain: float, tail: float) -> int
 def default_dims(spec: ChannelSpec, d_in: int) -> ChannelDims:
     """Output cutoff for an arbitrary input supported on d_in levels.
 
+    An attenuator keeps d_in + k_env - 1 levels, k_env its env cutoff at THERMAL_TAIL_TARGET.
     d_sys and d_env equal d_out, for the readers ChannelDims names; the
     beamsplitter conserves total photon number, so the attenuator's
     dilation oracle is then exact up to its environment tail.  Memoized
@@ -480,7 +482,7 @@ def default_dims(spec: ChannelSpec, d_in: int) -> ChannelDims:
     d_in = checked_levels("d_in", d_in)
     e = spec.env_energy
     if spec.kind == ChannelKind.ATTENUATOR:
-        k_env = thermal_tail_cutoff(e, ENV_TAIL_TARGET) if e > 0.0 else 1
+        k_env = thermal_tail_cutoff(e, THERMAL_TAIL_TARGET) if e > 0.0 else 1
         d = d_in + k_env - 1
         return ChannelDims(d_sys=d, d_env=d, d_out=d)
     if spec.kind == ChannelKind.ADDITIVE:

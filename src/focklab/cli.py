@@ -230,7 +230,6 @@ CONFIG_SECTIONS = {
         "transmissivities": ([0.3, 0.7], [TRANSMISSIVITY]),
         "gains": ([1.5, 2.0], [CHANNEL_GAIN]),
         "env_energies": ([0.0, 1.0], [NONNEGATIVE]),
-        "tail_target": (1e-14, OPEN_UNIT),
     },
     "cmoe": {
         "trials_per_channel": (10000, POSITIVE_COUNT),
@@ -379,36 +378,36 @@ def _conclude(cfg: dict, name: str, summary: dict, failures: list, ok_line: str)
 # ---------------------------------------------------------------------------
 
 
-def _cutoff(energy: float, tail: float) -> int:
-    return max(2, thermal_tail_cutoff(energy, tail))
+def _cutoff(energy: float) -> int:
+    return max(2, thermal_tail_cutoff(energy, channel_maps.THERMAL_TAIL_TARGET))
 
 
 def thermal_grid(section: dict, input_energies, default_additive: bool = False):
     """(spec, e_in, c_in, dims) at each point of the thermal channel grid.
 
     The channels come from the section's transmissivities, gains and
-    env_energies.  The input and every output but the attenuator's (exact
-    on c_in + k_env - 1 levels) are cut where their thermal tail falls to
-    tail_target; with default_additive, an additive output takes default_dims.
-    Every band 0 is refused past MAX_DENSE_BYTES before the first point,
-    and each point's maps are dropped when the caller asks for the next.
+    env_energies.  The input is cut where its thermal tail falls to
+    channels.THERMAL_TAIL_TARGET.  An attenuator output, and with
+    default_additive an additive one, takes default_dims; every other
+    output is cut at its own thermal tail.  Every band 0 is refused past
+    MAX_DENSE_BYTES before the first point, and each point's maps are
+    dropped when the caller asks for the next.
     """
-    envs, tail = section["env_energies"], section["tail_target"]
+    envs = section["env_energies"]
     channels = (
         [attenuator(lam, e) for lam in section["transmissivities"] for e in envs]
         + [amplifier(kap, e) for kap in section["gains"] for e in envs]
         + [channel_maps.additive_noise(e) for e in envs]
         + [channel_maps.contravariant_amplifier(kap, e) for kap in section["gains"] for e in envs]
     )
+    by_default = {ChannelKind.ATTENUATOR} | ({ChannelKind.ADDITIVE} if default_additive else set())
     points = []
     for spec, e_in in product(channels, input_energies):
-        c_in = _cutoff(e_in, tail)
-        if spec.kind == ChannelKind.ATTENUATOR:
-            d = c_in + (_cutoff(spec.env_energy, tail) if spec.env_energy > 0.0 else 1) - 1
-        elif default_additive and spec.kind == ChannelKind.ADDITIVE:
+        c_in = _cutoff(e_in)
+        if spec.kind in by_default:
             d = channel_maps.default_dims(spec, c_in).d_out
         else:
-            d = _cutoff(spec.output_energy(e_in), tail)
+            d = _cutoff(spec.output_energy(e_in))
         channel_maps.checked_bytes(channel_maps.band_zero_term(spec, c_in, d))
         points.append((spec, e_in, c_in, ChannelDims(d_sys=d, d_env=d, d_out=d)))
     for point in points:

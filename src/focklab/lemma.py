@@ -222,13 +222,12 @@ class LemmaGridSpec:
     def peak_bytes(self) -> int:
         """Peak bytes of verify_lemma_inequalities on this grid.
 
-        One (z, order) image per gain; at the fd sweep its four log-norm
-        tables beside about thirteen other (z, order) arrays (tracemalloc:
-        15.5-17.7 arrays in all); and the o(o-1)/2 int64 indices of the
-        orders above each order, an array object each.
+        At the fd sweep: pz, one image per gain, four log-norm tables and
+        about four temporaries, gains + 10 (z, order) arrays (tracemalloc:
+        gains + 9.0 to 10.1); z and its images; and headers and dicts.
         """
-        n, o = self.z_points, self.order_points
-        return 8 * n * o * (len(self.gains) + 18) + 4 * o * o + 512 * o
+        n, o, k = self.z_points, self.order_points, len(self.gains)
+        return 8 * (n * o * (k + 10) + n * (k + 2) + 2 * o) + 512 * k + 12288
 
 
 @dataclass
@@ -275,10 +274,10 @@ def _record(report: LemmaGridReport, name: str, chunks) -> None:
     report.margins[name] = {"min_margin": v, "argmin": point}
 
 
-def _fd_max_residual(z, orders, above, gains, z_images, pz, images) -> float:
+def _fd_max_residual(z, orders, gains, z_images, pz, images) -> float:
     """Largest |analytic - central-difference| log-derivative of the norm ratio.
 
-    Taken over every gain, every order p with the orders q `above` it,
+    Taken over every gain, every order p with the orders q above it,
     and z, from the grid's phi tables pz and images, (z, order) each.  A
     NaN residual propagates, and a gain with an image at 1 has no
     derivative there, so it gives NaN.  ln ||.||_p at z +- h is tabled
@@ -298,9 +297,9 @@ def _fd_max_residual(z, orders, above, gains, z_images, pz, images) -> float:
             fd_max = math.nan
             continue
         norm_q = log_norms((z + h + kap - 1.0) / kap, (z - h + kap - 1.0) / kap)
-        for ip, iq in enumerate(above):
-            ana = (pz[:, ip] - pzk[:, iq].T) / (1.0 - z)
-            diff = (norm_q[0][iq] - norm_p[0][ip]) - (norm_q[1][iq] - norm_p[1][ip])
+        for ip in range(len(orders)):
+            ana = (pz[:, ip] - pzk[:, ip + 1 :].T) / (1.0 - z)
+            diff = (norm_q[0][ip + 1 :] - norm_p[0][ip]) - (norm_q[1][ip + 1 :] - norm_p[1][ip])
             fd_max = float(np.max(np.abs(ana - diff / (2.0 * h)), initial=fd_max))
     return fd_max
 
@@ -316,19 +315,16 @@ def verify_lemma_inequalities(grid: LemmaGridSpec) -> LemmaGridReport:
     checked_bytes((what, grid.peak_bytes()))
     report = LemmaGridReport()
     z = grid.z_grid()
-    orders = grid.order_grid()
+    orders = grid.order_grid()  # ascending: the orders q > orders[ip] are orders[ip + 1:]
     gains = np.asarray(grid.gains, dtype=float)
-    # the orders q > p for each p; a chunk per (gain, p) spans (q, z)
-    above = [np.nonzero(orders > p)[0] for p in orders]
 
     # (in1) sqrt(z) + z*ln(z)/(1-z) > 0 on (0, 1)
-    vals = np.sqrt(z) + z * np.log(z) / (1.0 - z)
-    _record(report, "sqrt_log_positivity", [(vals, {"z": z})])
+    _record(report, "sqrt_log_positivity", [(np.sqrt(z) + z * np.log(z) / (1.0 - z), {"z": z})])
 
     # (in2) tail of -ln(1-x) past second order, x = 1 - z**(p-1)
-    x = _one_minus_pow(z[:, None], orders[None, :] - 1.0)
-    vals = -x - 0.5 * x * x - np.log1p(-x)
-    _record(report, "log_tail_positivity", [(vals, {"z": z, "p": orders})])
+    tails = ((-x - 0.5 * x * x - np.log1p(-x), {"z": z, "p": orders})
+             for x in [_one_minus_pow(z[:, None], orders[None, :] - 1.0)])
+    _record(report, "log_tail_positivity", tails)
 
     # the amplifier image z' of the grid at each gain; one that rounds to
     # 1, as at a huge gain, is NaN, so every margin and residual it
@@ -352,43 +348,39 @@ def verify_lemma_inequalities(grid: LemmaGridSpec) -> LemmaGridReport:
     )
 
     # phi decreases along z at fixed order
-    dz = pz[:-1, :] - pz[1:, :]
-    _record(report, "phi_decreasing_in_z", [(dz, {"z": z, "p": orders})])
+    _record(report, "phi_decreasing_in_z", [(pz[:-1, :] - pz[1:, :], {"z": z, "p": orders})])
 
     # the ratio phi(z, p)/phi(z', q) decreases along z for every p < q
     def ratio_drops():
         for kap, pzk in zip(gains, images):
-            for ip, iq in enumerate(above):
-                ratio = pz[:, ip] / pzk[:, iq].T
-                axes = {"gain": kap, "p": orders[ip], "q": orders[iq], "z": z}
+            for ip, p in enumerate(orders):
+                ratio = pz[:, ip] / pzk[:, ip + 1 :].T
+                axes = {"gain": kap, "p": p, "q": orders[ip + 1 :], "z": z}
                 yield ratio[:, :-1] - ratio[:, 1:], axes
 
     _record(report, "phi_ratio_decreasing_in_z", ratio_drops())
 
     # f(z, p) > f(z', q) for p < q across gains
-    fz = f_func(z, orders[:, None])
-
     def f_gaps():
+        fz = f_func(z, orders[:, None])
         for kap, zk in zip(gains, z_images):
             fzk = f_func(zk, orders[:, None])
-            for ip, iq in enumerate(above):
-                yield fz[ip] - fzk[iq], {"gain": kap, "p": orders[ip], "q": orders[iq], "z": z}
+            for ip, p in enumerate(orders):
+                yield fz[ip] - fzk[ip + 1 :], {"gain": kap, "p": p, "q": orders[ip + 1 :], "z": z}
 
     _record(report, "f_strictly_ordered", f_gaps())
 
     # closed-form derivative of f in p is strictly negative
-    dfp = -f_partial_p(z[:, None], orders[None, :])
-    _record(report, "f_decreasing_in_p", [(dfp, {"z": z, "p": orders})])
+    _record(report, "f_decreasing_in_p", [(-f_partial_p(z[:, None], orders), {"z": z, "p": orders})])
 
     # finite differences agree in sign away from the p = 3/2 boundary
-    h = FD_STEP
-    keep = np.abs(orders - ORDER_GUARANTEE_LIMIT) > 0.01 + 1e-12
-    pk = orders[keep]
-    fd_f = (f_func(z[:, None], pk[None, :] + h) - f_func(z[:, None], pk[None, :] - h)) / (2.0 * h)
-    _record(report, "f_decreasing_in_p_fd", [(-fd_f, {"z": z, "p": pk})])
+    h, pk = FD_STEP, orders[np.abs(orders - ORDER_GUARANTEE_LIMIT) > 0.01 + 1e-12]
+    drops = ((-fd / (2.0 * h), {"z": z, "p": pk})
+             for fd in [f_func(z[:, None], pk + h) - f_func(z[:, None], pk - h)])
+    _record(report, "f_decreasing_in_p_fd", drops)
 
     # the analytic log-derivative of the norm ratio against central differences
-    report.fd_max_residual = _fd_max_residual(z, orders, above, gains, z_images, pz, images)
+    report.fd_max_residual = _fd_max_residual(z, orders, gains, z_images, pz, images)
     report.all_hold = not report.failures()
     return report
 
@@ -476,19 +468,24 @@ def log_schatten_bound(trace, frobenius, q):
 
 
 def probe_chunk_bytes(d_in: int, d_out: int) -> int:
-    """Bytes a probe chunk needs past the dense output and two copies of dense_bytes.
+    """Bytes the probe needs past dense_bytes: a chunk's, or the maximizer scan's.
 
     A chunk holds its drawn states, at most PROBE_CHUNK - PROBE_CHUNK // 3
     of them dense, while it runs.  Beside them its largest kind,
     ceil(PROBE_CHUNK / 3) dense inputs, is stacked and goes through
-    output_trace_frobenius (channels.band_outputs_bytes); its eigensolve
-    holds less.  The stacks are freed before a trial on the exact path
-    builds a dense output, so only their excess over that output counts.
+    output_trace_frobenius (channels.band_outputs_bytes).  The stacks are
+    freed before a trial on the exact path builds a dense output, and the
+    scan's six (SCAN_POINTS + 1)-point arrays before the first chunk, so
+    only their excess over that output and its two copies counts.  Array
+    headers and small arrays add 14 KiB and 640 B a level (tracemalloc:
+    11.5-21.4 KB at 2-18 levels).
     """
     n = -(-PROBE_CHUNK // len(PROBE_KINDS))
+    outputs = 3 * 16 * d_out * d_out
     states = 16 * (PROBE_CHUNK - PROBE_CHUNK // len(PROBE_KINDS)) * d_in * d_in
     stacks = 16 * n * d_in * d_in + band_outputs_bytes(n, d_in, d_out)
-    return states + max(0, stacks - 3 * 16 * d_out * d_out)
+    scan = 6 * 8 * (SCAN_POINTS + 1)
+    return max(states + max(0, stacks - outputs), scan - outputs) + 14336 + 640 * d_in
 
 
 def _log_vector_norms(x: np.ndarray, alpha: float) -> np.ndarray:

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import focklab.cmoe
@@ -161,12 +161,13 @@ def test_thermal_small_grid_passes(tmp_path):
     assert summary["max_spectral_distance"] <= 1e-7
 
 
-def test_thermal_forced_failure_exits_one(tmp_path, capsys):
+def test_thermal_forced_failure_exits_one(tmp_path, capsys, monkeypatch):
     # a 1% tail cuts the grid's inputs and outputs short: some outputs lose
     # more than 1% of their trace and are refused, others miss the
     # predicted spectrum at a finite distance
-    payload = {"thermal": dict(SMALL_THERMAL["thermal"], tail_target=0.01)}
-    cfg = write_config(tmp_path, payload)
+    monkeypatch.setattr(channel_maps, "THERMAL_TAIL_TARGET", 0.01)
+    channel_maps.clear_caches()  # default_dims memoizes sizes at the 1e-14 tail
+    cfg = write_config(tmp_path, SMALL_THERMAL)
     out = str(tmp_path / "run")
     assert main(["verify-thermal-laws", "--config", cfg, "--out", out]) == EXIT_CLAIM_FAILED
     summary = json.loads((tmp_path / "run" / THERMAL_SUMMARY).read_text())
@@ -188,6 +189,38 @@ def test_thermal_forced_failure_exits_one(tmp_path, capsys):
     assert "additive parameter=0 env=0 input_energy=1: distance=0 deficit=0.0078125" in lines
 
 
+def test_thermal_attenuator_with_a_negligible_env_keeps_its_input_cutoff(tmp_path):
+    # env energy 1e-15 leaves a thermal tail of 1e-15 past the vacuum, below
+    # the tail target, so default_dims adds no level for the environment
+    section = dict(SMALL_THERMAL["thermal"], input_energies=[1.0], env_energies=[1e-15])
+    cfg = write_config(tmp_path, {"thermal": section})
+    out = str(tmp_path / "run")
+    assert main(["verify-thermal-laws", "--config", cfg, "--out", out]) == EXIT_OK
+    rows = [dict(zip(THERMAL_COLUMNS, r)) for r in read_rows(os.path.join(out, THERMAL_CSV))[1:]]
+    (row,) = [r for r in rows if r["channel"] == "attenuator"]
+    assert row["output_cutoff"] == row["input_cutoff"] and row["passed"] == "true"
+
+
+THERMAL_SECTION = st.fixed_dictionaries(
+    {
+        "transmissivities": st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3),
+        "gains": st.lists(st.floats(1.0, 3.0), min_size=1, max_size=2),
+        "env_energies": st.lists(st.just(0.0) | st.floats(1e-16, 5.0), min_size=1, max_size=3),
+    }
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(THERMAL_SECTION, st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
+@example(DEFAULT_CONFIG["thermal"], DEFAULT_CONFIG["thermal"]["input_energies"])
+def test_thermal_grid_sizes_every_attenuator_with_default_dims(section, input_energies):
+    lams, envs = section["transmissivities"], section["env_energies"]
+    points = list(cli.thermal_grid(section, input_energies))
+    sized = [(spec, c_in, dims.d_out) for spec, _, c_in, dims in points if spec.kind == "attenuator"]
+    assert len(sized) == len(lams) * len(envs) * len(input_energies)
+    assert all(d == channel_maps.default_dims(spec, c_in).d_out for spec, c_in, d in sized)
+
+
 def test_thermal_empty_grid_exits_two(tmp_path):
     payload = {"thermal": dict(SMALL_THERMAL["thermal"], input_energies=[])}
     cfg = write_config(tmp_path, payload)
@@ -206,6 +239,8 @@ def test_thermal_empty_grid_exits_two(tmp_path):
         pytest.param("cmoe", "equality_gains", [1.5], id="cmoe.equality_gains"),
         pytest.param("cmoe", "equality_env_energies", [0.0], id="cmoe.equality_env_energies"),
         pytest.param("cmoe", "equality_tail_target", 1e-14, id="cmoe.equality_tail_target"),
+        # the thermal tail is channels.THERMAL_TAIL_TARGET, a constant
+        pytest.param("thermal", "tail_target", 1e-14, id="thermal.tail_target"),
         pytest.param("cmoe", "thermal_only", True, id="cmoe.thermal_only"),
         # the thermal-law thresholds are constants in code
         pytest.param("thermal", "tolerance", 1e-7, id="thermal.tolerance"),
@@ -279,7 +314,7 @@ def test_cmoe_small_run_passes(tmp_path):
 def test_cmoe_summary_records_the_equality_grid(tmp_path):
     # the equality rows walk the thermal section's grid, which the summary's
     # config (the cmoe section) does not hold
-    grid = {"transmissivities": [0.4], "gains": [2.5], "env_energies": [0.3], "tail_target": 1e-12}
+    grid = {"transmissivities": [0.4], "gains": [2.5], "env_energies": [0.3]}
     cfg = write_config(tmp_path, dict(SMALL_CMOE, thermal=grid))
     out = str(tmp_path / "run")
     assert main(["verify-cmoe", "--config", cfg, "--out", out]) == EXIT_OK
@@ -868,12 +903,12 @@ def test_probe_ceiling_reaches_the_vacuum_near_gain_one():
 
 def test_dense_probe_over_the_byte_limit_exits_two(tmp_path, capsys):
     # 500 levels at gain 2: the dense path would need 1,231 MiB, and a
-    # chunk's states and stacked dense inputs 99 MiB past its output
+    # chunk's states, stacked dense inputs and array headers 100 MiB past its output
     cfg = write_config(tmp_path, {"lemma": dict(SMALL_LEMMA["lemma"], probe_cutoff=500)})
     assert main(["verify-lemma", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["input error: ResourceLimitError: dense 500 -> 1207 level map and the"
-                   " saturation probe's 16-trial chunks need 1330 MiB, exceeds limit 512 MiB"]
+                   " saturation probe's 16-trial chunks need 1331 MiB, exceeds limit 512 MiB"]
 
 
 DENSE_CHECK_RSS = r"""
