@@ -307,16 +307,6 @@ def dense_bytes(d_in: int, d_out: int) -> int:
     return 8 * slabs * (d_out * width + 2 * width + 4 * d_out) + 3 * 16 * d_out * d_out
 
 
-def band_outputs_bytes(n: int, d_in: int, d_out: int) -> int:
-    """Bytes ChannelMap.band_outputs allocates for a stack of n inputs.
-
-    The flattened inputs with a zero appended, the gathered band inputs
-    and the band outputs.
-    """
-    slabs, _, width = slab_shape(d_in, d_out)
-    return 16 * n * (d_in * d_in + 1 + 2 * slabs * (width + d_out))
-
-
 def dense_term(d_in: int, d_out: int) -> tuple:
     """The checked_bytes term of completing a d_in -> d_out map and applying it."""
     return (f"dense {d_in} -> {d_out} level map", dense_bytes(d_in, d_out))
@@ -567,29 +557,6 @@ def apply_channel(
     cmap = get_channel_map(spec, rho.dim, dims)
     out = cmap.apply_matrix(rho.matrix)
     return DensityMatrix(out, _checked_deficit(float(np.trace(out).real)))
-
-
-def output_trace_frobenius(
-    spec: ChannelSpec,
-    rhos: np.ndarray,
-    dims: Optional[ChannelDims] = None,
-) -> tuple:
-    """Traces and Frobenius norms of the outputs of a stack of matrices, none built densely.
-
-    Band 0 fills the diagonal and each band k >= 1 two conjugate
-    off-diagonals.  Lossy outputs raise TruncationError, as in apply_channel.
-    """
-    cmap = get_channel_map(spec, rhos.shape[-1], dims)
-    vout = cmap.band_outputs(rhos)
-    diagonal = vout[..., 0, :, 0].real
-    traces = diagonal.sum(-1)
-    for trace in traces.flat:
-        _checked_deficit(float(trace))
-    # sums of squares as matmul dot products: einsum, or a squared copy of
-    # vout, each added 0.2-0.5 MB to verify-lemma's peak RSS
-    parts = vout.view(float).reshape(vout.shape[:-3] + (1, -1))
-    squares = np.matmul(parts, parts.swapaxes(-1, -2))[..., 0, 0]
-    return traces, np.sqrt(2.0 * squares - (diagonal**2).sum(-1))
 
 
 def apply_diagonal(

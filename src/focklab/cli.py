@@ -36,10 +36,10 @@ from .errors import ConfigError, FockLabError, TruncationError
 from .lemma import (
     ORDER_GUARANTEE_LIMIT,
     P_SOLVER_RESIDUAL,
-    PROBE_CHUNK,
     PROBE_GAIN,
     PROBE_P,
     PROBE_Q,
+    SCAN_BYTES,
     SCAN_POINTS,
     TREND_GAIN,
     TREND_Q,
@@ -49,7 +49,6 @@ from .lemma import (
     norm_ratio_log_derivative,
     phi,
     pq_norm_saturation_probe,
-    probe_chunk_bytes,
     scan_ratio_maximizer,
     solve_p_of_q,
     verify_lemma_inequalities,
@@ -256,7 +255,6 @@ CONFIG_SECTIONS = {
         "solver_gains": ([1.5, 2.0], [ABOVE_ONE]),
         "solver_q": ([1.1, 1.3, 1.49], [ABOVE_ONE]),
         "probe_cutoff": (24, POSITIVE_COUNT),
-        "probe_trials": (500, POSITIVE_COUNT),
     },
 }
 
@@ -720,14 +718,13 @@ def _solver_rows(cells) -> list:
 def cmd_verify_lemma(cfg: dict) -> int:
     out_dir = ensure_outdir(cfg)
     section = cfg["lemma"]
-    # the probe's map, band 0 and then completed, and its chunks are
-    # refused before the grid sweeps
+    # the probe's stages run one at a time: the maximizer scan, band 0's
+    # build, then the ascent on band 0 and a few vectors, which the build
+    # exceeds; the larger stage is refused before the grid sweeps
     spec, cutoff = amplifier(PROBE_GAIN), section["probe_cutoff"]
-    channel_maps.checked_bytes(
-        *_map_plan([(spec, cutoff)]),
-        (f"the saturation probe's {PROBE_CHUNK}-trial chunks",
-         probe_chunk_bytes(cutoff, channel_maps.default_dims(spec, cutoff).d_out)),
-    )
+    band0 = channel_maps.band_zero_term(spec, cutoff, channel_maps.default_dims(spec, cutoff).d_out)
+    scan = ("the maximizer scan", SCAN_BYTES)
+    channel_maps.checked_bytes(max(band0, scan, key=lambda term: term[1]))
     grid = LemmaGridSpec(
         z_points=section["grid_z_points"],
         order_points=section["grid_order_points"],
@@ -766,8 +763,7 @@ def cmd_verify_lemma(cfg: dict) -> int:
         )
 
     probe = pq_norm_saturation_probe(
-        gain=PROBE_GAIN, p=PROBE_P, q=PROBE_Q,
-        cutoff=cutoff, trials=section["probe_trials"], seed=cfg["seed"],
+        gain=PROBE_GAIN, p=PROBE_P, q=PROBE_Q, cutoff=cutoff, seed=cfg["seed"]
     )
     if probe.exceeded:
         failures.append("saturation probe exceeded the thermal ceiling")

@@ -12,19 +12,10 @@ from typing import Dict
 
 import numpy as np
 
-from .channels import (
-    ChannelKind,
-    ChannelSpec,
-    apply_channel,
-    apply_diagonal,
-    band_outputs_bytes,
-    checked_bytes,
-    get_channel_map,
-    output_trace_frobenius,
-)
-from .entropy import schatten_norm, schatten_norms
+from .channels import amplifier, apply_diagonal, checked_bytes, get_channel_map
+from .entropy import schatten_norm
 from .errors import DomainError, LemmaViolationError
-from .states import checked_levels
+from .states import DiagonalState
 from .thermal import _log_norm, _norm_args, _one_minus_pow
 
 P_SOLVER_WIDTH = 1e-14
@@ -37,19 +28,22 @@ ORDER_GUARANTEE_LIMIT = 1.5
 GRID_P_LO, GRID_P_HI = 1.01, 1.49
 FD_STEP, FD_TOL = 1e-7, 1e-6
 SCAN_POINTS = 2000  # coarse-scan points of scan_ratio_maximizer
+# peak bytes of scan_ratio_maximizer on one row: about six (SCAN_POINTS +
+# 1)-point arrays and their headers (tracemalloc: 93.5 KB)
+SCAN_BYTES = 6 * 8 * (SCAN_POINTS + 1) + 4096
 # the amplifier gain and the orders at which verify-lemma probes the
 # ceiling and checks the ratio derivative at the boundary
 PROBE_GAIN, PROBE_P, PROBE_Q = 2.0, 1.2, 1.35
 # the ratio, gain and decreasing orders along which p - 1 must decrease
 TREND_Z, TREND_GAIN, TREND_Q = 0.5, 2.0, (1.1, 1.01, 1.001)
-# slack of the saturation probe over the thermal ceiling, and the margin
-# by which a skipped trial's upper value must fall below the best ratio
-PROBE_TOLERANCE = 1e-6
-PROBE_KINDS = ("mixed", "pure", "diagonal")
-# trials the probe bounds at a time: each kind's draws form one stack, for
-# one input eigensolve (mixed), slab product (mixed, pure) or band-0
-# product (diagonal)
-PROBE_CHUNK = 16
+# slack of the saturation probe over the thermal ceiling.  Truncating the
+# output only lowers a computed ratio, so the slack covers rounding alone:
+# at the probe's point and 24 levels the best ascent ends within ~1e-16
+# of the ceiling, and one band-0 weight scaled by 1 + 1e-6 lifts it 3e-8
+# to 5e-7 above
+PROBE_TOLERANCE = 1e-12
+# the probe's passive starts, and the most steps one ascent takes
+PROBE_STARTS, PROBE_MAX_STEPS = 8, 1000
 
 
 def _rows(*args):
@@ -434,7 +428,7 @@ def scan_ratio_maximizer(gain, p, q):
 
 
 # ---------------------------------------------------------------------------
-# random-state saturation probe
+# passive saturation probe
 # ---------------------------------------------------------------------------
 
 
@@ -445,145 +439,76 @@ class SaturationProbeReport:
     q: float
     cutoff: int
     trials: int
+    steps: int
     thermal_log_ceiling: float
     best_trial_log_ratio: float
     worst_margin: float
     exceeded: bool
 
 
-def log_schatten_bound(trace, frobenius, q):
-    """Upper bound on ln ||m||_q of a positive matrix m for q > 1.
+def _log_vector_norm(x: np.ndarray, alpha: float) -> float:
+    """ln of the l_alpha norm of a nonnegative vector that is not zero."""
+    top = x.max()
+    return math.log(top) + math.log(np.sum((x / top) ** alpha)) / alpha
 
-    The l_q norm of a spectrum interpolates between its l_1 and l_2
-    norms (Lyapunov), and ||x||_q <= ||x||_2 for q >= 2: with theta =
-    max(0, 2/q - 1), ||x||_q <= ||x||_1**theta * ||x||_2**(1 - theta).
-    For a positive matrix ||x||_1 = tr m and ||x||_2 = ||m||_F (arrays
-    of them broadcast).  Rank one attains it.
+
+def _passive_ascent(band0: np.ndarray, p: float, q: float, x: np.ndarray) -> tuple:
+    """(best iterate, its log ratio, steps) of Boyd's fixed point from the input x >= 0.
+
+    A step maps x to (B^T (B x)**(q-1))**(1/(p-1)), normalized, whose
+    fixed points are the stationary points of ln ||B x||_q - ln ||x||_p
+    (Boyd, Linear Algebra Appl. 9, 95 (1974)).  The ascent stops at the
+    first step that does not raise that ratio, or after PROBE_MAX_STEPS.
     """
-    q = float(q)
-    if not q > 1.0:
-        raise DomainError(f"the trace-Frobenius bound needs q > 1, got {q!r}")
-    theta = max(0.0, 2.0 / q - 1.0)
-    return theta * np.log(trace) + (1.0 - theta) * np.log(frobenius)
 
+    def log_ratio(v):
+        return _log_vector_norm(band0 @ v, q) - _log_vector_norm(v, p)
 
-def probe_chunk_bytes(d_in: int, d_out: int) -> int:
-    """Bytes the probe needs past dense_bytes: a chunk's, or the maximizer scan's.
-
-    A chunk holds its drawn states, at most PROBE_CHUNK - PROBE_CHUNK // 3
-    of them dense, while it runs.  Beside them its largest kind,
-    ceil(PROBE_CHUNK / 3) dense inputs, is stacked and goes through
-    output_trace_frobenius (channels.band_outputs_bytes).  The stacks are
-    freed before a trial on the exact path builds a dense output, and the
-    scan's six (SCAN_POINTS + 1)-point arrays before the first chunk, so
-    only their excess over that output and its two copies counts.  Array
-    headers and small arrays add 14 KiB and 640 B a level (tracemalloc:
-    11.5-21.4 KB at 2-18 levels).
-    """
-    n = -(-PROBE_CHUNK // len(PROBE_KINDS))
-    outputs = 3 * 16 * d_out * d_out
-    states = 16 * (PROBE_CHUNK - PROBE_CHUNK // len(PROBE_KINDS)) * d_in * d_in
-    stacks = 16 * n * d_in * d_in + band_outputs_bytes(n, d_in, d_out)
-    scan = 6 * 8 * (SCAN_POINTS + 1)
-    return max(states + max(0, stacks - outputs), scan - outputs) + 14336 + 640 * d_in
-
-
-def _log_vector_norms(x: np.ndarray, alpha: float) -> np.ndarray:
-    """ln of the l_alpha norm of each nonnegative vector in a stack (..., d), none zero."""
-    top = x.max(-1, keepdims=True)
-    return np.log(top[..., 0]) + np.log(np.sum((x / top) ** alpha, -1)) / alpha
-
-
-def _upper_values(spec: ChannelSpec, p: float, q: float, kinds, states) -> np.ndarray:
-    """An upper value on the probe's norm ratio of each state, drawn as its kind.
-
-    Each kind's states are stacked.  A dense state's value is its
-    output's log_schatten_bound, from one stacked slab product, less its
-    ln ||rho||_p: from one stacked eigensolve (mixed) or ln tr rho (pure,
-    whose Schatten norms all equal its trace).  The ratio the per-trial
-    path computes exceeds it by rounding only: the eigensolver's and the
-    slab product's, ~d_out * eps, and the clamp window, where
-    clamp_spectrum zeroes eigenvalues in [NEG_EIG_CLAMP, 0) and so adds
-    at most d_out * |NEG_EIG_CLAMP| (~1e-8 at 24 levels) to the
-    spectrum's l_1 norm over tr out >= 1 - MAX_APPLY_DEFICIT.  A
-    diagonal state's value is its ratio, from one band-0 product.
-    """
-    kinds = np.array(kinds)
-    upper = np.empty(len(states))
-    for kind in PROBE_KINDS:
-        at = np.flatnonzero(kinds == kind)
-        if not at.size:
-            continue
-        if kind == "diagonal":
-            probs = np.array([states[i].probs for i in at])
-            band0 = get_channel_map(spec, probs.shape[-1]).bands[0]
-            upper[at] = _log_vector_norms(probs @ band0.T, q) - _log_vector_norms(probs, p)
-            continue
-        dense = np.array([states[i].matrix for i in at])
-        if kind == "pure":
-            log_in = np.log(np.trace(dense, axis1=1, axis2=2).real)
-        else:
-            log_in = np.log(schatten_norms(dense, p))
-        upper[at] = log_schatten_bound(*output_trace_frobenius(spec, dense), q) - log_in
-    return upper
+    best = log_ratio(x)
+    for steps in range(PROBE_MAX_STEPS):
+        y = (band0 @ x) ** (q - 1.0) @ band0
+        y = (y / y.max()) ** (1.0 / (p - 1.0))
+        y /= y.sum()
+        ratio = log_ratio(y)
+        if not ratio > best:
+            return x, best, steps
+        x, best = y, ratio
+    return x, best, PROBE_MAX_STEPS
 
 
 def pq_norm_saturation_probe(
-    gain: float,
-    p: float,
-    q: float,
-    cutoff: int,
-    trials: int,
-    seed: int,
+    gain: float, p: float, q: float, cutoff: int, seed: int
 ) -> SaturationProbeReport:
-    """Check that no random input beats the thermal-family norm ratio.
+    """Check that no passive input beats the thermal-family norm ratio.
 
-    Draws states of the PROBE_KINDS in rotation, pushes each through
-    the quantum-limited amplifier, and compares the realized q-to-p norm
-    ratio against the thermal ceiling.  PROBE_CHUNK trials at a time are
-    drawn and get an upper value on their ratio from stacks of their
-    states (_upper_values).  In decreasing upper value, a trial runs the
-    per-trial path (the channel, schatten_norm) while its value is within
-    PROBE_TOLERANCE of the best ratio so far; none after it can raise
-    that best.  At the CLI's defaults 6 of 500 trials run, none of them
-    dense.  Every field of the report is that of an unpruned loop.
+    Passive inputs, Fock-diagonal and decreasing, attain the largest
+    output q-norm at a fixed input p-norm (arXiv:1511.00293), and a
+    diagonal input's ratio is that of its band-0 image.  So the probe
+    runs _passive_ascent on band 0 of the quantum-limited amplifier from
+    PROBE_STARTS sorted random diagonal draws, and recomputes the best
+    iterate's ratio through apply_diagonal and schatten_norm, which
+    refuse an output that lost more than MAX_APPLY_DEFICIT.  The claim
+    fails when that ratio exceeds the thermal ceiling by PROBE_TOLERANCE.
     """
     from .sampling import SamplerConfig, draw_state
 
-    trials = checked_levels("probe trials", trials)
-    spec = ChannelSpec(kind=ChannelKind.AMPLIFIER, gain=float(gain))
-    # the dense upper values complete this map anyway; completing it first
-    # refuses a map too large to build before a chunk of its size is drawn
-    get_channel_map(spec, cutoff).complete()
     _, ceiling = scan_ratio_maximizer(gain, p, q)
-    best = -math.inf
-    for start in range(0, trials, PROBE_CHUNK):
-        chunk = range(start, min(start + PROBE_CHUNK, trials))
-        kinds = [PROBE_KINDS[t % len(PROBE_KINDS)] for t in chunk]
-        states = [draw_state(SamplerConfig(seed, cutoff, kind), t) for kind, t in zip(kinds, chunk)]
-        upper = _upper_values(spec, p, q, kinds, states)
-        upper[np.isnan(upper)] = math.inf  # no bound
-        for i in np.argsort(-upper, kind="stable"):
-            # a trial below best - PROBE_TOLERANCE cannot be the best, nor any after it
-            if upper[i] < best - PROBE_TOLERANCE:
-                break
-            state = states[i]
-            apply = apply_diagonal if kinds[i] == "diagonal" else apply_channel
-            # no name holds an output, so the next trial's is the only one alive
-            log_out = math.log(schatten_norm(apply(spec, state), q))
-            ratio = log_out - math.log(schatten_norm(state, p))
-            if ratio > best:
-                best = ratio
-    margin = ceiling + PROBE_TOLERANCE - best
-    exceeded = best > ceiling + PROBE_TOLERANCE
+    spec = amplifier(gain)
+    band0 = get_channel_map(spec, cutoff).bands[0]
+    starts = (np.sort(draw_state(SamplerConfig(seed, cutoff, "diagonal"), t).probs)[::-1]
+              for t in range(PROBE_STARTS))
+    ascents = [_passive_ascent(band0, p, q, x) for x in starts]
+    state = DiagonalState(max(ascents, key=lambda ascent: ascent[1])[0])
+    ratio = math.log(schatten_norm(apply_diagonal(spec, state), q)) - math.log(schatten_norm(state, p))
     return SaturationProbeReport(
         gain=float(gain),
         p=float(p),
         q=float(q),
         cutoff=int(cutoff),
-        trials=trials,
+        trials=PROBE_STARTS,
+        steps=max(steps for _, _, steps in ascents),
         thermal_log_ceiling=float(ceiling),
-        best_trial_log_ratio=float(best),
-        worst_margin=float(margin),
-        exceeded=bool(exceeded),
+        best_trial_log_ratio=ratio,
+        worst_margin=ceiling + PROBE_TOLERANCE - ratio,
+        exceeded=ratio > ceiling + PROBE_TOLERANCE,
     )

@@ -33,6 +33,7 @@ from focklab.lemma import (
     PROBE_GAIN,
     PROBE_P,
     PROBE_Q,
+    PROBE_TOLERANCE,
     LemmaGridSpec,
     amplifier_z_map,
     phi,
@@ -51,7 +52,7 @@ API_STREAM_BASE = 1_000_000  # disjoint from the command-line trial streams
 
 # criterion 08's probe at the default config: (thermal_log_ceiling,
 # best_trial_log_ratio, worst_margin)
-PROBE_REPLAY = (-0.30751349835665653, -0.5069921144745436, 0.19947961611788706)
+PROBE_REPLAY = (-0.30751349835665653, -0.30751349835665664, 1.000088900582341e-12)
 
 
 def _report(capsys, name, ok, detail):
@@ -298,20 +299,23 @@ def test_criterion_07_stationary_order_solver(capsys):
 
 def test_criterion_08_norm_ratio_saturation_probe(capsys):
     start = time.time()
-    report = pq_norm_saturation_probe(PROBE_GAIN, PROBE_P, PROBE_Q, 24, 500, seed=SEED)
+    report = pq_norm_saturation_probe(PROBE_GAIN, PROBE_P, PROBE_Q, 24, seed=SEED)
     elapsed = time.time() - start
-    ok = not report.exceeded and report.best_trial_log_ratio <= report.thermal_log_ceiling + 1e-6
+    gap = report.thermal_log_ceiling - report.best_trial_log_ratio
+    # not exceeded, and not vacuous: the best passive input reaches the
+    # ceiling to within rounding
+    ok = not report.exceeded and abs(gap) <= PROBE_TOLERANCE
     # the benchmark gate and the reference replay compare lemma_solver.csv
     # only, so the probe block of lemma_report.json is pinned here
     replay = (report.thermal_log_ceiling, report.best_trial_log_ratio, report.worst_margin)
     ok = ok and replay == PROBE_REPLAY
     _report(
         capsys,
-        "criterion 08: random inputs never beat the thermal norm-ratio ceiling",
+        "criterion 08: no passive input beats the thermal norm-ratio ceiling",
         ok,
-        f"{report.trials} trials at cutoff {report.cutoff}, ceiling "
-        f"{report.thermal_log_ceiling:.6f}, best trial {report.best_trial_log_ratio:.6f}, "
-        f"margin {report.worst_margin:.3e}, {elapsed:.1f}s, replay "
+        f"{report.trials} ascents of at most {report.steps} steps at cutoff {report.cutoff}, "
+        f"ceiling {report.thermal_log_ceiling:.6f}, best {gap:.3e} below it, "
+        f"margin {report.worst_margin:.3e}, {elapsed:.2f}s, replay "
         + ("exact" if replay == PROBE_REPLAY else f"{replay!r} != {PROBE_REPLAY!r}"),
     )
 
@@ -360,7 +364,6 @@ def test_criterion_10_reruns_are_byte_identical(tmp_path_factory, capsys):
             "solver_gains": [2.0],
             "solver_q": [1.3],
             "probe_cutoff": 8,
-            "probe_trials": 6,
         },
     }
     cfg_path = base / "config.json"

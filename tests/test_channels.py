@@ -32,11 +32,10 @@ from focklab.channels import (
     default_dims,
     dense_bytes,
     get_channel_map,
-    output_trace_frobenius,
 )
 from focklab.entropy import trace_distance
 from focklab.errors import DomainError, ResourceLimitError, TruncationError
-from focklab.sampling import random_mixed, random_pure, substream
+from focklab.sampling import random_mixed, substream
 from focklab.states import DensityMatrix, DiagonalState
 from focklab.thermal import thermal_state, z_of_energy
 
@@ -762,27 +761,6 @@ def test_kind_enum_values():
     assert ChannelKind.AMPLIFIER.value == "amplifier"
     assert ChannelKind.ADDITIVE.value == "additive"
     assert ChannelKind.CONTRAVARIANT.value == "contravariant"
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [amplifier(2.0), attenuator(0.6, 0.4), additive_noise(0.7), contravariant_amplifier(1.6, 0.3)],
-)
-@pytest.mark.parametrize("d_in", [1, 2, 7])
-def test_stacked_trace_and_frobenius_match_the_dense_outputs(spec, d_in):
-    states = [random_mixed(d_in, d_in, substream(4, i)) for i in range(3)]
-    states += [random_pure(d_in, substream(5, i)) for i in range(2)]
-    traces, norms = output_trace_frobenius(spec, np.array([s.matrix for s in states]))
-    outs = [apply_channel(spec, s).matrix for s in states]
-    assert_allclose(traces, [np.trace(o).real for o in outs], rtol=1e-14)
-    assert_allclose(norms, [np.linalg.norm(o) for o in outs], rtol=1e-14)
-
-
-def test_stacked_trace_refuses_a_lossy_output():
-    # at 3 output levels the amplifier loses most of an input's mass
-    rho = np.array([random_mixed(3, 3, substream(1, 0)).matrix])
-    with pytest.raises(TruncationError):
-        output_trace_frobenius(amplifier(3.0), rho, ChannelDims(3, 3, 3))
 
 
 def test_band_outputs_of_a_stack_are_the_per_matrix_products():

@@ -86,7 +86,6 @@ SMALL_LEMMA = {
         "solver_gains": [2.0],
         "solver_q": [1.3],
         "probe_cutoff": 8,
-        "probe_trials": 4,
     }
 }
 
@@ -252,6 +251,8 @@ def test_thermal_empty_grid_exits_two(tmp_path):
         # so are the trend's orders; a solver row's q alone makes it exploratory
         pytest.param("lemma", "trend_q", [1.1, 1.01], id="lemma.trend_q"),
         pytest.param("lemma", "exploratory_q", [1.6], id="lemma.exploratory_q"),
+        # the probe runs a constant number of ascents, lemma.PROBE_STARTS
+        pytest.param("lemma", "probe_trials", 500, id="lemma.probe_trials"),
     ],
 )
 def test_unknown_config_key_exits_two(tmp_path, capsys, section, key, value):
@@ -635,7 +636,7 @@ def test_trend_order_next_to_one_fails_the_claim(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "command, payload",
     [
-        ("verify-lemma", {"lemma": dict(SMALL_LEMMA["lemma"], probe_cutoff=400)}),
+        ("verify-lemma", {"lemma": dict(SMALL_LEMMA["lemma"], probe_cutoff=2500)}),
         (
             "verify-cmoe",
             dict(
@@ -646,14 +647,16 @@ def test_trend_order_next_to_one_fails_the_claim(tmp_path, capsys, monkeypatch):
     ],
 )
 def test_oversized_dense_channel_exits_two(tmp_path, capsys, command, payload):
-    # the probe's map at 400 levels would complete to 656 MiB, and gain 1000
-    # sizes d_out in the tens of thousands; the probe's and the trial
-    # warm-up's band completion refuse them before allocating
+    # the probe's band 0 at 2,500 levels would take 623 MiB to build, and
+    # gain 1000 sizes d_out in the tens of thousands; the probe's plan and
+    # the trial warm-up's band completion refuse them before allocating
+    out = tmp_path / "r"
     cfg = write_config(tmp_path, payload)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("input error: ResourceLimitError:") and "exceeds limit" in err[0]
+    assert list(out.glob("*")) == []
 
 
 # address-space cap of a child that runs an oversized config: it admits
@@ -889,11 +892,12 @@ def test_huge_grid_gains_print_only_fail_lines(tmp_path, z_points, gain, margins
 def test_probe_ceiling_reaches_the_vacuum_near_gain_one():
     # at gain 1 + 1e-7 the thermal ratio is largest at z = 0 (-9.97e-8);
     # a ceiling scanned from z = 1/2001 on read -2.96e-5, below the best
-    # random trial (-8.04e-7), and the probe failed a claim that holds
+    # random trial (-8.04e-7), and the probe failed a claim that holds.
+    # The passive ascent reaches the vacuum, 1.7e-17 below the ceiling
     section, gain = DEFAULT_CONFIG["lemma"], 1.0000001
     probe = focklab.lemma.pq_norm_saturation_probe(
         gain, focklab.lemma.PROBE_P, focklab.lemma.PROBE_Q,
-        section["probe_cutoff"], section["probe_trials"], DEFAULT_CONFIG["seed"],
+        section["probe_cutoff"], DEFAULT_CONFIG["seed"],
     )
     assert not probe.exceeded
     ceiling = focklab.lemma.log_thermal_norm_ratio(0.0, gain, probe.p, probe.q)
@@ -902,13 +906,14 @@ def test_probe_ceiling_reaches_the_vacuum_near_gain_one():
 
 
 def test_dense_probe_over_the_byte_limit_exits_two(tmp_path, capsys):
-    # 500 levels at gain 2: the dense path would need 1,231 MiB, and a
-    # chunk's states, stacked dense inputs and array headers 100 MiB past its output
-    cfg = write_config(tmp_path, {"lemma": dict(SMALL_LEMMA["lemma"], probe_cutoff=500)})
-    assert main(["verify-lemma", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    # 2,500 levels at gain 2: building band 0 alone would need 623 MiB
+    out = tmp_path / "r"
+    cfg = write_config(tmp_path, {"lemma": dict(SMALL_LEMMA["lemma"], probe_cutoff=2500)})
+    assert main(["verify-lemma", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["input error: ResourceLimitError: dense 500 -> 1207 level map and the"
-                   " saturation probe's 16-trial chunks need 1331 MiB, exceeds limit 512 MiB"]
+    assert err == ["input error: ResourceLimitError: band 0 of the 2500 -> 5442 level map"
+                   " needs 623 MiB, exceeds limit 512 MiB"]
+    assert list(out.glob("*")) == []
 
 
 DENSE_CHECK_RSS = r"""
@@ -941,7 +946,7 @@ def test_dense_bytes_bound_a_dense_check():
 @pytest.mark.parametrize(
     "command, payload, where",
     [
-        ("verify-lemma", {"lemma": {"probe_trials": "many"}}, "lemma.probe_trials"),
+        ("verify-lemma", {"lemma": {"probe_cutoff": "many"}}, "lemma.probe_cutoff"),
         ("verify-lemma", {"lemma": {"probe_cutoff": 0}}, "lemma.probe_cutoff"),
         ("verify-lemma", {"lemma": {"solver_z": [0.5, 1.0]}}, "lemma.solver_z[1]"),
         ("verify-cmoe", {"cmoe": {"trials_per_channel": "10"}}, "cmoe.trials_per_channel"),
@@ -1009,7 +1014,7 @@ def _edge_configs():
     """
     for section, values in cli.CONFIG_SECTIONS.items():
         for key, (_, rule) in values.items():
-            if rule is None or key in ("adversarial_iterations", "probe_trials"):
+            if rule is None or key == "adversarial_iterations":
                 continue
             listed = isinstance(rule, list)
             for edge in _edges(rule[0] if listed else rule):
@@ -1094,15 +1099,19 @@ CHANNEL = st.one_of(
 )
 GENERATED_CONFIG = st.one_of(
     st.builds(_run, st.just("lemma"), solver_q=_listed(ORDERS),
-              solver_gains=_entries(st.sampled_from([1.5, 2, 1e300]))),
+              solver_gains=_entries(st.sampled_from([1.5, 2, 1e300])),
+              probe_cutoff=st.sampled_from([1, 2, 24, 10**6, 10**15])),
     st.builds(_run, st.just("cmoe"), channels=st.lists(CHANNEL, min_size=1, max_size=3)),
     st.builds(_run, st.just("thermal"), gains=_listed(SIZES), env_energies=_entries(SIZES)),
 )
 
 
 def _covers_the_edges(configs) -> bool:
-    """Whether the configs mix orders, hold empty and nested lists, and repeat and mix kinds."""
+    """Whether the configs mix orders, hold empty and nested lists, repeat and mix kinds,
+    and hold a probe cutoff that runs and one that is refused."""
     lemma = [payload["lemma"]["solver_q"] for command, payload in configs if command == "verify-lemma"]
+    probes = {payload["lemma"]["probe_cutoff"] >= 10**6 for command, payload in configs
+              if command == "verify-lemma"}
     kinds = [[c["kind"] for c in payload["cmoe"]["channels"]]
              for command, payload in configs if command == "verify-cmoe"]
     listed = [v for _, payload in configs for section in payload.values() if isinstance(section, dict)
@@ -1111,6 +1120,7 @@ def _covers_the_edges(configs) -> bool:
         any(min(q) < 1.5 <= max(q) for q in lemma if q and not isinstance(q[0], list))
         and [] in listed and any(v and isinstance(v[0], list) for v in listed)
         and any(len(set(k)) < len(k) for k in kinds) and any(len(set(k)) > 1 for k in kinds)
+        and probes == {True, False}
     )
 
 

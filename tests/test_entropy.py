@@ -7,14 +7,13 @@ from numpy.testing import assert_allclose
 from focklab.entropy import (
     renyi_entropy,
     schatten_norm,
-    schatten_norms,
     spectral_distance,
     state_spectrum,
     trace_distance,
     von_neumann_entropy,
 )
 from focklab.errors import DomainError
-from focklab.sampling import random_mixed, random_pure, substream
+from focklab.sampling import random_mixed, substream
 from focklab.states import DensityMatrix, DiagonalState
 from focklab.thermal import g, log_thermal_schatten_norm, thermal_state, z_of_energy
 
@@ -144,14 +143,3 @@ def test_spectral_distance_equals_trace_distance_when_commuting():
     assert_allclose(
         spectral_distance(a, b), trace_distance(a.to_density(), b.to_density()), atol=1e-14
     )
-
-
-def test_stacked_norms_equal_per_state_norms():
-    # one stacked eigensolve gives every norm bit for bit
-    states = [random_mixed(10, r, substream(9, r)) for r in range(1, 8)]
-    states += [random_pure(10, substream(10, i)) for i in range(4)]
-    stack = np.array([s.matrix for s in states])
-    for alpha in (1.2, 1.35, 2.0, 3.0):
-        assert schatten_norms(stack, alpha) == [schatten_norm(s, alpha) for s in states]
-    with pytest.raises(DomainError):
-        schatten_norms(stack, 1.0)

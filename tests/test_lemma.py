@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_equal
 
-import focklab.entropy
-import focklab.lemma
 from focklab.channels import (
     amplifier,
-    apply_channel,
     apply_diagonal,
+    band_zero_term,
     clear_caches,
     default_dims,
-    dense_bytes,
+    get_channel_map,
 )
 from focklab.entropy import renyi_entropy, schatten_norm
 from focklab.errors import DomainError, LemmaViolationError
@@ -23,33 +21,34 @@ from focklab.lemma import (
     FD_STEP,
     FD_TOL,
     P_SOLVER_WIDTH,
-    PROBE_CHUNK,
-    PROBE_KINDS,
+    PROBE_GAIN,
+    PROBE_MAX_STEPS,
+    PROBE_P,
+    PROBE_Q,
+    PROBE_STARTS,
     PROBE_TOLERANCE,
+    SCAN_BYTES,
     TREND_GAIN,
     TREND_Q,
     TREND_Z,
     LemmaGridReport,
     LemmaGridSpec,
-    SaturationProbeReport,
     _log_norm_ratio,
     _one_minus_pow,
-    _upper_values,
     amplifier_z_map,
     f_func,
     f_partial_p,
-    log_schatten_bound,
     log_thermal_norm_ratio,
     norm_ratio_log_derivative,
     phi,
     pq_norm_saturation_probe,
-    probe_chunk_bytes,
     psi,
     scan_ratio_maximizer,
     solve_p_of_q,
     verify_lemma_inequalities,
 )
 from focklab.sampling import SamplerConfig, draw_state, entropy_pinned_state, substream
+from focklab.states import DiagonalState
 from focklab.thermal import g, g_prime, log_thermal_schatten_norm, thermal_state, z_of_energy
 
 
@@ -316,15 +315,15 @@ def test_grid_peak_bytes_bound_a_small_grid(z_points, order_points, gains):
 
 
 def test_probe_thermal_input_cannot_beat_ceiling():
-    report = pq_norm_saturation_probe(2.0, 1.2, 1.35, 12, 30, seed=7)
+    report = pq_norm_saturation_probe(2.0, 1.2, 1.35, 12, seed=7)
     assert not report.exceeded
-    assert report.best_trial_log_ratio <= report.thermal_log_ceiling + 1e-6
+    assert report.best_trial_log_ratio <= report.thermal_log_ceiling + PROBE_TOLERANCE
     assert report.worst_margin >= 0.0
 
 
 def test_probe_deterministic():
-    a = pq_norm_saturation_probe(2.0, 1.2, 1.35, 10, 12, seed=11)
-    b = pq_norm_saturation_probe(2.0, 1.2, 1.35, 10, 12, seed=11)
+    a = pq_norm_saturation_probe(2.0, 1.2, 1.35, 10, seed=11)
+    b = pq_norm_saturation_probe(2.0, 1.2, 1.35, 10, seed=11)
     assert a == b
 
 
@@ -362,9 +361,6 @@ def test_norm_ratio_and_scan_reject_bad_arguments():
     for gain, p, q in ((0.9, 1.2, 1.3), (2.0, 1.0, 1.3), (2.0, 1.2, 0.5)):
         with pytest.raises(DomainError):
             scan_ratio_maximizer(gain, p, q)
-    for q in (1.0, 0.5, math.nan):  # the trace-Frobenius bound needs q > 1
-        with pytest.raises(DomainError):
-            log_schatten_bound(1.0, math.sqrt(0.5), q)  # tr and ||.||_F of eye(2)/2
 
 
 def test_scan_value_is_the_checked_ratio_at_its_maximizer():
@@ -534,159 +530,89 @@ def test_fd_tables_equal_the_per_pair_loop(grid):
 
 
 # ---------------------------------------------------------------------------
-# the saturation probe without its bound, kept as the oracle for the pruning
+# the passive saturation probe
 # ---------------------------------------------------------------------------
 
 
-def _probe_unpruned(gain, p, q, cutoff, trials, seed):
-    spec = amplifier(gain)
-    dims = default_dims(spec, cutoff)
-    _, ceiling = scan_ratio_maximizer(gain, p, q)
-    best = -math.inf
-    for t in range(trials):
-        kind = PROBE_KINDS[t % len(PROBE_KINDS)]
-        state = draw_state(SamplerConfig(seed, cutoff, kind), t)
-        apply = apply_diagonal if kind == "diagonal" else apply_channel
-        out = apply(spec, state, dims)
-        ratio = math.log(schatten_norm(out, q)) - math.log(schatten_norm(state, p))
-        if ratio > best:
-            best = ratio
-    return SaturationProbeReport(
-        gain=float(gain),
-        p=float(p),
-        q=float(q),
-        cutoff=int(cutoff),
-        trials=int(trials),
-        thermal_log_ceiling=float(ceiling),
-        best_trial_log_ratio=float(best),
-        worst_margin=float(ceiling + PROBE_TOLERANCE - best),
-        exceeded=bool(best > ceiling + PROBE_TOLERANCE),
-    )
+def _passive_log_ratio(spec, p, q, probs):
+    state = DiagonalState(probs)
+    return math.log(schatten_norm(apply_diagonal(spec, state), q)) - math.log(schatten_norm(state, p))
 
 
 @pytest.mark.parametrize(
-    "args",
-    [
-        (2.0, 1.2, 1.35, 24, 500, DEFAULT_CONFIG["seed"]),
-        (1.5, 1.1, 1.3, 16, 300, 7),  # a pure trial is the best
-        (2.0, 1.2, 2.0, 10, 60, 4),  # theta = 0: the bound is the Frobenius norm
-        (2.0, 1.2, 2.5, 12, 60, 6),
-        (2.0, 1.2, 3.0, 12, 60, 11),  # q > 2: pruned too, the bound is the Frobenius norm
-        (2.0, 1.2, 4.0, 24, 300, 9),
-        (2.0, 1.2, 1.35, 1, 30, 5),
-        (2.0, 1.2, 1.35, 2, 30, 5),
-        (2.0, 1.2, 1.35, 24, 1, 3),
-        (2.0, 1.2, 1.35, 12, PROBE_CHUNK - 1, 8),
-        (2.0, 1.2, 1.35, 12, PROBE_CHUNK, 8),
-        (2.0, 1.2, 1.35, 12, PROBE_CHUNK + 1, 8),
-        (2.0, 1.2, 1.35, 12, 2 * PROBE_CHUNK + 1, 8),
-        (2.0, 1.2, 3.0, 12, 2 * PROBE_CHUNK + 1, 8),  # pruned across chunks
-        # chunks of PROBE_CHUNK trials end on each kind and on none
-        (2.0, 1.2, 1.35, 12, PROBE_CHUNK + 2, 8),  # pure and diagonal only
-        (2.0, 1.2, 1.35, 12, 3 * PROBE_CHUNK, 8),
-        (2.0, 1.2, 1.35, 12, 3 * PROBE_CHUNK + 1, 8),  # mixed only
-        (2.0, 1.2, 1.35, 4, 40, 5),  # mixed trial 36 is the best
-    ],
-    ids=[
-        "default",
-        "pure-best",
-        "q-two",
-        "q-five-halves",
-        "q-three",
-        "q-four",
-        "cutoff-1",
-        "cutoff-2",
-        "one-trial",
-        "chunk-minus-one",
-        "one-chunk",
-        "chunk-plus-one",
-        "two-chunks-plus-one",
-        "q-three-two-chunks-plus-one",
-        "chunk-plus-two",
-        "three-chunks",
-        "three-chunks-plus-one",
-        "mixed-best",
-    ],
+    "gain, p, q, cutoff", [(2.0, 1.2, 1.35, 24), (1.5, 1.1, 1.3, 16), (2.0, 1.2, 4.0, 12)]
 )
-def test_pruned_probe_equals_the_unpruned_loop(args):
-    assert pq_norm_saturation_probe(*args) == _probe_unpruned(*args)
+def test_probe_ends_at_or_above_every_start(gain, p, q, cutoff):
+    # each ascent keeps its best iterate, so the report is at least the
+    # ratio of every sorted draw it started from
+    report = pq_norm_saturation_probe(gain, p, q, cutoff, seed=5)
+    starts = [np.sort(draw_state(SamplerConfig(5, cutoff, "diagonal"), t).probs)[::-1]
+              for t in range(PROBE_STARTS)]
+    best_start = max(_passive_log_ratio(amplifier(gain), p, q, x) for x in starts)
+    assert best_start <= report.best_trial_log_ratio + 1e-14
+    assert report.trials == PROBE_STARTS and 1 <= report.steps < PROBE_MAX_STEPS
+    assert not report.exceeded
 
 
-@pytest.mark.parametrize(
-    "gain, p, q, cutoff",
-    [(2.0, 1.2, 1.35, 24), (2.0, 1.2, 1.35, 2), (1.5, 1.1, 1.3, 16), (2.0, 1.2, 2.5, 12)],
-)
-def test_upper_values_bound_each_trials_ratio(gain, p, q, cutoff):
-    # up to rounding, and a diagonal trial's value is its ratio
-    spec, trials = amplifier(gain), range(3 * PROBE_CHUNK + 1)
-    kinds = [PROBE_KINDS[t % len(PROBE_KINDS)] for t in trials]
-    states = [draw_state(SamplerConfig(5, cutoff, kind), t) for kind, t in zip(kinds, trials)]
-    upper = _upper_values(spec, p, q, kinds, states)
-    for t, kind, state, value in zip(trials, kinds, states, upper):
-        out = (apply_diagonal if kind == "diagonal" else apply_channel)(spec, state)
-        ratio = math.log(schatten_norm(out, q)) - math.log(schatten_norm(state, p))
-        assert ratio <= value + 1e-12, (t, kind, value - ratio)
-        if kind == "diagonal":
-            assert abs(value - ratio) <= 1e-12, (t, value - ratio)
+def test_probe_at_one_level_is_the_vacuum():
+    # the only input on one level is the vacuum, the thermal input at z = 0
+    report = pq_norm_saturation_probe(2.0, 1.2, 1.35, 1, seed=5)
+    assert report.best_trial_log_ratio == _passive_log_ratio(amplifier(2.0), 1.2, 1.35, [1.0])
+    assert report.steps == 0 and not report.exceeded
 
 
-def test_probe_skips_almost_every_output_eigensolve(monkeypatch):
-    # 334 of the default probe's 500 outputs are dense (mixed and pure
-    # inputs).  Taken in decreasing upper value, a handful of trials run
-    # the per-trial path and none of them need be dense; a loop in trial
-    # order built trial 0's dense output while the best was still -inf
-    d_out = default_dims(amplifier(2.0), 24).d_out
-    dims, exact = [], []
-    spectrum = focklab.entropy.hermitian_spectrum
-
-    def counted(m):
-        dims.append(m.shape[-1])
-        return spectrum(m)
-
-    def exact_path(apply):
-        def applied(spec, state):
-            exact.append(state)
-            return apply(spec, state)
-
-        return applied
-
-    monkeypatch.setattr(focklab.entropy, "hermitian_spectrum", counted)
-    for name in ("apply_channel", "apply_diagonal"):
-        monkeypatch.setattr(focklab.lemma, name, exact_path(getattr(focklab.lemma, name)))
-    pq_norm_saturation_probe(2.0, 1.2, 1.35, 24, 500, seed=DEFAULT_CONFIG["seed"])
-    assert 1 <= len(exact) <= 10
-    assert dims.count(d_out) <= 5
+def test_probe_at_two_levels_finds_the_best_passive_input():
+    # the passive inputs on two levels are (1 - w, w), w <= 1/2: a scan of
+    # w finds the largest ratio to within its step squared
+    report = pq_norm_saturation_probe(2.0, 1.2, 1.35, 2, seed=5)
+    scanned = max(_passive_log_ratio(amplifier(2.0), 1.2, 1.35, [1.0 - w, w])
+                  for w in np.linspace(0.0, 0.5, 2001))
+    assert scanned - 1e-14 <= report.best_trial_log_ratio <= scanned + 1e-9
+    assert not report.exceeded
 
 
-def _probe_peak_and_plan(cutoff, q):
-    # the completed map with a dense output and two copies, and what a
-    # chunk needs past that
-    d_out = default_dims(amplifier(2.0), cutoff).d_out
-    pq_norm_saturation_probe(2.0, 1.2, q, 6, PROBE_CHUNK + 1, seed=1)  # numpy's first-call buffers
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (2, 1)])
+def test_probe_finds_one_band_zero_weight_raised_by_a_millionth(monkeypatch, entry):
+    # the best ascent ends 3e-8 to 5e-7 above the ceiling, which a slack
+    # of 1e-6 would pass
+    cmap = get_channel_map(amplifier(PROBE_GAIN), 24)
+    band0 = cmap.bands[0].copy()
+    band0[entry] *= 1.0 + 1e-6
+    monkeypatch.setattr(cmap, "bands", [band0, *cmap.bands[1:]])
+    report = pq_norm_saturation_probe(PROBE_GAIN, PROBE_P, PROBE_Q, 24, seed=DEFAULT_CONFIG["seed"])
+    assert report.exceeded
+    assert report.best_trial_log_ratio - report.thermal_log_ceiling < 1e-6
+
+
+def _probe_peak_and_plan(cutoff, q=1.35):
+    # the probe's stages run one at a time: the maximizer scan, band 0's
+    # build, and the ascent on band 0, so its plan is the larger of the two
+    spec = amplifier(2.0)
+    pq_norm_saturation_probe(2.0, 1.2, q, 6, seed=1)  # numpy's first-call buffers
     clear_caches()
     tracemalloc.start()
     try:
-        pq_norm_saturation_probe(2.0, 1.2, q, cutoff, PROBE_CHUNK + 1, seed=3)
+        pq_norm_saturation_probe(2.0, 1.2, q, cutoff, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak, dense_bytes(cutoff, d_out) + probe_chunk_bytes(cutoff, d_out)
+    _, band0 = band_zero_term(spec, cutoff, default_dims(spec, cutoff).d_out)
+    return peak, max(band0, SCAN_BYTES)
 
 
 @pytest.mark.parametrize("cutoff", [24, 48, 120])
 @pytest.mark.parametrize("q", [1.35, 4.0], ids=["pruned", "dense-outputs"])
 def test_probe_plan_bounds_what_the_probe_allocates(cutoff, q):
-    # at q = 4 the bound prunes little, so the per-trial path builds dense outputs
+    # band 0's build is the plan here, at an order near p and one far above
+    # it; the ids name the cases as an earlier random-trial probe saw them
     peak, plan = _probe_peak_and_plan(cutoff, q)
     assert peak <= plan <= 1.3 * peak
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 12, 16, 20])
 def test_probe_plan_bounds_the_probe_at_small_cutoffs(cutoff):
-    # array headers and small arrays beside a dense output, and below 4
-    # levels the maximizer scan's arrays beside the map, are a large share
-    # of the peak here
-    peak, plan = _probe_peak_and_plan(cutoff, 4.0)
+    # the maximizer scan's arrays are the plan here
+    peak, plan = _probe_peak_and_plan(cutoff)
     assert peak <= plan <= 1.3 * peak
 
 
@@ -899,10 +825,3 @@ NAN = math.nan
 def test_nan_orders_gains_energies_and_targets_are_refused(call):
     with pytest.raises(DomainError):
         call()
-
-
-@pytest.mark.parametrize("trials", [0, -5, 2.0, True])
-def test_probe_refuses_a_trial_count_that_is_not_a_positive_integer(trials):
-    # zero trials once passed with best -inf and exceeded False
-    with pytest.raises(DomainError, match="probe trials must be an integer >= 1"):
-        pq_norm_saturation_probe(2.0, 1.2, 1.35, cutoff=8, trials=trials, seed=1)

@@ -34,6 +34,8 @@ CMOE_CLI_CONFIG = {
 NOT_TRACED = {
     "focklab.channels.beamsplitter_unitary",
     "focklab.channels.squeezer_unitary",
+    # the saturation probe applies band 0 alone, through apply_diagonal
+    "focklab.lemma.apply_channel",
     "focklab.sampling.von_neumann_entropy",
 }
 
