@@ -15,14 +15,8 @@ from .channels import (
     default_dims,
     get_channel_map,
 )
-from .cmoe import CmoeReport, amplifier_entropy_chain, bound_for, check_cmoe
-from .entropy import (
-    renyi_entropy,
-    schatten_norm,
-    spectral_distance,
-    trace_distance,
-    von_neumann_entropy,
-)
+from .cmoe import CmoeReport, bound_for, check_cmoe
+from .entropy import schatten_norm, spectral_distance, von_neumann_entropy
 from .errors import FockLabError
 from .states import DensityMatrix, DiagonalState
 from .thermal import g, g_inv, thermal_state, thermal_tail_cutoff
@@ -39,7 +33,6 @@ __all__ = [
     "FockLabError",
     "additive_noise",
     "amplifier",
-    "amplifier_entropy_chain",
     "apply_channel",
     "apply_diagonal",
     "attenuator",
@@ -51,11 +44,9 @@ __all__ = [
     "g",
     "g_inv",
     "get_channel_map",
-    "renyi_entropy",
     "schatten_norm",
     "spectral_distance",
     "thermal_state",
     "thermal_tail_cutoff",
-    "trace_distance",
     "von_neumann_entropy",
 ]

@@ -218,7 +218,8 @@ class ChannelMap:
     k, after which bands holds views into the slabs.  apply_matrix
     gathers the input diagonals, applies every band in one stacked real
     matmul and scatters the output diagonals through flat indices.
-    An input on any number of levels but d_in raises DomainError.
+    An input other than one vector or square matrix on d_in levels
+    raises DomainError.
     """
 
     def __init__(self, d_in, d_out, stream, contravariant):
@@ -264,22 +265,22 @@ class ChannelMap:
         self.bands = bands
         self._slabs = slabs
 
-    def _checked(self, x: np.ndarray) -> np.ndarray:
-        """x, a vector, a matrix or a stack of matrices on exactly the map's d_in levels."""
-        if x.shape[-1] != self.d_in:
-            raise DomainError(f"input dim {x.shape[-1]} is not the map's input dim {self.d_in}")
+    def _checked(self, x: np.ndarray, ndim: int) -> np.ndarray:
+        """x, a vector (ndim 1) or a square matrix (ndim 2) on exactly the map's d_in levels."""
+        if x.ndim != ndim or x.shape != x.shape[:1] * ndim:
+            shape = "a vector" if ndim == 1 else "a square matrix"
+            raise DomainError(f"expected {shape} on the map's input levels, got shape {x.shape}")
+        if x.shape[0] != self.d_in:
+            raise DomainError(f"input dim {x.shape[0]} is not the map's input dim {self.d_in}")
         return x
 
-    def band_outputs(self, rho: np.ndarray) -> np.ndarray:
-        """Output diagonals of every band, (..., slabs, d_out, 2), for rho or a stack of them."""
-        self.complete()
-        rho = self._checked(np.asarray(rho, dtype=complex))
-        flat = rho.reshape(rho.shape[:-2] + (-1,))
-        vin = np.take(np.concatenate((flat, np.zeros(flat.shape[:-1] + (1,))), -1), self._gather, -1)
-        return np.matmul(self._slabs, vin.view(float)).view(complex)
-
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        vout = self.band_outputs(rho)
+        """The d_out x d_out output of one d_in x d_in input matrix."""
+        self.complete()
+        rho = self._checked(np.asarray(rho, dtype=complex), 2)
+        # each band's input and output diagonals, (slabs, width, 2) and (slabs, d_out, 2)
+        vin = np.append(rho.reshape(-1), 0.0)[self._gather]
+        vout = np.matmul(self._slabs, vin.view(float)).view(complex)
         out = np.zeros(self.d_out * self.d_out + 1, dtype=complex)
         out[self._to_vals] = vout
         out[self._to_conj] = vout.conj()
@@ -287,7 +288,7 @@ class ChannelMap:
         return out[:-1].reshape(self.d_out, self.d_out)
 
     def apply_probs(self, probs: np.ndarray) -> np.ndarray:
-        return self.bands[0] @ self._checked(np.asarray(probs, dtype=float))
+        return self.bands[0] @ self._checked(np.asarray(probs, dtype=float), 1)
 
 
 def slab_shape(d_in: int, d_out: int) -> tuple:
@@ -317,13 +318,16 @@ def band_zero_bytes(d_in: int, sizes) -> int:
 
     A stage holds its lgamma table (40 B a level) and its band with about
     five temporaries of that shape (tracemalloc: 5.0-5.2); a later stage
-    also holds the size x d_in product before it and makes its own.
+    also holds the size x d_in product before it and makes its own.  The
+    map, its stage iterators, their array headers and lgamma lists add a
+    fixed 4 KiB and 1.25 KiB a stage: a 1- or 2-level build peaks at 4.5
+    to 7.5 KB traced from a fresh process.
     """
     peak = 0
     for n, (size, size_out) in enumerate(sizes):
         products = 8 * (size + size_out) * d_in if n else 0
         peak = max(peak, 40 * (size + size_out) + 6 * 8 * size * size_out + products)
-    return peak
+    return peak + 4096 + 1280 * len(sizes)
 
 
 def band_zero_term(spec: ChannelSpec, d_in: int, d_out: int) -> tuple:

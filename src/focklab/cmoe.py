@@ -11,12 +11,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import lemma
-from .channels import ChannelDims, ChannelSpec, amplifier, apply_channel, apply_diagonal
-from .entropy import schatten_norm, von_neumann_entropy
+from .channels import ChannelDims, ChannelSpec, apply_channel, apply_diagonal
+from .entropy import von_neumann_entropy
 from .errors import DomainError, TruncationError
-from .states import DensityMatrix, DiagonalState
-from .thermal import g, g_inv, z_of_energy
+from .states import DiagonalState
+from .thermal import g, g_inv
 
 # Verdict rules: a gap below -(margin + VIOLATION_SLACK) is a candidate
 # violation; |gap| within max(EQUALITY_TOL, margin) counts as equality.
@@ -104,78 +103,4 @@ def check_cmoe(spec: ChannelSpec, state, dims: Optional[ChannelDims] = None) -> 
         gap=gap,
         truncation_margin=margin,
         verdict=_classify(gap, margin),
-    )
-
-
-# ---------------------------------------------------------------------------
-# amplifier entropy chain: vN entropy >= q-entropy, then the p->q norm bound
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EntropyChainRecord:
-    gain: float
-    q: float
-    p: float
-    prefactor: float
-    input_entropy: float
-    output_entropy: float
-    renyi_q_output: float
-    log_ratio: float
-    log_thermal_ratio: float
-    step_monotone: float
-    step_saturation: float
-    slack: float
-
-    @property
-    def holds(self) -> bool:
-        return self.step_monotone >= -self.slack and self.step_saturation >= -self.slack
-
-
-def _renyi_truncation_slack(deficit: float, alpha: float, log_norm: float) -> float:
-    """Bound on |Renyi entropy error| from a recorded trace deficit and ln ||state||_alpha."""
-    if deficit <= 0.0:
-        return 0.0
-    # the omitted tail contributes at most deficit**alpha to the power sum
-    return deficit**alpha / ((alpha - 1.0) * math.exp(alpha * log_norm))
-
-
-def amplifier_entropy_chain(rho: DensityMatrix, gain: float, q: float) -> EntropyChainRecord:
-    """Evaluate the two-step chain bounding the amplifier output entropy.
-
-    Step one: the output's von Neumann entropy dominates its q-entropy.
-    Step two: the p->q norm ratio ln||out||_q - ln||rho||_p stays below its
-    value on the entropy-matched thermal input z_bar, with p solved from the
-    stationarity condition at z_bar; the step is that margin times q/(q-1).
-    Like check_cmoe, it refuses an input whose trace_deficit exceeds MAX_INPUT_DEFICIT.
-    """
-    _check_input_deficit(rho)
-    s_in = von_neumann_entropy(rho)
-    if s_in <= 0.0:
-        raise DomainError("chain needs an input with strictly positive entropy")
-    z_bar = z_of_energy(g_inv(s_in))
-    p = lemma.solve_p_of_q(z_bar, gain, q)
-    prefactor = (q / (q - 1.0)) * ((p - 1.0) / p)
-    out = apply_channel(amplifier(gain), rho)
-    s_out = von_neumann_entropy(out)
-    log_out = math.log(schatten_norm(out, q))
-    log_in = math.log(schatten_norm(rho, p))
-    ceiling = lemma.log_thermal_norm_ratio(z_bar, gain, p, q)
-    sq_out = q / (1.0 - q) * log_out
-    slack = VIOLATION_SLACK + _renyi_truncation_slack(out.trace_deficit, q, log_out)
-    slack += prefactor * _renyi_truncation_slack(rho.trace_deficit, p, log_in)
-    slack += entropy_truncation_margin(out.trace_deficit, out.dim)
-    return EntropyChainRecord(
-        gain=float(gain),
-        q=float(q),
-        p=float(p),
-        prefactor=float(prefactor),
-        input_entropy=s_in,
-        output_entropy=s_out,
-        renyi_q_output=sq_out,
-        log_ratio=log_out - log_in,
-        log_thermal_ratio=ceiling,
-        step_monotone=s_out - sq_out,
-        step_saturation=q / (q - 1.0) * (ceiling - (log_out - log_in)),
-        slack=slack,
     )

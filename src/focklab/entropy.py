@@ -6,8 +6,6 @@ are zeroed, anything worse raises.  States are used exactly as given,
 sub-normalized or not; nothing is renormalized here.
 """
 
-import math
-
 import numpy as np
 
 from .errors import DomainError
@@ -53,35 +51,6 @@ def schatten_norm(state, alpha: float) -> float:
     # factor out the largest value to avoid overflow/underflow in the powers
     top = vals[0]
     return float(top * np.sum((vals / top) ** a) ** (1.0 / a))
-
-
-def renyi_entropy(state, alpha: float) -> float:
-    """(alpha / (1 - alpha)) ln ||state||_alpha for alpha > 1."""
-    a = float(alpha)
-    if not a > 1.0:
-        raise DomainError(f"renyi_entropy needs alpha > 1, got {a!r}")
-    norm = schatten_norm(state, a)
-    if norm <= 0.0:
-        raise DomainError("renyi_entropy of an identically zero spectrum")
-    return float(a / (1.0 - a) * math.log(norm))
-
-
-def _as_matrix(state) -> np.ndarray:
-    if isinstance(state, DiagonalState):
-        return np.diag(state.probs.astype(complex))
-    return state.matrix
-
-
-def trace_distance(a, b) -> float:
-    """Half the sum of absolute eigenvalues of the difference."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    n = max(ma.shape[0], mb.shape[0])
-    pa = np.zeros((n, n), dtype=complex)
-    pb = np.zeros((n, n), dtype=complex)
-    pa[: ma.shape[0], : ma.shape[0]] = ma
-    pb[: mb.shape[0], : mb.shape[0]] = mb
-    vals = hermitian_spectrum(pa - pb)
-    return float(0.5 * np.abs(vals).sum())
 
 
 def spectral_distance(a, b) -> float:

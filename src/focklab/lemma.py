@@ -16,7 +16,7 @@ from .channels import amplifier, apply_diagonal, checked_bytes, get_channel_map
 from .entropy import schatten_norm
 from .errors import DomainError, LemmaViolationError
 from .states import DiagonalState
-from .thermal import _log_norm, _norm_args, _one_minus_pow
+from .thermal import _log_norm, _one_minus_pow
 
 P_SOLVER_WIDTH = 1e-14
 P_SOLVER_RESIDUAL = 1e-12
@@ -114,20 +114,15 @@ def amplifier_z_map(z, gain):
 
 
 def _log_norm_ratio(z, kap, p, q):
-    """log_thermal_norm_ratio without argument checks, at the float gain kap."""
+    """ln ||thermal(z')||_q - ln ||thermal(z)||_p, the thermal family's p->q norm ratio.
+
+    z' = (z + kap - 1)/kap is the amplifier's image of z at the float gain kap.
+    """
     return _log_norm((z + kap - 1.0) / kap, q) - _log_norm(z, p)
 
 
-def log_thermal_norm_ratio(z, gain, p, q):
-    """ln of output-q-norm over input-p-norm for the thermal family."""
-    _, q = _norm_args(amplifier_z_map(z, gain), q)
-    z, p = _norm_args(z, p)
-    out = _log_norm_ratio(z, float(gain), p, q)
-    return float(out) if out.ndim == 0 else out
-
-
 def norm_ratio_log_derivative(z, gain, p, q):
-    """d/dz of log_thermal_norm_ratio, in the factored form used by the solver.
+    """d/dz of the thermal norm ratio _log_norm_ratio, in the factored form used by the solver.
 
     The derivative equals (phi(z, p) - phi(z', q)) / (1 - z) with
     z' = amplifier_z_map(z, gain), so interior maximizers are exactly
@@ -393,9 +388,9 @@ def scan_ratio_maximizer(gain, p, q):
     zg = np.arange(n + 1) / (n + 1.0)
     refused = amplifier_z_map(zg[-1], kap) >= 1.0  # the image rises with z
     if refused.ndim == 0 and refused:
-        raise DomainError("log_thermal_schatten_norm needs 0 <= z < 1")
+        raise DomainError("scan_ratio_maximizer needs an image z' < 1 of its whole z grid")
     if not (np.all(p > 1.0) and np.all(q > 1.0)):
-        raise DomainError("log_thermal_schatten_norm needs p > 1")
+        raise DomainError("scan_ratio_maximizer needs p > 1 and q > 1")
     kap = np.where(refused, 1.0, kap)
 
     def f(z):

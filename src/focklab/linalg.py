@@ -25,30 +25,27 @@ OPENBLAS_THREAD_SYMBOLS = tuple(
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
-    """m as complex, a square matrix or a stack of them, each Hermitian within tolerance."""
+    """m as a complex square matrix, Hermitian within tolerance."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
-    adjoint = m.conj().swapaxes(-1, -2)
+    adjoint = m.conj().T
     if (m == adjoint).all():  # every channel output and sampled state
         return m
-    square = (-2, -1)
-    defect = np.abs(m - adjoint).max(axis=square, initial=0.0)
-    scale = np.maximum(1.0, np.abs(m).max(axis=square, initial=0.0))
-    bad = defect > HERMITICITY_TOL * scale
-    if bad.any():
-        raise NonHermitianError(f"Hermiticity defect {defect[bad][0]:.3e} too large")
+    defect = np.abs(m - adjoint).max(initial=0.0)
+    if defect > HERMITICITY_TOL * max(1.0, np.abs(m).max(initial=0.0)):
+        raise NonHermitianError(f"Hermiticity defect {defect:.3e} too large")
     return m
 
 
 def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, or of each in a stack, sorted descending."""
+    """Real eigenvalues of a Hermitian matrix, sorted descending."""
     m = _require_hermitian(m)
     try:
         vals = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    return vals[..., ::-1].copy()
+    return vals[::-1].copy()
 
 
 def hermitian_eigh(m: np.ndarray):

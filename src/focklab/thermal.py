@@ -123,26 +123,10 @@ def _one_minus_pow(z, expo) -> np.ndarray:
 
 
 def _log_norm(z, p):
-    """log_thermal_schatten_norm without argument checks: 0 <= z < 1, p > 1."""
+    """ln ||thermal(z)||_p = ln(1 - z) - ln(1 - z**p)/p, for 0 <= z < 1 and p > 1.
+
+    Scalars or arrays; stable near z -> 1 through log1p and expm1.
+    """
     # a z that rounds to 1, as at a huge amplifier gain, gives -inf or NaN quietly
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log1p(-z) - np.log(_one_minus_pow(z, p)) / p
-
-
-def _norm_args(z, p):
-    z_arr = np.asarray(z, dtype=float)
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(z_arr < 0.0) or np.any(z_arr >= 1.0):
-        raise DomainError("log_thermal_schatten_norm needs 0 <= z < 1")
-    if not np.all(p_arr > 1.0):
-        raise DomainError("log_thermal_schatten_norm needs p > 1")
-    return z_arr, p_arr
-
-
-def log_thermal_schatten_norm(z, p):
-    """ln ||thermal(z)||_p = ln(1-z) - (1/p) ln(1-z^p), in closed form.
-
-    Accepts scalars or arrays; stable near z -> 1 via expm1/log1p.
-    """
-    out = _log_norm(*_norm_args(z, p))
-    return float(out) if out.ndim == 0 else out

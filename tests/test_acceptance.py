@@ -26,8 +26,8 @@ from focklab.cli import (
     THERMAL_SUMMARY,
     main,
 )
-from focklab.cmoe import MAX_INPUT_DEFICIT, amplifier_entropy_chain
-from focklab.entropy import schatten_norm, trace_distance
+from focklab.cmoe import MAX_INPUT_DEFICIT
+from focklab.entropy import schatten_norm
 from focklab.errors import DomainError
 from focklab.lemma import (
     PROBE_GAIN,
@@ -43,9 +43,10 @@ from focklab.lemma import (
     verify_lemma_inequalities,
 )
 from focklab.sampling import random_mixed, substream
-from focklab.thermal import log_thermal_schatten_norm, thermal_state, thermal_tail_cutoff
+from focklab.thermal import thermal_state, thermal_tail_cutoff
 
 from dilation import apply_channel_dense
+from oracles import amplifier_entropy_chain, log_thermal_schatten_norm, trace_distance
 
 SEED = DEFAULT_CONFIG["seed"]
 API_STREAM_BASE = 1_000_000  # disjoint from the command-line trial streams

@@ -33,7 +33,6 @@ from focklab.channels import (
     dense_bytes,
     get_channel_map,
 )
-from focklab.entropy import trace_distance
 from focklab.errors import DomainError, ResourceLimitError, TruncationError
 from focklab.sampling import random_mixed, substream
 from focklab.states import DensityMatrix, DiagonalState
@@ -47,6 +46,7 @@ from dilation import (
     partial_trace,
     squeezer_unitary,
 )
+from oracles import trace_distance
 
 
 def _expm_taylor(m):
@@ -679,18 +679,24 @@ def _band_loop(cmap, rho):
 @pytest.mark.parametrize("d_in", [1, 2, 7, 8])
 def test_slab_apply_matches_the_band_loop(spec, d_in):
     # odd and even band counts, default and explicit dims (d_out below
-    # d_in too); inputs smaller than the map's input dim are refused
+    # d_in too); inputs smaller than the map's input dim are refused, not
+    # zero-padded, and a stack of inputs is refused, not read as its first
     clear_caches()
     for dims in (None, ChannelDims(d_in + 3, d_in + 3, max(1, d_in - 3))):
         cmap = get_channel_map(spec, d_in, dims)
         for n in sorted({1, max(1, d_in - 2), d_in}):
             rho = random_mixed(n, n, substream(113, n)).matrix
             if n < d_in:
-                with pytest.raises(DomainError, match=f"input dim {n} is not the map's"):
+                refusal = f"input dim {n} is not the map's input dim {d_in}"
+                with pytest.raises(DomainError, match=refusal):
                     cmap.apply_matrix(rho)
-                with pytest.raises(DomainError, match=f"input dim {n} is not the map's"):
+                with pytest.raises(DomainError, match=refusal):
                     cmap.apply_probs(rho.diagonal().real)
                 continue
+            with pytest.raises(DomainError, match=r"expected a square matrix .* \(2, "):
+                cmap.apply_matrix(np.array([rho, rho]))
+            with pytest.raises(DomainError, match="expected a vector"):
+                cmap.apply_probs(rho.real)
             out = cmap.apply_matrix(rho)
             assert out.shape == (cmap.d_out, cmap.d_out)
             assert np.array_equal(out, out.conj().T)
@@ -763,23 +769,15 @@ def test_kind_enum_values():
     assert ChannelKind.CONTRAVARIANT.value == "contravariant"
 
 
-def test_band_outputs_of_a_stack_are_the_per_matrix_products():
-    cmap = get_channel_map(amplifier(2.0), 6)
-    rhos = np.array([random_mixed(6, 6, substream(2, i)).matrix for i in range(4)])
-    stacked = cmap.band_outputs(rhos)
-    for rho, vout in zip(rhos, stacked):
-        assert_allclose(vout, cmap.band_outputs(rho), rtol=1e-15, atol=1e-17)
-    # a stack of smaller inputs is refused, not zero-padded
-    with pytest.raises(DomainError, match="input dim 4 is not the map's input dim 6"):
-        cmap.band_outputs(rhos[:, :4, :4])
-
-
 @pytest.mark.parametrize(
     "spec",
     [attenuator(0.7), amplifier(2.0, 0.5), additive_noise(1.0), contravariant_amplifier(2.0, 0.5)],
 )
-@pytest.mark.parametrize("d_in, d_out", [(60, 240), (200, 300), (10, 600)])
+@pytest.mark.parametrize("d_in, d_out", [(1, 1), (2, 2), (60, 240), (200, 300), (10, 600)])
 def test_band_zero_bytes_bounds_what_a_map_build_allocates(spec, d_in, d_out):
+    # the map, its stage iterators and their array headers are most of a
+    # 1- or 2-level build's peak; the plan's fixed 5.3-7.8 KiB of them may
+    # overstate it by more than 50 %
     clear_caches()
     tracemalloc.start()
     try:
@@ -792,7 +790,7 @@ def test_band_zero_bytes_bounds_what_a_map_build_allocates(spec, d_in, d_out):
               "additive": [(d_in, d_in), (d_in, d_out)],
               "contravariant": [(d_in, d_out), (d_out, d_out), (d_out, d_out)]}[spec.kind.value]
     need = band_zero_bytes(d_in, stages)
-    assert peak <= need <= 1.5 * peak
+    assert peak <= need <= 1.5 * peak + 4096
 
 
 def test_oversized_band_zero_is_refused_before_it_allocates():

@@ -22,12 +22,11 @@ from focklab.cmoe import (
     VERDICT_SATISFIED,
     VERDICT_SUPPRESSED,
     VIOLATION_SLACK,
-    amplifier_entropy_chain,
     bound_for,
     check_cmoe,
     entropy_truncation_margin,
 )
-from focklab.entropy import renyi_entropy, state_spectrum
+from focklab.entropy import state_spectrum
 from focklab.errors import DomainError
 from focklab.lemma import amplifier_z_map
 from focklab.sampling import random_mixed, substream
@@ -35,13 +34,13 @@ from focklab.states import DensityMatrix
 from focklab.thermal import (
     g,
     g_inv,
-    log_thermal_schatten_norm,
     thermal_state,
     thermal_tail_cutoff,
     z_of_energy,
 )
 
 from dilation import ladder
+from oracles import amplifier_entropy_chain, log_thermal_schatten_norm, renyi_entropy
 
 
 def test_bound_formulas_on_thermal_entropies():

@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from focklab.entropy import (
-    renyi_entropy,
-    schatten_norm,
-    spectral_distance,
-    state_spectrum,
-    trace_distance,
-    von_neumann_entropy,
-)
+from focklab.entropy import schatten_norm, spectral_distance, state_spectrum, von_neumann_entropy
 from focklab.errors import DomainError
 from focklab.sampling import random_mixed, substream
 from focklab.states import DensityMatrix, DiagonalState
-from focklab.thermal import g, log_thermal_schatten_norm, thermal_state, z_of_energy
+from focklab.thermal import g, thermal_state, z_of_energy
+
+from oracles import log_thermal_schatten_norm, renyi_entropy, trace_distance
 
 
 def test_state_spectrum_sorted_and_clamped():

@@ -14,7 +14,7 @@ from focklab.channels import (
     default_dims,
     get_channel_map,
 )
-from focklab.entropy import renyi_entropy, schatten_norm
+from focklab.entropy import schatten_norm
 from focklab.errors import DomainError, LemmaViolationError
 from focklab.cli import DEFAULT_CONFIG
 from focklab.lemma import (
@@ -38,7 +38,6 @@ from focklab.lemma import (
     amplifier_z_map,
     f_func,
     f_partial_p,
-    log_thermal_norm_ratio,
     norm_ratio_log_derivative,
     phi,
     pq_norm_saturation_probe,
@@ -49,7 +48,9 @@ from focklab.lemma import (
 )
 from focklab.sampling import SamplerConfig, draw_state, entropy_pinned_state, substream
 from focklab.states import DiagonalState
-from focklab.thermal import g, g_prime, log_thermal_schatten_norm, thermal_state, z_of_energy
+from focklab.thermal import g, g_prime, thermal_state, z_of_energy
+
+from oracles import log_thermal_norm_ratio, log_thermal_schatten_norm, renyi_entropy
 
 
 def test_phi_closed_form_points():
@@ -361,6 +362,11 @@ def test_norm_ratio_and_scan_reject_bad_arguments():
     for gain, p, q in ((0.9, 1.2, 1.3), (2.0, 1.0, 1.3), (2.0, 1.2, 0.5)):
         with pytest.raises(DomainError):
             scan_ratio_maximizer(gain, p, q)
+    # the scan's own refusals name the scan
+    for args, refusal in (((1e17, 1.2, 1.35), "an image z' < 1 of its whole z grid"),
+                          ((2.0, 1.2, 0.5), "p > 1 and q > 1")):
+        with pytest.raises(DomainError, match=f"^scan_ratio_maximizer needs {refusal}$"):
+            scan_ratio_maximizer(*args)
 
 
 def test_scan_value_is_the_checked_ratio_at_its_maximizer():

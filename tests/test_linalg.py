@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 
 import numpy as np
 import pytest
@@ -74,9 +75,17 @@ def test_hermitian_spectrum_sorted_descending():
 
 def test_hermitian_spectrum_rejects_non_hermitian():
     m = np.eye(4, dtype=complex)
-    m[0, 1] = 1.0
-    with pytest.raises(NonHermitianError):
+    m[0, 1] = 1e-6
+    with pytest.raises(NonHermitianError, match="Hermiticity defect 1.000e-06 too large"):
         hermitian_spectrum(m)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 3)])
+def test_hermitian_spectrum_takes_one_square_matrix(shape):
+    refusal = re.escape(f"expected a square matrix, got shape {shape}")
+    with pytest.raises(InvalidDimensionError, match=refusal):
+        hermitian_spectrum(np.zeros(shape, dtype=complex))
+    assert hermitian_spectrum(np.zeros((0, 0))).shape == (0,)
 
 
 @pytest.mark.parametrize("scale", [1.0, 250.0])
@@ -88,25 +97,6 @@ def test_hermiticity_tolerance_edges(scale):
     m[1, 0] = 1.01e-12 * scale
     with pytest.raises(NonHermitianError):
         hermitian_spectrum(m)
-
-
-def test_stacked_spectrum_equals_per_matrix_calls():
-    from focklab.sampling import random_mixed, random_pure, substream
-
-    mats = [random_mixed(12, 12, substream(5, i)).matrix for i in range(6)]
-    mats += [random_pure(12, substream(6, i)).matrix for i in range(5)]
-    stack = np.array(mats)
-    np.testing.assert_equal(hermitian_spectrum(stack), [hermitian_spectrum(m) for m in mats])
-    np.testing.assert_equal(hermitian_spectrum(stack[:1]), hermitian_spectrum(stack[0])[None])
-
-
-def test_stack_with_one_non_hermitian_matrix_is_refused():
-    stack = np.array([np.eye(3, dtype=complex)] * 4)
-    stack[2, 0, 1] = 1e-6
-    with pytest.raises(NonHermitianError, match="1.000e-06"):
-        hermitian_spectrum(stack)
-    with pytest.raises(InvalidDimensionError):
-        hermitian_spectrum(np.zeros((2, 3, 4), dtype=complex))
 
 
 def test_eigh_reconstructs_matrix():

@@ -12,11 +12,12 @@ from focklab.thermal import (
     g,
     g_inv,
     g_prime,
-    log_thermal_schatten_norm,
     thermal_state,
     thermal_tail_cutoff,
     z_of_energy,
 )
+
+from oracles import log_thermal_schatten_norm
 
 
 def test_g_known_values():
